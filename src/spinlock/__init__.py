@@ -19,6 +19,7 @@ from .dicke import (
     DickeState,
     PhaseTriple,
     PulseStep,
+    TridiagonalOperator,
     build_collective_ops,
     css_state,
     evolve_unitary,
@@ -81,6 +82,7 @@ __all__ = [
     "SpinlockError",
     "SqueezeParams",
     "StokesOps",
+    "TridiagonalOperator",
     "WindowError",
     "accumulated_beta",
     "active_backend",

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from . import dicke
-from .dicke import CollectiveOperator, PhaseTriple, PulseStep
+from .dicke import PhaseTriple, PulseStep, TridiagonalOperator
 from .errors import ConfigError, FringeNodeError, PhaseDomainError
 
 DENOMINATOR_TOL = 1e-12
@@ -131,15 +131,12 @@ def _comparison_state(
     ops = dicke.build_collective_ops(n_atoms)
     state = dicke.x_css(n_atoms)
     if ordering == "single":
-        combined = (
-            phases.alpha * ops.jz2.entries
-            + phases.beta * ops.jz.entries
-            + phases.gamma * ops.jx.entries
+        terms = ((phases.alpha, ops.jz2), (phases.beta, ops.jz), (phases.gamma, ops.jx))
+        combined = TridiagonalOperator(
+            sum(weight * op.diag for weight, op in terms),
+            sum(weight * op.upper for weight, op in terms),
         )
-        state = dicke.evolve_unitary(
-            state, CollectiveOperator(combined, hermitian=True), 1.0
-        )
-        return state, ops
+        return dicke.evolve_unitary(state, combined, 1.0), ops
     steps = [
         PulseStep("jz2", phases.alpha),
         PulseStep("jz", phases.beta),

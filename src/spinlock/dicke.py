@@ -2,8 +2,13 @@
 
 An ensemble of ``n_atoms`` spin-1/2 particles restricted to the fully
 symmetric subspace is a single spin J = n_atoms/2 living in n_atoms + 1
-dimensions.  Everything here is dense and exact up to rounding, so it can
-serve as ground truth for closed-form expressions.
+dimensions.  Every generator used here (Jx, Jy, Jz, Jz^2 and their real
+combinations) is Hermitian and tridiagonal in the m basis, so it is stored
+as a real diagonal plus a complex super-diagonal: O(N) memory, O(N)
+expectation values.  Evolution is exact up to rounding, with no step size or
+truncation, so it can serve as ground truth for closed-form expressions.
+A non-diagonal rotation diagonalises the tridiagonal generator, whose
+eigenvectors take (N+1)^2 reals; that is the remaining O(N^2) cost.
 
 Basis convention: amplitudes are indexed by m descending from +J, i.e.
 index 0 is m = +J and index n_atoms is m = -J.  Jz is diagonal in this
@@ -36,7 +41,7 @@ GENERATOR_NAMES = ("jx", "jy", "jz", "jz2")
 
 @dataclass(frozen=True)
 class CollectiveOperator:
-    """Dense operator on a collective-spin (or joint) Hilbert space.
+    """Dense operator, for the Stokes and joint photon-atom spaces of ``squeezing``.
 
     Parameters
     ----------
@@ -66,6 +71,61 @@ class CollectiveOperator:
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
+
+
+@dataclass(frozen=True)
+class TridiagonalOperator:
+    """Hermitian operator tridiagonal in the m basis of the Dicke subspace.
+
+    Parameters
+    ----------
+    diag : real ndarray, shape (dim,)
+    upper : complex ndarray, shape (dim - 1,)
+        Super-diagonal entries <k|A|k+1>; the sub-diagonal is their
+        conjugate, so the operator is Hermitian by construction.
+    """
+
+    diag: np.ndarray
+    upper: np.ndarray
+
+    hermitian = True  # by construction; same flag as CollectiveOperator's
+
+    def __post_init__(self):
+        diag = np.array(self.diag)
+        if np.iscomplexobj(diag):
+            if np.abs(diag.imag).max(initial=0.0) >= HERMITIAN_TOL:
+                raise NonHermitianError("tridiagonal operator needs a real diagonal")
+            diag = diag.real
+        diag = np.array(diag, dtype=float)
+        upper = np.array(self.upper, dtype=complex)
+        if diag.ndim != 1 or diag.size < 1 or upper.shape != (diag.size - 1,):
+            raise DimensionMismatchError(
+                f"need diag (dim,) and upper (dim-1,), got {diag.shape} and {upper.shape}"
+            )
+        diag.setflags(write=False)
+        upper.setflags(write=False)
+        object.__setattr__(self, "diag", diag)
+        object.__setattr__(self, "upper", upper)
+
+    @property
+    def dim(self) -> int:
+        return self.diag.size
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense complex matrix, built on each access (O(dim^2))."""
+        return (
+            np.diag(self.diag.astype(complex))
+            + np.diag(self.upper, 1)
+            + np.diag(self.upper.conj(), -1)
+        )
+
+    def matvec(self, vec: np.ndarray) -> np.ndarray:
+        """A @ vec in O(dim) for a complex vector."""
+        out = self.diag * vec
+        out[:-1] += self.upper * vec[1:]
+        out[1:] += self.upper.conj() * vec[:-1]
+        return out
 
 
 @dataclass(frozen=True)
@@ -136,25 +196,30 @@ PulseSchedule = Sequence[PulseStep]
 
 @dataclass(frozen=True)
 class CollectiveOps:
-    """The J = n_atoms/2 angular-momentum matrices plus Jz^2."""
+    """The J = n_atoms/2 angular-momentum operators plus Jz^2."""
 
     n_atoms: int
-    jx: CollectiveOperator
-    jy: CollectiveOperator
-    jz: CollectiveOperator
-    jz2: CollectiveOperator
+    jx: TridiagonalOperator
+    jy: TridiagonalOperator
+    jz: TridiagonalOperator
+    jz2: TridiagonalOperator
 
-    def by_name(self, name: str) -> CollectiveOperator:
+    def by_name(self, name: str) -> TridiagonalOperator:
         if name not in GENERATOR_NAMES:
             raise ConfigError(f"unknown generator {name!r}")
         return getattr(self, name)
 
 
-def spin_matrices(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw (jx, jy, jz) matrices for the spin-(dim-1)/2 irrep, m descending."""
+def _m_and_ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """m values (descending) and the J+ coefficients sqrt(j(j+1) - m(m+1))."""
     j = (dim - 1) / 2
     m = j - np.arange(dim)
-    ladder = np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
+    return m, np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
+
+
+def spin_matrices(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense (jx, jy, jz) matrices for the spin-(dim-1)/2 irrep, m descending."""
+    m, ladder = _m_and_ladder(dim)
     jplus = np.zeros((dim, dim), dtype=complex)
     jplus[np.arange(dim - 1), np.arange(1, dim)] = ladder
     jminus = jplus.conj().T
@@ -165,26 +230,32 @@ def spin_matrices(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def build_collective_ops(n_atoms: int) -> CollectiveOps:
-    """Angular-momentum matrices for J = n_atoms/2 in the m-descending basis.
+    """Angular-momentum operators for J = n_atoms/2 in the m-descending basis.
+
+    Each is stored as its two bands (O(n_atoms)); Jy's super-diagonal is
+    -i times Jx's.
 
     Raises
     ------
     ConfigError
-        If n_atoms is outside [1, 10_000] (dense storage would not fit).
+        If n_atoms is outside [1, 10_000] (a rotation's eigenvectors take
+        (n+1)^2 reals).
     """
     if not isinstance(n_atoms, (int, np.integer)) or isinstance(n_atoms, bool):
         raise ConfigError(f"n_atoms must be an integer, got {n_atoms!r}")
     if not 1 <= n_atoms <= MAX_ATOMS:
         raise ConfigError(
-            f"n_atoms={n_atoms} outside [1, {MAX_ATOMS}]: dense (n+1)^2 storage infeasible"
+            f"n_atoms={n_atoms} outside [1, {MAX_ATOMS}]: a rotation's (n+1)^2 "
+            "eigenvector entries would not fit"
         )
-    jx, jy, jz = spin_matrices(n_atoms + 1)
+    m, ladder = _m_and_ladder(n_atoms + 1)
+    zeros = np.zeros(n_atoms)
     return CollectiveOps(
         n_atoms=n_atoms,
-        jx=CollectiveOperator(jx, hermitian=True),
-        jy=CollectiveOperator(jy, hermitian=True),
-        jz=CollectiveOperator(jz, hermitian=True),
-        jz2=CollectiveOperator(jz @ jz, hermitian=True),
+        jx=TridiagonalOperator(np.zeros(n_atoms + 1), ladder / 2),
+        jy=TridiagonalOperator(np.zeros(n_atoms + 1), -0.5j * ladder),
+        jz=TridiagonalOperator(m, zeros),
+        jz2=TridiagonalOperator(m * m, zeros),
     )
 
 
@@ -218,45 +289,59 @@ def x_css(n_atoms: int) -> DickeState:
     return css_state(n_atoms, np.pi / 2, 0.0)
 
 
-def _propagate(generator: np.ndarray, angle: float, vec: np.ndarray) -> np.ndarray:
-    """exp(-i*angle*G) @ vec for Hermitian G, via eigendecomposition.
+def _check_operator(op, n_atoms: int, role: str) -> None:
+    if not op.hermitian:
+        raise NonHermitianError(f"{role} must be flagged hermitian")
+    if not isinstance(op, TridiagonalOperator):
+        raise ConfigError(
+            f"{role} must be a TridiagonalOperator; dense operators belong to "
+            "the joint photon-atom space"
+        )
+    if op.dim != n_atoms + 1:
+        raise DimensionMismatchError(f"{role} dim {op.dim} != state dim {n_atoms + 1}")
+
+
+def _propagate(generator: TridiagonalOperator, angle: float, vec: np.ndarray) -> np.ndarray:
+    """exp(-i*angle*G) @ vec for a Hermitian tridiagonal G.
 
     Diagonal generators (Jz, Jz^2) short-circuit to exact phase factors.
+    Otherwise the diagonal unitary S with S^dag G S real and symmetric (its
+    super-diagonal |u_k|) is applied, and the real tridiagonal matrix is
+    diagonalised with LAPACK's tridiagonal eigensolver.
     """
-    off_diag = generator - np.diag(np.diag(generator))
-    if not off_diag.any():
-        return np.exp(-1j * angle * np.diag(generator).real) * vec
-    w, v = np.linalg.eigh(generator)
-    return v @ (np.exp(-1j * angle * w) * (v.conj().T @ vec))
+    upper = generator.upper
+    if not upper.any():
+        return np.exp(-1j * angle * generator.diag) * vec
+    size = np.abs(upper)
+    unit = np.ones_like(upper)
+    np.divide(upper.conj(), size, out=unit, where=size > 0)
+    gauge = np.concatenate(([1.0], np.cumprod(unit)))
+    w, v = scipy.linalg.eigh_tridiagonal(generator.diag, size)
+    coeffs = np.exp(-1j * angle * w) * _real_matvec(v.T, gauge.conj() * vec)
+    return gauge * _real_matvec(v, coeffs)
+
+
+def _real_matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Real matrix times complex vector without a complex copy of the matrix."""
+    return mat @ vec.real + 1j * (mat @ vec.imag)
 
 
 def evolve_unitary(
-    state: DickeState, generator: CollectiveOperator, duration_phase: float
+    state: DickeState, generator: TridiagonalOperator, duration_phase: float
 ) -> DickeState:
     """Apply exp(-i * duration_phase * generator) to a Dicke state.
 
-    The generator must carry the hermitian flag; evolution is then unitary up
-    to rounding with no step-size tuning.
+    Evolution is unitary up to rounding with no step-size tuning.
     """
-    if not generator.hermitian:
-        raise NonHermitianError("evolution generator must be flagged hermitian")
-    if generator.dim != state.n_atoms + 1:
-        raise DimensionMismatchError(
-            f"generator dim {generator.dim} != state dim {state.n_atoms + 1}"
-        )
-    amps = _propagate(generator.entries, duration_phase, state.amplitudes)
+    _check_operator(generator, state.n_atoms, "evolution generator")
+    amps = _propagate(generator, duration_phase, state.amplitudes)
     return DickeState(n_atoms=state.n_atoms, amplitudes=amps)
 
 
-def expect(state: DickeState, op: CollectiveOperator) -> float:
+def expect(state: DickeState, op: TridiagonalOperator) -> float:
     """⟨psi|op|psi⟩ for a Hermitian op; the (tiny) imaginary part is discarded."""
-    if op.dim != state.n_atoms + 1:
-        raise DimensionMismatchError(
-            f"operator dim {op.dim} != state dim {state.n_atoms + 1}"
-        )
-    if not op.hermitian:
-        raise NonHermitianError("expect() requires a hermitian-flagged operator")
-    value = np.vdot(state.amplitudes, op.entries @ state.amplitudes)
+    _check_operator(op, state.n_atoms, "expect() operator")
+    value = np.vdot(state.amplitudes, op.matvec(state.amplitudes))
     if abs(value.imag) >= IMAG_TOL:
         raise NumericsError(
             f"expectation has imaginary part {value.imag:.3e} beyond 1e-10"
@@ -264,15 +349,10 @@ def expect(state: DickeState, op: CollectiveOperator) -> float:
     return float(value.real)
 
 
-def variance(state: DickeState, op: CollectiveOperator) -> float:
+def variance(state: DickeState, op: TridiagonalOperator) -> float:
     """⟨op^2⟩ - ⟨op⟩^2, clamping rounding-level negatives to zero."""
-    if op.dim != state.n_atoms + 1:
-        raise DimensionMismatchError(
-            f"operator dim {op.dim} != state dim {state.n_atoms + 1}"
-        )
-    if not op.hermitian:
-        raise NonHermitianError("variance() requires a hermitian-flagged operator")
-    vec = op.entries @ state.amplitudes
+    _check_operator(op, state.n_atoms, "variance() operator")
+    vec = op.matvec(state.amplitudes)
     second = np.vdot(vec, vec).real  # ⟨psi|op^2|psi⟩ with op hermitian
     first = np.vdot(state.amplitudes, vec).real
     var = second - first * first

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analytic, kernels
 from .dicke import PhaseTriple
-from .errors import ConfigError, EmptyRangeError
+from .errors import ConfigError, EmptyRangeError, NumericsError
 from .lockin import LockInSchedule, phase_kernel
 from .noise import NoiseComponent
 
@@ -130,14 +130,23 @@ def _point_values(
         raise ConfigError(
             f"unknown integrand {integrand!r}; expected one of {INTEGRANDS}"
         )
+    cos_fac = analytic.cos_factor(mc.alpha, mc.n_atoms)
+    sin_fac = analytic.sin_factor(mc.alpha, mc.n_atoms)
+    # the ramsey integrand divides by cos_fac; past this ratio the sin_fac
+    # term is amplified into arbitrarily large "contrasts"
+    if integrand == "ramsey" and (
+        cos_fac == 0 or abs(sin_fac) > abs(cos_fac) / analytic.DENOMINATOR_TOL
+    ):
+        raise NumericsError(
+            f"twisting angle alpha={mc.alpha!r}: cos^(N-1)={cos_fac:.3e} is too small "
+            f"against sin^(N-1)={sin_fac:.3e} to normalize the ramsey fringe"
+        )
     kernel = kernel or kernels.contrast_values
     a, b = phase_kernel(components, schedule, toggle)
     beta0, a_free, b_free = _split_fixed(components, a, b)
     theta = sample_thetas(
         mc.master_seed, point_index, 0, mc.samples, a_free.size
     )
-    cos_fac = analytic.cos_factor(mc.alpha, mc.n_atoms)
-    sin_fac = analytic.sin_factor(mc.alpha, mc.n_atoms)
     # the bracketing drive is the N pi pulses acting about x
     gamma = schedule.n_pulses * math.pi
     return np.asarray(

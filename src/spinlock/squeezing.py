@@ -17,7 +17,7 @@ import numpy as np
 
 from . import dicke
 from .dicke import CollectiveOperator
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError
 
 MAX_PHOTONS = 200
 MAX_JOINT_DIM = 10_000
@@ -32,38 +32,6 @@ class StokesOps:
     sx: CollectiveOperator
     sy: CollectiveOperator
     sz: CollectiveOperator
-
-
-@dataclass(frozen=True)
-class JointState:
-    """Pure state on photon (x) atom space, photon-major amplitude ordering."""
-
-    n_photons: int
-    n_atoms: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = np.array(self.amplitudes, dtype=complex)
-        expected = (self.n_photons + 1) * (self.n_atoms + 1)
-        if amps.ndim != 1 or amps.size != expected:
-            raise DimensionMismatchError(
-                f"joint state needs {expected} amplitudes, got shape {amps.shape}"
-            )
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) >= dicke.NORM_TOL:
-            raise dicke.NumericsError(f"joint state norm {norm!r} deviates from 1")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-    @classmethod
-    def product(cls, photon: np.ndarray, atom: np.ndarray) -> "JointState":
-        photon = np.asarray(photon, dtype=complex)
-        atom = np.asarray(atom, dtype=complex)
-        return cls(
-            n_photons=photon.size - 1,
-            n_atoms=atom.size - 1,
-            amplitudes=np.kron(photon, atom),
-        )
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spinlock import dicke
-from spinlock.dicke import CollectiveOperator, DickeState, PulseStep
+from spinlock.dicke import CollectiveOperator, DickeState, PulseStep, TridiagonalOperator
 from spinlock.errors import (
     ConfigError,
     DimensionMismatchError,
@@ -133,6 +134,52 @@ def test_twisting_only_changes_phases():
     assert np.allclose(
         np.abs(twisted.amplitudes), np.abs(state.amplitudes), atol=1e-13
     )
+
+
+def test_evolution_matches_dense_expm():
+    # reference: scipy's expm of the dense spin matrices, independent of the
+    # band storage, the phase gauge and the tridiagonal eigensolver
+    rng = np.random.default_rng(17)
+    for n in (1, 7, 50, 200):
+        jx, jy, jz = dicke.spin_matrices(n + 1)
+        ops = dicke.build_collective_ops(n)
+        amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        state = DickeState(n, amps / np.linalg.norm(amps))
+        cases = [(ops.by_name(name), dense, 0.7) for name, dense in
+                 (("jx", jx), ("jy", jy), ("jz", jz), ("jz2", jz @ jz))]
+        for weights in ((0.3, -0.2, 0.9, 0.0), (0.0, 0.4, -0.6, 1.1)):
+            a, b, g, d = weights  # jz2, jz, jx, jy; the second has complex bands
+            terms = ((a, ops.jz2), (b, ops.jz), (g, ops.jx), (d, ops.jy))
+            banded = TridiagonalOperator(
+                sum(w * op.diag for w, op in terms), sum(w * op.upper for w, op in terms)
+            )
+            cases.append((banded, a * jz @ jz + b * jz + g * jx + d * jy, 1.0))
+        for generator, dense, angle in cases:
+            got = dicke.evolve_unitary(state, generator, angle).amplitudes
+            want = scipy.linalg.expm(-1j * angle * dense) @ state.amplitudes
+            assert np.abs(got - want).max() <= 1e-10, f"n={n}"
+
+
+def test_twist_then_rotate_at_2000_atoms():
+    # rotating about x leaves <Jx> of the twisted x-CSS at J cos^(N-1)(alpha)
+    # and keeps <Jy> = <Jz> = 0 by the state's symmetry
+    values = dicke.schedule_expectations(2000, [PulseStep("jz2", 0.01), PulseStep("jx", 0.3)])
+    assert values["jx"] == pytest.approx(1000 * np.cos(0.01) ** 1999, rel=1e-9)
+    assert abs(values["jy"]) < 1e-9
+    assert abs(values["jz"]) < 1e-9
+
+
+def test_tridiagonal_operator_validation():
+    with pytest.raises(DimensionMismatchError):
+        TridiagonalOperator(np.zeros(3), np.zeros(3))
+    with pytest.raises(NonHermitianError):
+        TridiagonalOperator(np.array([1.0, 1j]), np.zeros(1))
+    state = dicke.x_css(2)
+    dense = CollectiveOperator(dicke.build_collective_ops(2).jx.entries, hermitian=True)
+    with pytest.raises(ConfigError):
+        dicke.expect(state, dense)
+    with pytest.raises(DimensionMismatchError):
+        dicke.evolve_unitary(state, dicke.build_collective_ops(3).jx, 0.1)
 
 
 def test_evolve_rejects_unflagged_generator():

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from spinlock import kernels, montecarlo as mc
-from spinlock.errors import ConfigError, EmptyRangeError
+from spinlock.errors import ConfigError, EmptyRangeError, NumericsError
 from spinlock.lockin import LockInSchedule
 from spinlock.montecarlo import CurvePoint, McConfig
 from spinlock.noise import NoiseComponent
@@ -162,6 +163,19 @@ def test_estimates_are_bounded(three_tone_noise, default_mc):
                 integrand=integrand,
             )
             assert -1.0 - 1e-9 <= point.estimate <= 1.0 + 1e-9
+
+
+def test_ramsey_rejects_twist_that_swamps_the_normalization(three_tone_noise, default_mc):
+    # at N=50 these twists (alpha 1.25 and 1.5625) made cos^(N-1) so small
+    # that the normalized fringe read -1.8e21 and -6.1e99
+    sched = LockInSchedule(7, 5e-3)
+    for duration in (2e-3, 2.5e-3):
+        cfg = dataclasses.replace(default_mc, squeeze_duration=duration)
+        with pytest.raises(NumericsError):
+            mc.fringe_contrast_mc(three_tone_noise, sched, cfg)
+    point = mc.fringe_contrast_mc(three_tone_noise, sched, default_mc)
+    assert default_mc.alpha == pytest.approx(0.01)
+    assert -1.0 <= point.estimate <= 1.0
 
 
 def test_integrand_modes_differ(three_tone_noise, default_mc):
