@@ -3,8 +3,8 @@
 Layers: exact Dicke-basis evolution (dicke), joint photon-atom squeezing
 sequence (squeezing), printed closed-form expectations (analytic), tone
 noise and pulse-train phase accumulation (noise, lockin), Monte-Carlo
-sweeps with a compiled kernel when available (montecarlo, kernels), and a
-config-driven CLI (cli).
+sweeps over one numpy kernel (montecarlo, kernels), and a config-driven
+CLI (cli).
 """
 from .analytic import (
     expect_jx,
@@ -40,7 +40,6 @@ from .errors import (
     SpinlockError,
     WindowError,
 )
-from .kernels import active_backend
 from .lockin import LockInSchedule, accumulated_beta, phase_kernel, toggling_function
 from .montecarlo import (
     CurvePoint,
@@ -85,7 +84,6 @@ __all__ = [
     "TridiagonalOperator",
     "WindowError",
     "accumulated_beta",
-    "active_backend",
     "bch_error",
     "build_collective_ops",
     "build_stokes_ops",

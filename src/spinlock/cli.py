@@ -1,8 +1,8 @@
 """Command-line front end: config-driven sweeps with reproducible output.
 
-Every run embeds its effective normalized config, the config hash, library
-versions, and the kernel backend into the output header, so a result file
-is self-describing.  Headers carry no timestamps or worker counts: rerunning
+Every run embeds its effective normalized config, the config hash and
+library versions into the output header, so a result file is
+self-describing.  Headers carry no timestamps or worker counts: rerunning
 the same config and seed yields byte-identical files at any thread count.
 """
 from __future__ import annotations
@@ -22,7 +22,6 @@ from . import __version__, analytic, squeezing
 from .config import RunConfig, load_config
 from .dicke import PhaseTriple
 from .errors import EmptyRangeError, SpinlockError
-from .kernels import active_backend
 from .lockin import LockInSchedule
 from .montecarlo import (
     INTEGRANDS,
@@ -75,7 +74,6 @@ def _mc_config(cfg: RunConfig, n_atoms: int) -> McConfig:
         samples=cfg.samples,
         master_seed=cfg.master_seed,
         n_atoms=n_atoms,
-        n_photons=cfg.n_photons,
         chi=cfg.chi,
         squeeze_duration=cfg.squeeze_duration,
     )
@@ -216,7 +214,6 @@ def header_lines(cfg: RunConfig, extra_comments: Sequence[str]) -> list[str]:
         f"spinlock {__version__}",
         f"python {sys.version_info.major}.{sys.version_info.minor}.{sys.version_info.micro}"
         f" numpy {np.__version__} scipy {scipy.__version__}",
-        f"backend {active_backend()}",
         f"config-sha256 {cfg.sha256()}",
         f"config {cfg.canonical_json()}",
     ]
@@ -238,7 +235,6 @@ def write_json(stream, cfg: RunConfig, rows, extra_comments: Sequence[str]) -> N
         "python": f"{sys.version_info.major}.{sys.version_info.minor}.{sys.version_info.micro}",
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "backend": active_backend(),
         "config_sha256": cfg.sha256(),
         "config": cfg.to_dict(),
         "notes": list(extra_comments),

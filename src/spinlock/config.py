@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
+from .analytic import ORDERINGS
 from .errors import ConfigError
 from .montecarlo import INTEGRANDS
 from .noise import GYRO_HZ_PER_NT, NoiseComponent
@@ -64,6 +65,25 @@ def _as_number(section: str, key: str, value: Any) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"{section}.{key} must be finite, got {value!r}")
     return float(value)
+
+
+def _as_ordering(section: str, key: str, value: Any) -> str:
+    if value not in ORDERINGS:
+        raise ConfigError(
+            f"{section}.{key}: unknown ordering {value!r}, expected one of {ORDERINGS}"
+        )
+    return value
+
+
+# the "compare" section: key -> (default, item parser); RunConfig field is
+# compare_<key>
+COMPARE_SECTION = {
+    "n_atoms": ((1, 2, 3, 4), _as_positive_int),
+    "alphas": ((0.0, 0.1, 0.3), _as_number),
+    "betas": ((0.0, 0.4), _as_number),
+    "gammas": ((0.0, 0.5), _as_number),
+    "orderings": (ORDERINGS, _as_ordering),
+}
 
 
 def expand_grid(section: str, spec: Any) -> tuple[float, ...]:
@@ -145,11 +165,11 @@ class RunConfig:
     preview_points: int
     output_path: str
     output_format: str
-    compare_n_atoms: tuple[int, ...] = (1, 2, 3, 4)
-    compare_alphas: tuple[float, ...] = (0.0, 0.1, 0.3)
-    compare_betas: tuple[float, ...] = (0.0, 0.4)
-    compare_gammas: tuple[float, ...] = (0.0, 0.5)
-    compare_orderings: tuple[str, ...] = ("product", "single", "reversed")
+    compare_n_atoms: tuple[int, ...]
+    compare_alphas: tuple[float, ...]
+    compare_betas: tuple[float, ...]
+    compare_gammas: tuple[float, ...]
+    compare_orderings: tuple[str, ...]
 
     @property
     def alpha(self) -> float:
@@ -194,28 +214,11 @@ class RunConfig:
             or self.preview_points != DEFAULT_PREVIEW_POINTS
         ):
             out["preview"] = {"n_points": self.preview_points}
-        defaults = (
-            (1, 2, 3, 4),
-            (0.0, 0.1, 0.3),
-            (0.0, 0.4),
-            (0.0, 0.5),
-            ("product", "single", "reversed"),
-        )
-        current = (
-            self.compare_n_atoms,
-            self.compare_alphas,
-            self.compare_betas,
-            self.compare_gammas,
-            self.compare_orderings,
-        )
-        if self.experiment == "oracle-compare" or current != defaults:
-            out["compare"] = {
-                "n_atoms": list(self.compare_n_atoms),
-                "alphas": list(self.compare_alphas),
-                "betas": list(self.compare_betas),
-                "gammas": list(self.compare_gammas),
-                "orderings": list(self.compare_orderings),
-            }
+        compare = {key: getattr(self, f"compare_{key}") for key in COMPARE_SECTION}
+        if self.experiment == "oracle-compare" or any(
+            compare[key] != default for key, (default, _) in COMPARE_SECTION.items()
+        ):
+            out["compare"] = {key: list(values) for key, values in compare.items()}
         return out
 
     def canonical_json(self) -> str:
@@ -406,28 +409,15 @@ def parse_config(data: Mapping[str, Any]) -> RunConfig:
     )
 
     compare = data.get("compare", {})
-    _unknown_keys("compare", compare, ("n_atoms", "alphas", "betas", "gammas", "orderings"))
-    compare_atoms = tuple(
-        _as_positive_int("compare", f"n_atoms[{i}]", v)
-        for i, v in enumerate(compare.get("n_atoms", (1, 2, 3, 4)))
-    )
-    compare_alphas = tuple(
-        _as_number("compare", f"alphas[{i}]", v)
-        for i, v in enumerate(compare.get("alphas", (0.0, 0.1, 0.3)))
-    )
-    compare_betas = tuple(
-        _as_number("compare", f"betas[{i}]", v)
-        for i, v in enumerate(compare.get("betas", (0.0, 0.4)))
-    )
-    compare_gammas = tuple(
-        _as_number("compare", f"gammas[{i}]", v)
-        for i, v in enumerate(compare.get("gammas", (0.0, 0.5)))
-    )
-    compare_orderings = tuple(compare.get("orderings", ("product", "single", "reversed")))
-    for ordering in compare_orderings:
-        if ordering not in ("product", "single", "reversed"):
-            raise ConfigError(f"compare.orderings: unknown ordering {ordering!r}")
-    if any(n > 4 for n in compare_atoms):
+    _unknown_keys("compare", compare, tuple(COMPARE_SECTION))
+    compare_fields = {
+        f"compare_{key}": tuple(
+            parse("compare", f"{key}[{i}]", v)
+            for i, v in enumerate(compare.get(key, default))
+        )
+        for key, (default, parse) in COMPARE_SECTION.items()
+    }
+    if any(n > 4 for n in compare_fields["compare_n_atoms"]):
         raise ConfigError("compare.n_atoms limited to <= 4 (full-space oracle bound)")
 
     output = data.get("output", {})
@@ -463,11 +453,7 @@ def parse_config(data: Mapping[str, Any]) -> RunConfig:
         preview_points=preview_points,
         output_path=output_path,
         output_format=output_format,
-        compare_n_atoms=compare_atoms,
-        compare_alphas=compare_alphas,
-        compare_betas=compare_betas,
-        compare_gammas=compare_gammas,
-        compare_orderings=compare_orderings,
+        **compare_fields,
     )
 
 

@@ -16,12 +16,11 @@ order.  One fixed convention prevents silent sign errors in Jy.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
-from scipy.special import gammaln
 
 from .errors import (
     ConfigError,
@@ -275,7 +274,8 @@ def css_state(n_atoms: int, theta: float, phi: float) -> DickeState:
     with np.errstate(divide="ignore"):
         log_c = np.log(abs(c)) if c != 0 else -np.inf
         log_s = np.log(abs(s)) if s != 0 else -np.inf
-    log_w = 0.5 * (gammaln(n_atoms + 1) - gammaln(k + 1) - gammaln(n_atoms - k + 1))
+    log_factorial = np.array([math.lgamma(j + 1) for j in range(n_atoms + 1)])
+    log_w = 0.5 * (log_factorial[n_atoms] - log_factorial - log_factorial[::-1])
     log_w[:n_atoms] += (n_atoms - k[:n_atoms]) * log_c  # k = n has no cos factor
     log_w[1:] += k[1:] * log_s  # k = 0 has no sin factor
     signs = np.sign(c) ** (n_atoms - k) * np.sign(s) ** k if (c < 0 or s < 0) else 1.0
@@ -312,6 +312,8 @@ def _propagate(generator: TridiagonalOperator, angle: float, vec: np.ndarray) ->
     upper = generator.upper
     if not upper.any():
         return np.exp(-1j * angle * generator.diag) * vec
+    import scipy.linalg  # deferred: ~0.3 s to import, and only rotations need it
+
     size = np.abs(upper)
     unit = np.ones_like(upper)
     np.divide(upper.conj(), size, out=unit, where=size > 0)
@@ -389,6 +391,8 @@ def full_space_oracle(n_atoms: int, schedule: PulseSchedule) -> dict[str, float]
     """
     if not 1 <= n_atoms <= 4:
         raise ConfigError(f"full-space oracle limited to n_atoms <= 4, got {n_atoms}")
+    import scipy.linalg
+
     sx = np.array([[0, 1], [1, 0]], dtype=complex) / 2
     sy = np.array([[0, -1j], [1j, 0]], dtype=complex) / 2
     sz = np.array([[1, 0], [0, -1]], dtype=complex) / 2

@@ -40,7 +40,6 @@ class McConfig:
     samples: int
     master_seed: int
     n_atoms: int
-    n_photons: int
     chi: float
     squeeze_duration: float
 
@@ -54,10 +53,8 @@ class McConfig:
             raise ConfigError(
                 f"master_seed must be an integer in [0, 2^64), got {self.master_seed!r}"
             )
-        for name in ("n_atoms", "n_photons"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        if not isinstance(self.n_atoms, (int, np.integer)) or self.n_atoms < 1:
+            raise ConfigError(f"n_atoms must be a positive integer, got {self.n_atoms!r}")
         for name in ("chi", "squeeze_duration"):
             value = getattr(self, name)
             if not np.isfinite(value) or value < 0:
@@ -97,9 +94,14 @@ def sample_thetas(
     if start:
         bitgen.advance(start * blocks_per_sample)
     raw = bitgen.random_raw(count * blocks_per_sample * _RAWS_PER_BLOCK)
-    raw = raw.reshape(count, blocks_per_sample * _RAWS_PER_BLOCK)[:, :n_tones]
-    # top 53 bits of each word -> double in [0, 1), scaled to [0, 2pi)
-    return (raw >> np.uint64(11)) * (_TWO_PI * _DOUBLE_SCALE)
+    # top 53 bits of each word -> double in [0, 1), scaled to [0, 2pi); the
+    # shift runs on the contiguous buffer and words below 2^53 convert
+    # exactly, so this equals (raw >> 11) * (2pi * 2^-53) bit for bit
+    raw >>= np.uint64(11)
+    theta = raw.reshape(count, blocks_per_sample * _RAWS_PER_BLOCK)[:, :n_tones]
+    theta = theta.astype(np.float64)
+    theta *= _TWO_PI * _DOUBLE_SCALE
+    return theta
 
 
 def _split_fixed(
@@ -124,7 +126,6 @@ def _point_values(
     integrand: str,
     toggle: bool,
     point_index: int,
-    kernel=None,
 ) -> np.ndarray:
     if integrand not in INTEGRANDS:
         raise ConfigError(
@@ -141,7 +142,6 @@ def _point_values(
             f"twisting angle alpha={mc.alpha!r}: cos^(N-1)={cos_fac:.3e} is too small "
             f"against sin^(N-1)={sin_fac:.3e} to normalize the ramsey fringe"
         )
-    kernel = kernel or kernels.contrast_values
     a, b = phase_kernel(components, schedule, toggle)
     beta0, a_free, b_free = _split_fixed(components, a, b)
     theta = sample_thetas(
@@ -149,18 +149,16 @@ def _point_values(
     )
     # the bracketing drive is the N pi pulses acting about x
     gamma = schedule.n_pulses * math.pi
-    return np.asarray(
-        kernel(
-            theta,
-            a_free,
-            b_free,
-            beta0,
-            cos_fac,
-            sin_fac,
-            1.0 / mc.n_atoms,
-            math.sin(gamma),
-            integrand == "eq23",
-        )
+    return kernels.contrast_values(
+        theta,
+        a_free,
+        b_free,
+        beta0,
+        cos_fac,
+        sin_fac,
+        1.0 / mc.n_atoms,
+        math.sin(gamma),
+        integrand == "eq23",
     )
 
 

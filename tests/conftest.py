@@ -16,12 +16,11 @@ def three_tone_noise() -> list[NoiseComponent]:
 
 @pytest.fixture
 def default_mc() -> McConfig:
-    """50 atoms, 50 photons, chi = 6.25e-4 * g at g = 1e6/s, alpha = 0.01."""
+    """50 atoms, chi = 6.25e-4 * g at g = 1e6/s (50 photons), alpha = 0.01."""
     return McConfig(
         samples=2000,
         master_seed=7,
         n_atoms=50,
-        n_photons=50,
         chi=625.0,
         squeeze_duration=1.6e-5,
     )

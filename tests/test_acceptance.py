@@ -147,7 +147,6 @@ def dense_mc(samples: int, squeeze_duration: float = 1.6e-5, n_atoms: int = 50) 
         samples=samples,
         master_seed=7,
         n_atoms=n_atoms,
-        n_photons=50,
         chi=625.0,
         squeeze_duration=squeeze_duration,
     )

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,6 +127,8 @@ def test_round_trip_identity():
             },
             "compare": {"n_atoms": [1, 2], "orderings": ["product"]},
         },
+        # a non-default compare section outside oracle-compare is kept too
+        minimal_contrast(compare={"alphas": [0.2], "orderings": ["reversed", "single"]}),
     ]
     for doc in docs:
         cfg = parse_config(doc)
@@ -165,7 +168,6 @@ def test_contrast_cli_writes_csv(tmp_path):
     assert header == "tau_arm_ms,contrast,stderr,n_atoms,alpha"
     assert len(rows) == 3
     assert any(c.startswith("config-sha256 ") for c in comments)
-    assert any(c.startswith("backend ") for c in comments)
     first = rows[0].split(",")
     assert first[0] == "4"
     assert first[3] == "50"
@@ -239,6 +241,36 @@ def test_verify_bch_cli(tmp_path):
     assert float(slope_line.split()[1]) == pytest.approx(3.0, abs=0.3)
 
 
+def test_compare_section_validation():
+    doc = minimal_contrast()
+    assert "compare" not in parse_config(doc).to_dict()
+    for compare in (
+        {"orderings": ["product", "sideways"]},
+        {"n_atoms": [1, 5]},
+        {"betas": ["x"]},
+        {"gamma": [0.0]},
+    ):
+        with pytest.raises(ConfigError):
+            parse_config(minimal_contrast(compare=compare))
+
+
+# config-sha256 of every shipped example; a change here re-keys published results
+SHIPPED_CONFIG_SHA256 = {
+    "contrast_squeezed.json": "fac8ab1d373ff62a279515e10c0e7c1be47fff7d3b540d670fefbd2b11d2ce3a",
+    "contrast_unsqueezed.json": "36cae396a384bd29c28cca22f85e649d6a7ffbe31d0cd7e9cc41048821a5fc21",
+    "noise_preview.json": "ca8d498b24ef5d3595d60622f9ff0eebc975930af4dc057fe5297d7b3d9702cc",
+    "oracle_compare.json": "e810522d4a73fc675f576e7dac04f54bffbce940fe92fbca5cb53588bacd11c8",
+    "sensitivity.json": "ebc6ea0522ca27137c31046873a5eeca7c555fc914040167251afb0af53fc9b5",
+    "verify_bch.json": "8d8132765092bf6f7ae371c84253fb3996404c5136d86e4b27dfa51264c06f8e",
+}
+
+
+def test_shipped_config_hashes_are_stable():
+    config_dir = Path(__file__).resolve().parent.parent / "configs"
+    shipped = {p.name: load_config(str(p)).sha256() for p in config_dir.glob("*.json")}
+    assert shipped == SHIPPED_CONFIG_SHA256
+
+
 def test_oracle_compare_cli(tmp_path):
     doc = {
         "experiment": "oracle-compare",
@@ -301,7 +333,6 @@ def test_json_output_format(tmp_path):
     assert parsed["columns"] == ["tau_arm_ms", "contrast", "stderr", "n_atoms", "alpha"]
     assert len(parsed["rows"]) == 3
     assert parsed["config"]["mc"]["master_seed"] == 7
-    assert parsed["backend"] in ("cython", "numpy")
 
 
 def test_threads_env_fallback(monkeypatch):
@@ -313,22 +344,24 @@ def test_threads_env_fallback(monkeypatch):
         cli.resolve_threads(None)
 
 
-def test_numpy_backend_forced_in_subprocess():
+def test_cli_import_leaves_scipy_linalg_and_special_unloaded():
     import os
     import subprocess
     import sys
 
     import spinlock
 
+    # A fresh interpreter, because this suite has long since imported scipy.
     # The child must import the same spinlock as this suite, however it was
     # put on the path (PYTHONPATH=src, an editable install, another cwd).
     package_root = os.path.dirname(os.path.dirname(spinlock.__file__))
-    env = dict(os.environ, SPINLOCK_BACKEND="numpy")
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p
     )
     code = (
-        "import spinlock.kernels as k; print(k.active_backend())"
+        "import sys, spinlock.cli; "
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.special') if m in sys.modules))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code],
@@ -337,6 +370,4 @@ def test_numpy_backend_forced_in_subprocess():
         text=True,
     )
     assert result.returncode == 0, result.stderr
-    # Without a built _mc_kernel, "auto" also picks numpy, so this only shows
-    # the variable is honoured where the compiled kernel exists.
-    assert result.stdout.strip() == "numpy"
+    assert result.stdout.strip() == "[]"

@@ -13,7 +13,7 @@ from spinlock.noise import NoiseComponent
 
 def test_mcconfig_validation():
     good = dict(
-        samples=10, master_seed=1, n_atoms=2, n_photons=2, chi=1.0, squeeze_duration=0.0
+        samples=10, master_seed=1, n_atoms=2, chi=1.0, squeeze_duration=0.0
     )
     McConfig(**good)
     for key, bad in (
@@ -30,8 +30,7 @@ def test_mcconfig_validation():
 
 def test_alpha_is_chi_times_duration():
     cfg = McConfig(
-        samples=1, master_seed=0, n_atoms=5, n_photons=5, chi=625.0,
-        squeeze_duration=1.6e-5,
+        samples=1, master_seed=0, n_atoms=5, chi=625.0, squeeze_duration=1.6e-5,
     )
     assert cfg.alpha == pytest.approx(0.01, rel=1e-12)
 
@@ -72,40 +71,76 @@ def test_sampling_with_zero_tones():
     assert draws.shape == (10, 0)
 
 
-def test_backend_parity_on_default_integrand():
-    numpy_kernel = kernels.backend_module("numpy").contrast_values
-    cython = pytest.importorskip("spinlock._mc_kernel")
+def test_sampling_matches_shifted_raw_words_bit_for_bit():
+    # the documented draw: top 53 bits of each Philox word times 2pi 2^-53
+    for n_tones, start in ((0, 0), (1, 0), (3, 5), (4, 0), (5, 2), (9, 11)):
+        blocks = max(1, -(-n_tones // 4))
+        bitgen = np.random.Philox(seed=np.random.SeedSequence((99, 4)))
+        bitgen.advance(start * blocks)
+        raw = bitgen.random_raw(257 * blocks * 4).reshape(257, blocks * 4)[:, :n_tones]
+        expected = (raw >> np.uint64(11)) * (2 * math.pi * 2.0**-53)
+        draws = mc.sample_thetas(99, 4, start, 257, n_tones)
+        assert draws.dtype == np.float64 and draws.shape == expected.shape
+        assert draws.tobytes() == expected.tobytes()
+
+
+def two_term_contrast(theta, a, b, beta0, cos_fac, sin_fac, inv_n, sin_gamma, eq23):
+    """Reference: the kernel contract spelled out term by term."""
+    beta = beta0 + np.sin(theta) @ a + np.cos(theta) @ b
+    if not eq23:
+        return (cos_fac * np.cos(beta) - sin_fac * np.sin(beta)) / cos_fac
+    projection = sin_gamma * (cos_fac * np.sin(beta) + sin_fac * np.cos(beta))
+    radicand = np.maximum(inv_n - projection * projection, 0.0)
+    denominator = cos_fac * np.cos(beta) - sin_fac * np.sin(beta)
+    return np.cos(np.sqrt(radicand) / denominator)
+
+
+def assert_kernel_matches_reference(*args, tol=1e-12):
+    theta = args[0].copy()
+    values = kernels.contrast_values(*args)
+    assert np.array_equal(args[0], theta)  # the draws are not touched
+    assert values.shape == (theta.shape[0],)
+    assert np.abs(values - two_term_contrast(*args)).max() <= tol
+
+
+def test_kernel_matches_two_term_formula_on_ramsey():
     rng = np.random.default_rng(3)
     theta = rng.uniform(0, 2 * math.pi, (4000, 3))
     a = rng.normal(size=3)
     b = rng.normal(size=3)
-    v_np = numpy_kernel(theta, a, b, 0.3, 0.99, 1e-5, 0.02, 8.6e-16, False)
-    v_cy = np.asarray(
-        cython.contrast_values(theta, a, b, 0.3, 0.99, 1e-5, 0.02, 8.6e-16, False)
-    )
-    assert np.abs(v_np - v_cy).max() < 1e-12
+    for cos_fac, sin_fac in ((0.99, 1e-5), (0.99, 0.3), (-0.7, 0.2), (-0.7, -0.0)):
+        assert_kernel_matches_reference(
+            theta, a, b, 0.3, cos_fac, sin_fac, 0.02, 8.6e-16, False
+        )
 
 
-def test_backend_parity_on_eq23_away_from_nodes():
+def test_kernel_matches_two_term_formula_on_eq23_away_from_nodes():
     # eq23 divides by the fringe slope; near slope zero the cosine argument
-    # explodes and last-bit trig differences are amplified, so parity is
+    # explodes and last-bit trig differences are amplified, so agreement is
     # asserted on a phase range that keeps the slope away from zero
-    numpy_kernel = kernels.backend_module("numpy").contrast_values
-    cython = pytest.importorskip("spinlock._mc_kernel")
     rng = np.random.default_rng(4)
     theta = rng.uniform(0, 2 * math.pi, (4000, 3))
     a = 0.05 * rng.normal(size=3)
     b = 0.05 * rng.normal(size=3)
-    args = (theta, a, b, 0.1, 0.99, 1e-5, 0.02, 8.6e-16, True)
-    v_np = numpy_kernel(*args)
-    v_cy = np.asarray(cython.contrast_values(*args))
-    assert np.abs(v_np - v_cy).max() < 1e-12
+    for cos_fac, sin_fac, sin_gamma in ((0.99, 1e-5, 8.6e-16), (-0.7, 0.2, 0.9)):
+        assert_kernel_matches_reference(
+            theta, a, b, 0.1, cos_fac, sin_fac, 0.02, sin_gamma, True
+        )
 
 
-def test_active_backend_reports_valid_name():
-    assert kernels.active_backend() in ("cython", "numpy")
-    with pytest.raises(ConfigError):
-        kernels.backend_module("fortran")
+def test_kernel_without_random_tones_or_amplitude():
+    rng = np.random.default_rng(5)
+    no_tones = np.empty((50, 0))
+    silent = rng.uniform(0, 2 * math.pi, (50, 2))
+    for theta, a, b in (
+        (no_tones, np.empty(0), np.empty(0)),
+        (silent, np.zeros(2), np.zeros(2)),
+    ):
+        for eq23 in (False, True):
+            args = (theta, a, b, 0.4, -0.7, 0.2, 0.02, 0.9, eq23)
+            assert_kernel_matches_reference(*args)
+            values = kernels.contrast_values(*args)
+            assert np.all(values == values[0])
 
 
 def test_no_noise_gives_unit_contrast(default_mc):
