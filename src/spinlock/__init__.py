@@ -14,7 +14,6 @@ from .analytic import (
     sql_phase,
 )
 from .dicke import (
-    CollectiveOperator,
     CollectiveOps,
     DickeState,
     PhaseTriple,
@@ -62,7 +61,6 @@ from .squeezing import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CollectiveOperator",
     "CollectiveOps",
     "ConfigError",
     "CurvePoint",

@@ -18,7 +18,7 @@ from typing import Any, Mapping, Sequence
 
 from .analytic import ORDERINGS
 from .errors import ConfigError
-from .montecarlo import INTEGRANDS
+from .montecarlo import INTEGRANDS, MAX_SEED
 from .noise import GYRO_HZ_PER_NT, NoiseComponent
 
 EXPERIMENTS = (
@@ -43,6 +43,12 @@ def _unknown_keys(section: str, given: Mapping[str, Any], allowed: Sequence[str]
             close = difflib.get_close_matches(key, allowed, n=1)
             hint = f"; did you mean {close[0]!r}?" if close else ""
             raise ConfigError(f"unknown key {key!r} in {section}{hint}")
+
+
+def _as_section(section: str, value: Any) -> Mapping[str, Any]:
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{section} must be an object, got {value!r}")
+    return value
 
 
 def _require(section: str, given: Mapping[str, Any], key: str) -> Any:
@@ -265,7 +271,7 @@ def parse_config(data: Mapping[str, Any]) -> RunConfig:
         hint = f"; did you mean {close[0]!r}?" if close else ""
         raise ConfigError(f"unknown experiment {experiment!r}{hint}")
 
-    physics = _require("config", data, "physics")
+    physics = _as_section("physics", _require("config", data, "physics"))
     _unknown_keys(
         "physics",
         physics,
@@ -312,6 +318,7 @@ def parse_config(data: Mapping[str, Any]) -> RunConfig:
         if needs_lockin:
             raise ConfigError(f"missing required key 'lockin' for {experiment}")
     else:
+        lockin = _as_section("lockin", lockin)
         _unknown_keys(
             "lockin", lockin, ("n_pulses", "tau_arm_grid_ms", "duration_grid_ms")
         )
@@ -347,6 +354,7 @@ def parse_config(data: Mapping[str, Any]) -> RunConfig:
         raise ConfigError("noise must be a list of tone objects")
     for i, tone in enumerate(raw_noise):
         section = f"noise[{i}]"
+        tone = _as_section(section, tone)
         _unknown_keys(
             section, tone, ("units", "amplitude", "freq_hz", "phase", "gyro_hz_per_nt")
         )
@@ -372,13 +380,13 @@ def parse_config(data: Mapping[str, Any]) -> RunConfig:
         spec.build()  # surfaces amplitude/frequency range errors at load time
         noise_specs.append(spec)
 
-    mc = data.get("mc", {})
+    mc = _as_section("mc", data.get("mc", {}))
     _unknown_keys("mc", mc, ("samples", "master_seed"))
     samples = _as_positive_int("mc", "samples", mc.get("samples", DEFAULT_SAMPLES))
     master_seed = mc.get("master_seed", DEFAULT_SEED)
     if isinstance(master_seed, bool) or not isinstance(master_seed, int):
         raise ConfigError(f"mc.master_seed must be an integer, got {master_seed!r}")
-    if not 0 <= master_seed < 2**64:
+    if not 0 <= master_seed < MAX_SEED:
         raise ConfigError(f"mc.master_seed must be in [0, 2^64), got {master_seed}")
 
     toggle = data.get("toggle", True)
@@ -393,7 +401,7 @@ def parse_config(data: Mapping[str, Any]) -> RunConfig:
     if not 0.0 < threshold < 1.0:
         raise ConfigError(f"threshold must be in (0, 1), got {threshold}")
 
-    bch = data.get("bch", {})
+    bch = _as_section("bch", data.get("bch", {}))
     _unknown_keys("bch", bch, ("g_tau_grid",))
     if "g_tau_grid" in bch:
         g_tau_grid = expand_grid("bch.g_tau_grid", bch["g_tau_grid"])
@@ -402,14 +410,17 @@ def parse_config(data: Mapping[str, Any]) -> RunConfig:
     else:
         g_tau_grid = DEFAULT_BCH_GRID
 
-    preview = data.get("preview", {})
+    preview = _as_section("preview", data.get("preview", {}))
     _unknown_keys("preview", preview, ("n_points",))
     preview_points = _as_positive_int(
         "preview", "n_points", preview.get("n_points", DEFAULT_PREVIEW_POINTS)
     )
 
-    compare = data.get("compare", {})
+    compare = _as_section("compare", data.get("compare", {}))
     _unknown_keys("compare", compare, tuple(COMPARE_SECTION))
+    for key, values in compare.items():
+        if not isinstance(values, Sequence) or isinstance(values, (str, bytes)):
+            raise ConfigError(f"compare.{key} must be a list, got {values!r}")
     compare_fields = {
         f"compare_{key}": tuple(
             parse("compare", f"{key}[{i}]", v)
@@ -420,7 +431,7 @@ def parse_config(data: Mapping[str, Any]) -> RunConfig:
     if any(n > 4 for n in compare_fields["compare_n_atoms"]):
         raise ConfigError("compare.n_atoms limited to <= 4 (full-space oracle bound)")
 
-    output = data.get("output", {})
+    output = _as_section("output", data.get("output", {}))
     _unknown_keys("output", output, ("path", "format"))
     output_path = output.get("path", "-")
     if not isinstance(output_path, str) or not output_path:

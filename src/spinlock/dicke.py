@@ -9,6 +9,9 @@ expectation values.  Evolution is exact up to rounding, with no step size or
 truncation, so it can serve as ground truth for closed-form expressions.
 A non-diagonal rotation diagonalises the tridiagonal generator, whose
 eigenvectors take (N+1)^2 reals; that is the remaining O(N^2) cost.
+``TridiagonalOperator`` is the package's one operator type: ``squeezing``
+takes its photon Stokes operators from the same spin-N_s/2 bands and
+propagates them with the same rotation.
 
 Basis convention: amplitudes are indexed by m descending from +J, i.e.
 index 0 is m = +J and index n_atoms is m = -J.  Jz is diagonal in this
@@ -39,42 +42,8 @@ GENERATOR_NAMES = ("jx", "jy", "jz", "jz2")
 
 
 @dataclass(frozen=True)
-class CollectiveOperator:
-    """Dense operator, for the Stokes and joint photon-atom spaces of ``squeezing``.
-
-    Parameters
-    ----------
-    entries : complex ndarray, shape (dim, dim)
-    hermitian : bool
-        If set, Hermiticity is checked at construction to 1e-12.
-    """
-
-    entries: np.ndarray
-    hermitian: bool = False
-
-    def __post_init__(self):
-        entries = np.array(self.entries, dtype=complex)
-        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
-            raise DimensionMismatchError(
-                f"operator entries must be square, got shape {entries.shape}"
-            )
-        if self.hermitian:
-            defect = np.max(np.abs(entries - entries.conj().T))
-            if defect >= HERMITIAN_TOL:
-                raise NonHermitianError(
-                    f"operator flagged hermitian but max |A - A^dag| = {defect:.3e}"
-                )
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
 class TridiagonalOperator:
-    """Hermitian operator tridiagonal in the m basis of the Dicke subspace.
+    """Hermitian operator tridiagonal in the m basis of a spin irrep.
 
     Parameters
     ----------
@@ -86,8 +55,6 @@ class TridiagonalOperator:
 
     diag: np.ndarray
     upper: np.ndarray
-
-    hermitian = True  # by construction; same flag as CollectiveOperator's
 
     def __post_init__(self):
         diag = np.array(self.diag)
@@ -289,14 +256,7 @@ def x_css(n_atoms: int) -> DickeState:
     return css_state(n_atoms, np.pi / 2, 0.0)
 
 
-def _check_operator(op, n_atoms: int, role: str) -> None:
-    if not op.hermitian:
-        raise NonHermitianError(f"{role} must be flagged hermitian")
-    if not isinstance(op, TridiagonalOperator):
-        raise ConfigError(
-            f"{role} must be a TridiagonalOperator; dense operators belong to "
-            "the joint photon-atom space"
-        )
+def _check_operator(op: TridiagonalOperator, n_atoms: int, role: str) -> None:
     if op.dim != n_atoms + 1:
         raise DimensionMismatchError(f"{role} dim {op.dim} != state dim {n_atoms + 1}")
 
@@ -304,27 +264,29 @@ def _check_operator(op, n_atoms: int, role: str) -> None:
 def _propagate(generator: TridiagonalOperator, angle: float, vec: np.ndarray) -> np.ndarray:
     """exp(-i*angle*G) @ vec for a Hermitian tridiagonal G.
 
+    ``vec`` is one vector of shape (dim,) or a block of columns (dim, k).
     Diagonal generators (Jz, Jz^2) short-circuit to exact phase factors.
     Otherwise the diagonal unitary S with S^dag G S real and symmetric (its
     super-diagonal |u_k|) is applied, and the real tridiagonal matrix is
     diagonalised with LAPACK's tridiagonal eigensolver.
     """
+    rows = (-1,) + (1,) * (vec.ndim - 1)  # per-row factors broadcast over columns
     upper = generator.upper
     if not upper.any():
-        return np.exp(-1j * angle * generator.diag) * vec
+        return np.exp(-1j * angle * generator.diag).reshape(rows) * vec
     import scipy.linalg  # deferred: ~0.3 s to import, and only rotations need it
 
     size = np.abs(upper)
     unit = np.ones_like(upper)
     np.divide(upper.conj(), size, out=unit, where=size > 0)
-    gauge = np.concatenate(([1.0], np.cumprod(unit)))
+    gauge = np.concatenate(([1.0], np.cumprod(unit))).reshape(rows)
     w, v = scipy.linalg.eigh_tridiagonal(generator.diag, size)
-    coeffs = np.exp(-1j * angle * w) * _real_matvec(v.T, gauge.conj() * vec)
+    coeffs = np.exp(-1j * angle * w).reshape(rows) * _real_matvec(v.T, gauge.conj() * vec)
     return gauge * _real_matvec(v, coeffs)
 
 
 def _real_matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Real matrix times complex vector without a complex copy of the matrix."""
+    """Real matrix times a complex vector or block, without a complex copy of the matrix."""
     return mat @ vec.real + 1j * (mat @ vec.imag)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dicke
-from .dicke import CollectiveOperator
+from .dicke import TridiagonalOperator
 from .errors import ConfigError
 
 MAX_PHOTONS = 200
@@ -29,9 +29,9 @@ class StokesOps:
     """Stokes operators of the N_s-photon polarization sector."""
 
     n_photons: int
-    sx: CollectiveOperator
-    sy: CollectiveOperator
-    sz: CollectiveOperator
+    sx: TridiagonalOperator
+    sy: TridiagonalOperator
+    sz: TridiagonalOperator
 
 
 @dataclass(frozen=True)
@@ -65,20 +65,16 @@ class SqueezeParams:
 def build_stokes_ops(n_photons: int) -> StokesOps:
     """Stokes (Sx, Sy, Sz) for N_s photons: the spin-N_s/2 Schwinger irrep.
 
-    Sx = (n_x - n_y)/2 is diagonal; Sy and Sz carry the ladder structure of
-    a_x^dag a_y, so [Sx, Sy] = i Sz and cyclic permutations hold exactly.
+    Sx = (n_x - n_y)/2 is diagonal (the irrep's Jz); Sy and Sz carry the
+    ladder structure of a_x^dag a_y (its Jx and Jy), so [Sx, Sy] = i Sz and
+    cyclic permutations hold exactly.
     """
     if not isinstance(n_photons, (int, np.integer)) or isinstance(n_photons, bool):
         raise ConfigError(f"n_photons must be an integer, got {n_photons!r}")
     if not 1 <= n_photons <= MAX_PHOTONS:
         raise ConfigError(f"n_photons={n_photons} outside [1, {MAX_PHOTONS}]")
-    ladder_x, ladder_y, diag_z = dicke.spin_matrices(n_photons + 1)
-    return StokesOps(
-        n_photons=n_photons,
-        sx=CollectiveOperator(diag_z, hermitian=True),
-        sy=CollectiveOperator(ladder_x, hermitian=True),
-        sz=CollectiveOperator(ladder_y, hermitian=True),
-    )
+    spin = dicke.build_collective_ops(n_photons)
+    return StokesOps(n_photons=n_photons, sx=spin.jz, sy=spin.jx, sz=spin.jy)
 
 
 def max_sx_state(n_photons: int) -> np.ndarray:
@@ -97,47 +93,42 @@ def _check_joint_dim(n_photons: int, n_atoms: int) -> int:
     return dim
 
 
-def _unitary(generator: np.ndarray, angle: float) -> np.ndarray:
-    """Full matrix exp(-i*angle*G) for Hermitian G via eigendecomposition."""
-    off_diag = generator - np.diag(np.diag(generator))
-    if not off_diag.any():
-        return np.diag(np.exp(-1j * angle * np.diag(generator).real))
-    w, v = np.linalg.eigh(generator)
-    return (v * np.exp(-1j * angle * w)) @ v.conj().T
-
-
-def u4_sequence(
-    params: SqueezeParams, n_photons: int, n_atoms: int
-) -> CollectiveOperator:
+def u4_sequence(params: SqueezeParams, n_photons: int, n_atoms: int) -> np.ndarray:
     """The four-pulse squeezing unitary [R_S(pi/2) U(tau)]^4 on the joint space.
 
     R_S(pi/2) = exp(-i (pi/2) Sx ⊗ 1) and U(tau) = exp(-i g tau Sz ⊗ Jz);
-    each pulse acts after the free evolution preceding it.
+    each pulse acts after the free evolution preceding it.  Both commute with
+    Jz, so on atom level m the train is the photon-space product
+    (R_S F_m)^4 with F_m = exp(-i g tau m Sz); these blocks fill the block
+    diagonal of the photon ⊗ atom matrix.
     """
-    _check_joint_dim(n_photons, n_atoms)
+    dim = _check_joint_dim(n_photons, n_atoms)
     stokes = build_stokes_ops(n_photons)
-    _, _, jz = dicke.spin_matrices(n_atoms + 1)
-    eye_atom = np.eye(n_atoms + 1)
+    m_atoms = dicke.build_collective_ops(n_atoms).jz.diag
+    eye = np.eye(n_photons + 1, dtype=complex)
+    rot = np.exp(-1j * (np.pi / 2) * stokes.sx.diag)[:, None]
+    cycles = np.stack(
+        [rot * dicke._propagate(stokes.sz, params.g_tau * m, eye) for m in m_atoms]
+    )
+    blocks = np.linalg.matrix_power(cycles, 4)
+    shape = (n_photons + 1, n_atoms + 1)
+    joint = np.zeros(shape + shape, dtype=complex)
+    level = np.arange(n_atoms + 1)
+    joint[:, level, :, level] = blocks
+    return joint.reshape(dim, dim)
 
-    rot = _unitary(np.kron(stokes.sx.entries, eye_atom), np.pi / 2)
-    free = _unitary(np.kron(stokes.sz.entries, jz), params.g_tau)
-    cycle = rot @ free
-    return CollectiveOperator(np.linalg.matrix_power(cycle, 4))
 
-
-def effective_unitary(
-    params: SqueezeParams, n_photons: int, n_atoms: int
-) -> CollectiveOperator:
+def effective_unitary(params: SqueezeParams, n_photons: int, n_atoms: int) -> np.ndarray:
     """Leading-order reduction exp(-i (g tau)^2 Sx ⊗ Jz^2) of the four-pulse train.
 
     Equals exp(-i H_eff' * 4 tau) with H_eff' = (1/4) g^2 tau Sx Jz^2; on the
     maximum-Sx photon state this is one-axis twisting with chi = N_s g^2 tau/8.
+    The generator is diagonal, so the unitary is its phase factors.
     """
     _check_joint_dim(n_photons, n_atoms)
     stokes = build_stokes_ops(n_photons)
-    _, _, jz = dicke.spin_matrices(n_atoms + 1)
-    generator = np.kron(stokes.sx.entries, jz @ jz)
-    return CollectiveOperator(_unitary(generator, params.g_tau**2))
+    jz2 = dicke.build_collective_ops(n_atoms).jz2.diag
+    return np.diag(np.exp(-1j * params.g_tau**2 * np.kron(stokes.sx.diag, jz2)))
 
 
 def align_global_phase(u: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -162,7 +153,7 @@ def bch_error(params: SqueezeParams, n_photons: int, n_atoms: int) -> float:
     The largest singular value is used (worst-case state interpretation);
     the result scales as (g tau)^3.
     """
-    u4 = u4_sequence(params, n_photons, n_atoms).entries
-    ueff = effective_unitary(params, n_photons, n_atoms).entries
+    u4 = u4_sequence(params, n_photons, n_atoms)
+    ueff = effective_unitary(params, n_photons, n_atoms)
     aligned = align_global_phase(u4, ueff)
     return float(np.linalg.norm(aligned - ueff, ord=2))

@@ -127,7 +127,7 @@ def test_criterion_05_bch_cubic_and_twisting():
     diffs = {}
     for g_tau in (5e-3, 1e-2):
         params = SqueezeParams.from_g_tau(1.0, g_tau, n_photons)
-        out = squeezing.u4_sequence(params, n_photons, n_atoms).entries @ psi0
+        out = squeezing.u4_sequence(params, n_photons, n_atoms) @ psi0
         twist = params.chi * 4 * params.tau  # = (g tau)^2 N_s / 2
         target = np.kron(photon, np.exp(-1j * twist * np.diag(jz).real ** 2) * atom)
         overlap = np.vdot(target, out)

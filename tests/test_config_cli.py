@@ -1,12 +1,13 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spinlock import cli
-from spinlock.config import expand_grid, load_config, parse_config
+from spinlock.config import EXPERIMENTS, expand_grid, load_config, parse_config
 from spinlock.errors import ConfigError
 
 
@@ -252,6 +253,33 @@ def test_compare_section_validation():
     ):
         with pytest.raises(ConfigError):
             parse_config(minimal_contrast(compare=compare))
+
+
+@pytest.mark.parametrize(
+    "key, value, section",
+    [
+        ("physics", [1], "physics"),
+        ("lockin", [1], "lockin"),
+        ("noise", [[1]], "noise[0]"),
+        ("mc", [1], "mc"),
+        ("bch", [1], "bch"),
+        ("preview", [1], "preview"),
+        ("compare", [1], "compare"),
+        ("compare", {"alphas": 0.1}, "compare.alphas"),
+        ("output", "x.csv", "output"),
+    ],
+)
+def test_section_of_wrong_type_is_a_config_error(tmp_path, capsys, key, value, section):
+    doc = minimal_contrast(**{key: value})
+    with pytest.raises(ConfigError, match=f"^{re.escape(section)} must be"):
+        parse_config(doc)
+    assert run_cli(["contrast", "--config", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {section} must be")
+
+
+def test_cli_tables_cover_exactly_the_experiments():
+    assert set(cli.RUNNERS) == set(EXPERIMENTS)
+    assert set(cli.CSV_COLUMNS) == set(EXPERIMENTS)
 
 
 # config-sha256 of every shipped example; a change here re-keys published results

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from spinlock import dicke
-from spinlock.dicke import CollectiveOperator, DickeState, PulseStep, TridiagonalOperator
+from spinlock.dicke import DickeState, PulseStep, TridiagonalOperator
 from spinlock.errors import (
     ConfigError,
     DimensionMismatchError,
@@ -49,12 +49,6 @@ def test_operator_bounds():
         dicke.build_collective_ops(0)
     with pytest.raises(ConfigError):
         dicke.build_collective_ops(10_001)
-
-
-def test_hermitian_flag_is_checked():
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(NonHermitianError):
-        CollectiveOperator(bad, hermitian=True)
 
 
 def test_css_simple_cases():
@@ -175,18 +169,8 @@ def test_tridiagonal_operator_validation():
     with pytest.raises(NonHermitianError):
         TridiagonalOperator(np.array([1.0, 1j]), np.zeros(1))
     state = dicke.x_css(2)
-    dense = CollectiveOperator(dicke.build_collective_ops(2).jx.entries, hermitian=True)
-    with pytest.raises(ConfigError):
-        dicke.expect(state, dense)
     with pytest.raises(DimensionMismatchError):
         dicke.evolve_unitary(state, dicke.build_collective_ops(3).jx, 0.1)
-
-
-def test_evolve_rejects_unflagged_generator():
-    state = dicke.x_css(2)
-    unitary = CollectiveOperator(np.eye(3, dtype=complex))
-    with pytest.raises(NonHermitianError):
-        dicke.evolve_unitary(state, unitary, 1.0)
 
 
 def test_variance_nonnegative_on_eigenstate():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spinlock import dicke, squeezing
 from spinlock.errors import ConfigError
@@ -45,7 +46,7 @@ def test_joint_dimension_cap():
 
 def test_four_pulse_train_is_unitary():
     params = squeezing.SqueezeParams.from_g_tau(1.0, 1e-2, 4)
-    u4 = squeezing.u4_sequence(params, 4, 3).entries
+    u4 = squeezing.u4_sequence(params, 4, 3)
     eye = np.eye(u4.shape[0])
     assert np.abs(u4.conj().T @ u4 - eye).max() < 1e-12
 
@@ -54,24 +55,26 @@ def test_zero_coupling_reduces_to_global_phase():
     # four pi/2 rotations make a 2pi rotation: (-1)^{N_s} times identity
     for n_photons in (2, 3):
         params = squeezing.SqueezeParams.from_g_tau(1.0, 0.0, n_photons)
-        u4 = squeezing.u4_sequence(params, n_photons, 2).entries
+        u4 = squeezing.u4_sequence(params, n_photons, 2)
         expected = (-1.0) ** n_photons * np.eye(u4.shape[0])
         assert np.abs(u4 - expected).max() < 1e-12
         assert squeezing.bch_error(params, n_photons, 2) < 1e-12
 
 
 def test_reduction_error_scales_cubically():
-    errors = {}
-    for g_tau in (1e-3, 2e-3, 5e-3, 1e-2):
-        params = squeezing.SqueezeParams.from_g_tau(1.0, g_tau, 4)
-        errors[g_tau] = squeezing.bch_error(params, 4, 4)
-    slope = np.polyfit(
-        np.log(list(errors.keys())), np.log(list(errors.values())), 1
-    )[0]
-    assert slope == pytest.approx(3.0, abs=0.3)
-    # halving g*tau divides the error by 8, within 25%
-    ratio = errors[1e-2] / errors[5e-3]
-    assert ratio == pytest.approx(8.0, rel=0.25)
+    # (10, 20) is joint dimension 231, the largest case the benchmark runs
+    for n_photons, n_atoms in ((4, 4), (10, 20)):
+        errors = {}
+        for g_tau in (1e-3, 2e-3, 5e-3, 1e-2):
+            params = squeezing.SqueezeParams.from_g_tau(1.0, g_tau, n_photons)
+            errors[g_tau] = squeezing.bch_error(params, n_photons, n_atoms)
+        slope = np.polyfit(
+            np.log(list(errors.keys())), np.log(list(errors.values())), 1
+        )[0]
+        assert slope == pytest.approx(3.0, abs=0.3)
+        # halving g*tau divides the error by 8, within 25%
+        ratio = errors[1e-2] / errors[5e-3]
+        assert ratio == pytest.approx(8.0, rel=0.25)
 
 
 def test_reduction_error_frozen_value():
@@ -94,7 +97,7 @@ def test_effective_map_is_twisting_on_max_sx_photons():
     diffs = {}
     for g_tau in (5e-3, 1e-2):
         params = squeezing.SqueezeParams.from_g_tau(1.0, g_tau, n_photons)
-        out = squeezing.u4_sequence(params, n_photons, n_atoms).entries @ psi0
+        out = squeezing.u4_sequence(params, n_photons, n_atoms) @ psi0
         twist = g_tau**2 * n_photons / 2
         target = np.kron(
             photon, np.exp(-1j * twist * np.diag(jz).real ** 2) * atom
@@ -115,10 +118,29 @@ def test_twist_phase_matches_chi_times_cycle_duration():
 
 def test_effective_unitary_is_diagonal_twisting():
     params = squeezing.SqueezeParams.from_g_tau(1.0, 1e-2, 3)
-    ueff = squeezing.effective_unitary(params, 3, 2).entries
+    ueff = squeezing.effective_unitary(params, 3, 2)
     off_diag = ueff - np.diag(np.diag(ueff))
     assert np.abs(off_diag).max() == 0.0
     assert np.abs(np.abs(np.diag(ueff)) - 1.0).max() < 1e-12
+
+
+def test_unitaries_match_dense_expm():
+    # reference: scipy's expm of the dense kron generators, independent of
+    # the per-level block construction and the tridiagonal eigensolver
+    for n_photons, n_atoms in ((1, 1), (2, 3), (4, 4), (10, 20)):
+        _, sz, sx = dicke.spin_matrices(n_photons + 1)  # Sy, Sz, Sx = jx, jy, jz
+        _, _, jz = dicke.spin_matrices(n_atoms + 1)
+        eye_atom = np.eye(n_atoms + 1)
+        rot = scipy.linalg.expm(-1j * (np.pi / 2) * np.kron(sx, eye_atom))
+        for g_tau in (0.0, 1e-3, 1e-2):
+            params = squeezing.SqueezeParams.from_g_tau(1.0, g_tau, n_photons)
+            free = scipy.linalg.expm(-1j * g_tau * np.kron(sz, jz))
+            want = np.linalg.matrix_power(rot @ free, 4)
+            got = squeezing.u4_sequence(params, n_photons, n_atoms)
+            assert np.abs(got - want).max() <= 1e-12, (n_photons, n_atoms, g_tau)
+            want = scipy.linalg.expm(-1j * g_tau**2 * np.kron(sx, jz @ jz))
+            got = squeezing.effective_unitary(params, n_photons, n_atoms)
+            assert np.abs(got - want).max() <= 1e-13, (n_photons, n_atoms, g_tau)
 
 
 def test_global_phase_alignment():
