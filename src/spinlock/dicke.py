@@ -5,10 +5,12 @@ symmetric subspace is a single spin J = n_atoms/2 living in n_atoms + 1
 dimensions.  Every generator used here (Jx, Jy, Jz, Jz^2 and their real
 combinations) is Hermitian and tridiagonal in the m basis, so it is stored
 as a real diagonal plus a complex super-diagonal: O(N) memory, O(N)
-expectation values.  Evolution is exact up to rounding, with no step size or
-truncation, so it can serve as ground truth for closed-form expressions.
-A non-diagonal rotation diagonalises the tridiagonal generator, whose
-eigenvectors take (N+1)^2 reals; that is the remaining O(N^2) cost.
+expectation values.  A non-diagonal rotation is a Chebyshev expansion of
+exp(-i theta G) in banded mat-vecs: O(N) memory, no eigensolver, and a cost
+that grows with |theta| times the half-width of G's spectrum (N/2 for Jx).
+The expansion is truncated at terms below 1e-16, so evolution is exact up
+to rounding, with no step size to tune, and can serve as ground truth for
+closed-form expressions.
 ``TridiagonalOperator`` is the package's one operator type: ``squeezing``
 takes its photon Stokes operators from the same spin-N_s/2 bands and
 propagates them with the same rotation.
@@ -87,10 +89,12 @@ class TridiagonalOperator:
         )
 
     def matvec(self, vec: np.ndarray) -> np.ndarray:
-        """A @ vec in O(dim) for a complex vector."""
-        out = self.diag * vec
-        out[:-1] += self.upper * vec[1:]
-        out[1:] += self.upper.conj() * vec[:-1]
+        """A @ vec in O(dim) for a complex vector (dim,) or block of columns (dim, k)."""
+        rows = (-1,) + (1,) * (vec.ndim - 1)  # per-row factors broadcast over columns
+        upper = self.upper.reshape(rows)
+        out = self.diag.reshape(rows) * vec
+        out[:-1] += upper * vec[1:]
+        out[1:] += upper.conj() * vec[:-1]
         return out
 
 
@@ -199,20 +203,21 @@ def build_collective_ops(n_atoms: int) -> CollectiveOps:
     """Angular-momentum operators for J = n_atoms/2 in the m-descending basis.
 
     Each is stored as its two bands (O(n_atoms)); Jy's super-diagonal is
-    -i times Jx's.
+    -i times Jx's.  A rotation by theta then costs O(n_atoms) memory and
+    about |theta| n_atoms / 2 banded mat-vecs.
 
     Raises
     ------
     ConfigError
-        If n_atoms is outside [1, 10_000] (a rotation's eigenvectors take
-        (n+1)^2 reals).
+        If n_atoms is outside [1, 10_000], the range the closed-form checks
+        cover.
     """
     if not isinstance(n_atoms, (int, np.integer)) or isinstance(n_atoms, bool):
         raise ConfigError(f"n_atoms must be an integer, got {n_atoms!r}")
     if not 1 <= n_atoms <= MAX_ATOMS:
         raise ConfigError(
-            f"n_atoms={n_atoms} outside [1, {MAX_ATOMS}]: a rotation's (n+1)^2 "
-            "eigenvector entries would not fit"
+            f"n_atoms={n_atoms} outside [1, {MAX_ATOMS}], the range checked "
+            "against closed forms"
         )
     m, ladder = _m_and_ladder(n_atoms + 1)
     zeros = np.zeros(n_atoms)
@@ -230,8 +235,10 @@ def css_state(n_atoms: int, theta: float, phi: float) -> DickeState:
 
     The amplitude at m = J - k is
     sqrt(C(n_atoms, k)) * cos(theta/2)^(n_atoms-k) * (e^{i phi} sin(theta/2))^k.
-    Binomial weights are assembled in log space so large ensembles do not
-    overflow, then normalized.
+    Log-magnitudes are summed outward from the peak index over the ratios
+    log|a_k / a_(k-1)| = log((n_atoms-k+1)/k)/2 + log|tan(theta/2)|, so large
+    ensembles neither overflow nor lose digits to big log-factorials; the
+    result is then normalized.
     """
     if not 1 <= n_atoms <= MAX_ATOMS:
         raise ConfigError(f"n_atoms={n_atoms} outside [1, {MAX_ATOMS}]")
@@ -241,12 +248,13 @@ def css_state(n_atoms: int, theta: float, phi: float) -> DickeState:
     with np.errstate(divide="ignore"):
         log_c = np.log(abs(c)) if c != 0 else -np.inf
         log_s = np.log(abs(s)) if s != 0 else -np.inf
-    log_factorial = np.array([math.lgamma(j + 1) for j in range(n_atoms + 1)])
-    log_w = 0.5 * (log_factorial[n_atoms] - log_factorial - log_factorial[::-1])
-    log_w[:n_atoms] += (n_atoms - k[:n_atoms]) * log_c  # k = n has no cos factor
-    log_w[1:] += k[1:] * log_s  # k = 0 has no sin factor
+        ratios = 0.5 * np.log((n_atoms - k[:-1]) / k[1:]) + (log_s - log_c)
+    peak = np.count_nonzero(ratios > 0)  # the ratios decrease with k
+    log_w = np.zeros(n_atoms + 1)
+    log_w[peak + 1 :] = np.cumsum(ratios[peak:])
+    log_w[:peak] = -np.cumsum(ratios[:peak][::-1])[::-1]
     signs = np.sign(c) ** (n_atoms - k) * np.sign(s) ** k if (c < 0 or s < 0) else 1.0
-    amps = signs * np.exp(log_w - log_w.max()) * np.exp(1j * phi * k)
+    amps = signs * np.exp(log_w) * np.exp(1j * phi * k)
     amps /= np.linalg.norm(amps)
     return DickeState(n_atoms=n_atoms, amplitudes=amps)
 
@@ -265,29 +273,61 @@ def _propagate(generator: TridiagonalOperator, angle: float, vec: np.ndarray) ->
     """exp(-i*angle*G) @ vec for a Hermitian tridiagonal G.
 
     ``vec`` is one vector of shape (dim,) or a block of columns (dim, k).
-    Diagonal generators (Jz, Jz^2) short-circuit to exact phase factors.
-    Otherwise the diagonal unitary S with S^dag G S real and symmetric (its
-    super-diagonal |u_k|) is applied, and the real tridiagonal matrix is
-    diagonalised with LAPACK's tridiagonal eigensolver.
+    Diagonal generators (Jz, Jz^2) and angle 0 short-circuit to exact phase
+    factors.  Otherwise the exponential is expanded in Chebyshev polynomials
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)):
+
+        exp(-i angle G) v = e^{-i angle c} sum_k (2 - delta_k0) (-i)^k
+                            J_k(angle h) T_k((G - c)/h) v,
+
+    where [c - h, c + h] is the Gershgorin interval of the two bands.  Each
+    T_k v follows from the previous two by one banded mat-vec, so memory is
+    O(dim) and the cost is about |angle| h + O((|angle| h)^(1/3)) mat-vecs:
+    it grows with |angle| times the half-width h (N/2 for Jx at N atoms; a
+    Jz^2 term of weight w in a combined generator adds |w| N^2/8).  Only
+    terms with |J_k| < 1e-16 are dropped, and |T_k| <= 1 on the interval, so
+    the truncation error is at the level of rounding.
     """
     rows = (-1,) + (1,) * (vec.ndim - 1)  # per-row factors broadcast over columns
-    upper = generator.upper
-    if not upper.any():
-        return np.exp(-1j * angle * generator.diag).reshape(rows) * vec
-    import scipy.linalg  # deferred: ~0.3 s to import, and only rotations need it
-
+    diag, upper = generator.diag, generator.upper
+    if angle == 0 or not upper.any():
+        return np.exp(-1j * angle * diag).reshape(rows) * vec
     size = np.abs(upper)
-    unit = np.ones_like(upper)
-    np.divide(upper.conj(), size, out=unit, where=size > 0)
-    gauge = np.concatenate(([1.0], np.cumprod(unit))).reshape(rows)
-    w, v = scipy.linalg.eigh_tridiagonal(generator.diag, size)
-    coeffs = np.exp(-1j * angle * w).reshape(rows) * _real_matvec(v.T, gauge.conj() * vec)
-    return gauge * _real_matvec(v, coeffs)
+    radius = np.concatenate(([0.0], size)) + np.concatenate((size, [0.0]))
+    low, high = (diag - radius).min(), (diag + radius).max()
+    centre, half_width = (high + low) / 2, (high - low) / 2
+    coeffs = _chebyshev_coefficients(angle * half_width)
+    # 2 (G - c)/h, the factor of the three-term recurrence
+    scaled = TridiagonalOperator(2 / half_width * (diag - centre), 2 / half_width * upper)
+    prev, cur = vec, 0.5 * scaled.matvec(vec)
+    total = coeffs[0] * prev + 2 * coeffs[1] * cur
+    for coeff in coeffs[2:]:
+        prev, cur = cur, scaled.matvec(cur) - prev
+        total += 2 * coeff * cur
+    return np.exp(-1j * angle * centre) * total
 
 
-def _real_matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Real matrix times a complex vector or block, without a complex copy of the matrix."""
-    return mat @ vec.real + 1j * (mat @ vec.imag)
+def _chebyshev_coefficients(x: float) -> np.ndarray:
+    """(-i)^k J_k(x) for k = 0, 1, ... while Kapteyn's bound on |J_k(x)| >= 1e-16.
+
+    Kapteyn's inequality (DLMF 10.14.8) bounds |J_k(k z)| for 0 < z <= 1 by
+    (z e^r / (1 + r))^k with r = sqrt(1 - z^2); the bound falls monotonically
+    in k once k > |x|, so every dropped term is below 1e-16.  By Jacobi-Anger,
+    exp(-i x cos t) = sum_k (-i)^k J_k(x) e^{ikt}, so one FFT of it on 2 half
+    points gives the coefficients, aliased with those of index k +- 2 half.
+    half >= |x| + 12 |x|^(1/3) + 40 puts every alias in the Airy tail of J_k,
+    below 1e-17.  At least two coefficients are kept, which the recurrence in
+    ``_propagate`` needs.
+    """
+    half = math.ceil(abs(x) + 12 * abs(x) ** (1 / 3) + 40)
+    k = np.arange(1, half + 1)
+    z = np.minimum(abs(x) / k, 1.0)
+    root = np.sqrt(1 - z * z)
+    with np.errstate(divide="ignore"):  # x = 0 gives log(0) = -inf, a zero bound
+        log_bound = k * (np.log(z) + root - np.log1p(root))
+    keep = max(2, 1 + np.count_nonzero(log_bound >= math.log(1e-16)))
+    t = np.arange(2 * half) * (np.pi / half)
+    return np.fft.fft(np.exp(-1j * x * np.cos(t)))[:keep] / (2 * half)
 
 
 def evolve_unitary(

@@ -22,7 +22,7 @@ from .noise import NoiseComponent, check_phase_count
 
 @dataclass(frozen=True)
 class LockInSchedule:
-    """N pi pulses spaced tau_arm apart, optionally bracketed by pi/2 pulses.
+    """N pi pulses spaced tau_arm apart.
 
     The interrogation window is (N+1) * tau_arm: one arm before the first
     pulse, one after the last.
@@ -30,7 +30,6 @@ class LockInSchedule:
 
     n_pulses: int
     tau_arm: float
-    bracket: bool = True
 
     def __post_init__(self):
         if not isinstance(self.n_pulses, (int, np.integer)) or isinstance(

@@ -132,18 +132,18 @@ def effective_unitary(params: SqueezeParams, n_photons: int, n_atoms: int) -> np
 
 
 def align_global_phase(u: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Rotate u by a global phase so its largest element matches reference's phase.
+    """Rotate u by the global phase that best matches it to reference.
 
     A four-pulse train carries a physically irrelevant global phase (e.g.
     (-1)^{N_s} at g*tau = 0) that would otherwise dominate any norm comparison.
+    The phase of tr(u^dag reference) minimises the Frobenius distance and,
+    unlike any single entry, does not hinge on which of many near-equal
+    entries rounding makes largest.
     """
-    idx = np.unravel_index(np.argmax(np.abs(u)), u.shape)
-    ref_entry = reference[idx]
-    u_entry = u[idx]
-    if abs(ref_entry) == 0 or abs(u_entry) == 0:
+    overlap = np.vdot(u, reference)
+    if overlap == 0:
         return u
-    phase = (ref_entry / abs(ref_entry)) * (abs(u_entry) / u_entry)
-    return u * phase
+    return u * (overlap / abs(overlap))
 
 
 def bch_error(params: SqueezeParams, n_photons: int, n_atoms: int) -> float:

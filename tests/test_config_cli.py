@@ -372,7 +372,8 @@ def test_threads_env_fallback(monkeypatch):
         cli.resolve_threads(None)
 
 
-def test_cli_import_leaves_scipy_linalg_and_special_unloaded():
+def scipy_modules_loaded_by(code):
+    """scipy.linalg / scipy.special as loaded in a fresh interpreter running code."""
     import os
     import subprocess
     import sys
@@ -387,8 +388,8 @@ def test_cli_import_leaves_scipy_linalg_and_special_unloaded():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p
     )
-    code = (
-        "import sys, spinlock.cli; "
+    code += (
+        "; import sys; "
         "print(sorted(m for m in ('scipy.linalg', 'scipy.special') if m in sys.modules))"
     )
     result = subprocess.run(
@@ -398,4 +399,18 @@ def test_cli_import_leaves_scipy_linalg_and_special_unloaded():
         text=True,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
+    return result.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_linalg_and_special_unloaded():
+    assert scipy_modules_loaded_by("import spinlock.cli") == "[]"
+
+
+def test_dicke_path_leaves_scipy_linalg_and_special_unloaded():
+    code = (
+        "from spinlock import dicke, squeezing; "
+        "dicke.schedule_expectations("
+        "2000, [dicke.PulseStep('jz2', 0.01), dicke.PulseStep('jx', 0.3)]); "
+        "squeezing.bch_error(squeezing.SqueezeParams.from_g_tau(1.0, 1e-2, 4), 4, 4)"
+    )
+    assert scipy_modules_loaded_by(code) == "[]"

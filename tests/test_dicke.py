@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -83,6 +86,17 @@ def test_css_is_normalized_at_huge_atom_number():
     assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_css_binomial_weights_at_10000_atoms():
+    # |a_k| / |a_peak| = sqrt(C(N, k) / C(N, N/2)) on the equator, against
+    # exact rationals over the bulk of the distribution (down to ~3e-4)
+    n, half = 10_000, 5_000
+    amps = np.abs(dicke.css_state(n, np.pi / 2, 0.0).amplitudes)
+    peak = math.comb(n, half)
+    for k in range(half - 200, half + 201):
+        want = math.sqrt(Fraction(math.comb(n, k), peak))
+        assert amps[k] / amps[half] == pytest.approx(want, rel=1e-13, abs=0), k
+
+
 def test_x_css_moments():
     state = dicke.x_css(50)
     ops = dicke.build_collective_ops(50)
@@ -132,7 +146,7 @@ def test_twisting_only_changes_phases():
 
 def test_evolution_matches_dense_expm():
     # reference: scipy's expm of the dense spin matrices, independent of the
-    # band storage, the phase gauge and the tridiagonal eigensolver
+    # band storage and the Chebyshev expansion
     rng = np.random.default_rng(17)
     for n in (1, 7, 50, 200):
         jx, jy, jz = dicke.spin_matrices(n + 1)
@@ -154,13 +168,43 @@ def test_evolution_matches_dense_expm():
             assert np.abs(got - want).max() <= 1e-10, f"n={n}"
 
 
+def twisted_rotated_moments(n, alpha, theta):
+    """<Jx> and <Jz^2> after exp(-i theta Jx) exp(-i alpha Jz^2) on the x-CSS.
+
+    Kitagawa & Ueda, PRA 47, 5138 (1993): the rotation keeps <Jx> at
+    J cos^(N-1)(alpha) and mixes <Jz^2> with <Jy^2> and the <JyJz> cross term.
+    """
+    jy2 = n / 4 + n * (n - 1) / 8 * (1 - math.cos(2 * alpha) ** (n - 2))
+    cross = n * (n - 1) / 2 * math.sin(alpha) * math.cos(alpha) ** (n - 2)
+    c, s = math.cos(theta), math.sin(theta)
+    return n / 2 * math.cos(alpha) ** (n - 1), c * c * n / 4 + s * s * jy2 + s * c * cross
+
+
 def test_twist_then_rotate_at_2000_atoms():
     # rotating about x leaves <Jx> of the twisted x-CSS at J cos^(N-1)(alpha)
     # and keeps <Jy> = <Jz> = 0 by the state's symmetry
-    values = dicke.schedule_expectations(2000, [PulseStep("jz2", 0.01), PulseStep("jx", 0.3)])
-    assert values["jx"] == pytest.approx(1000 * np.cos(0.01) ** 1999, rel=1e-9)
-    assert abs(values["jy"]) < 1e-9
-    assert abs(values["jz"]) < 1e-9
+    for theta in (0.3, np.pi / 2, -np.pi / 2):
+        values = dicke.schedule_expectations(
+            2000, [PulseStep("jz2", 0.01), PulseStep("jx", theta)]
+        )
+        jx, jz2 = twisted_rotated_moments(2000, 0.01, theta)
+        assert values["jx"] == pytest.approx(jx, rel=1e-9)
+        assert values["jz2"] == pytest.approx(jz2, rel=1e-9)
+        assert abs(values["jy"]) < 1e-9
+        assert abs(values["jz"]) < 1e-9
+
+
+def test_twist_then_rotate_at_documented_limit():
+    n = dicke.MAX_ATOMS
+    ops = dicke.build_collective_ops(n)
+    schedule = [PulseStep("jz2", 0.01), PulseStep("jx", 0.3)]
+    state = dicke.apply_schedule(dicke.x_css(n), ops, schedule)
+    assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
+    jx, jz2 = twisted_rotated_moments(n, 0.01, 0.3)
+    assert dicke.expect(state, ops.jx) == pytest.approx(jx, rel=1e-9)
+    assert dicke.expect(state, ops.jz2) == pytest.approx(jz2, rel=1e-9)
+    assert abs(dicke.expect(state, ops.jy)) < 1e-9
+    assert abs(dicke.expect(state, ops.jz)) < 1e-9
 
 
 def test_tridiagonal_operator_validation():

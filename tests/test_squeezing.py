@@ -85,6 +85,17 @@ def test_reduction_error_frozen_value():
     assert err == pytest.approx(7.070969607087328e-07, rel=1e-6)
 
 
+def test_reduction_error_cubic_coefficient():
+    # at (N_s, N) = (2, 2) the error is (g tau)^3 / sqrt(2) plus O((g tau)^5);
+    # the (10, 20) value is a 40-digit mpmath reference with the same phase rule
+    for g_tau in (1e-3, 2e-3):
+        params = squeezing.SqueezeParams.from_g_tau(1.0, g_tau, 2)
+        err = squeezing.bch_error(params, 2, 2)
+        assert err / g_tau**3 == pytest.approx(1 / np.sqrt(2), rel=1e-5), g_tau
+    params = squeezing.SqueezeParams.from_g_tau(1.0, 1e-3, 10)
+    assert squeezing.bch_error(params, 10, 20) == pytest.approx(3.5354848e-6, rel=2e-8, abs=0)
+
+
 def test_effective_map_is_twisting_on_max_sx_photons():
     # on the all-x-polarized photon state the four-pulse train acts on the
     # atoms as one-axis twisting with total phase (g tau)^2 N_s / 2, up to
@@ -126,7 +137,7 @@ def test_effective_unitary_is_diagonal_twisting():
 
 def test_unitaries_match_dense_expm():
     # reference: scipy's expm of the dense kron generators, independent of
-    # the per-level block construction and the tridiagonal eigensolver
+    # the per-level block construction and the Chebyshev expansion
     for n_photons, n_atoms in ((1, 1), (2, 3), (4, 4), (10, 20)):
         _, sz, sx = dicke.spin_matrices(n_photons + 1)  # Sy, Sz, Sx = jx, jy, jz
         _, _, jz = dicke.spin_matrices(n_atoms + 1)
