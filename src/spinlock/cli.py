@@ -119,7 +119,7 @@ def run_sensitivity(cfg: RunConfig, threads: int):
 
 
 def run_verify_bch(cfg: RunConfig, threads: int):
-    del threads  # dense linear algebra; grid is tiny
+    del threads  # one small block stack per grid point
     errors = []
     for g_tau in cfg.g_tau_grid:
         params = squeezing.SqueezeParams.from_g_tau(1.0, g_tau, cfg.n_photons)

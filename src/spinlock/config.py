@@ -20,6 +20,7 @@ from .analytic import ORDERINGS
 from .errors import ConfigError
 from .montecarlo import INTEGRANDS, MAX_SEED
 from .noise import GYRO_HZ_PER_NT, NoiseComponent
+from .squeezing import SqueezeParams
 
 EXPERIMENTS = (
     "contrast",
@@ -306,7 +307,7 @@ def parse_config(data: Mapping[str, Any]) -> RunConfig:
             raise ConfigError(f"physics.chi_override must be >= 0, got {chi}")
         chi_is_override = True
     else:
-        chi = n_photons * g * g * tau / 8.0
+        chi = SqueezeParams.from_g_tau(g, tau, n_photons).chi
         chi_is_override = False
 
     needs_lockin = experiment in ("contrast", "sensitivity", "noise-preview")

@@ -32,6 +32,8 @@ from spinlock.montecarlo import (
 from spinlock.lockin import LockInSchedule
 from spinlock.squeezing import SqueezeParams, bch_error, build_stokes_ops
 
+from blocks import scatter_levels
+
 
 def report(num: int, ok: bool, detail: str) -> None:
     print(f"criterion {num:02d} {'PASS' if ok else 'FAIL'}: {detail}")
@@ -127,7 +129,7 @@ def test_criterion_05_bch_cubic_and_twisting():
     diffs = {}
     for g_tau in (5e-3, 1e-2):
         params = SqueezeParams.from_g_tau(1.0, g_tau, n_photons)
-        out = squeezing.u4_sequence(params, n_photons, n_atoms) @ psi0
+        out = scatter_levels(squeezing.u4_sequence(params, n_photons, n_atoms)) @ psi0
         twist = params.chi * 4 * params.tau  # = (g tau)^2 N_s / 2
         target = np.kron(photon, np.exp(-1j * twist * np.diag(jz).real ** 2) * atom)
         overlap = np.vdot(target, out)
