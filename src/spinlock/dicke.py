@@ -21,6 +21,7 @@ order.  One fixed convention prevents silent sign errors in Jy.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -383,18 +384,10 @@ def schedule_expectations(n_atoms: int, schedule: PulseSchedule) -> dict[str, fl
     return {name: expect(state, ops.by_name(name)) for name in GENERATOR_NAMES}
 
 
-def full_space_oracle(n_atoms: int, schedule: PulseSchedule) -> dict[str, float]:
-    """Expectations from an independent 2^n product-space simulation.
-
-    Builds the collective operators as Kronecker sums of single-spin Paulis,
-    starts from the product |+x⟩^n, and propagates with scipy's expm (a
-    different algorithm from the Dicke path on purpose).  Only feasible for
-    n_atoms <= 4; used to validate the symmetric-subspace code.
-    """
-    if not 1 <= n_atoms <= 4:
-        raise ConfigError(f"full-space oracle limited to n_atoms <= 4, got {n_atoms}")
-    import scipy.linalg
-
+@functools.lru_cache(maxsize=4)  # n_atoms <= 4
+def _pauli_sums(n_atoms: int) -> dict[str, np.ndarray]:
+    """Read-only 2^n collective operators {Jx, Jy, Jz, Jz^2}, built once per n
+    as Kronecker sums of single-spin Paulis."""
     sx = np.array([[0, 1], [1, 0]], dtype=complex) / 2
     sy = np.array([[0, -1j], [1j, 0]], dtype=complex) / 2
     sz = np.array([[1, 0], [0, -1]], dtype=complex) / 2
@@ -413,7 +406,24 @@ def full_space_oracle(n_atoms: int, schedule: PulseSchedule) -> dict[str, float]
 
     ops = {"jx": collective(sx), "jy": collective(sy), "jz": collective(sz)}
     ops["jz2"] = ops["jz"] @ ops["jz"]
+    for op in ops.values():
+        op.flags.writeable = False
+    return ops
 
+
+def full_space_oracle(n_atoms: int, schedule: PulseSchedule) -> dict[str, float]:
+    """Expectations from an independent 2^n product-space simulation.
+
+    Builds the collective operators as Kronecker sums of single-spin Paulis,
+    starts from the product |+x⟩^n, and propagates with scipy's expm (a
+    different algorithm from the Dicke path on purpose).  Only feasible for
+    n_atoms <= 4; used to validate the symmetric-subspace code.
+    """
+    if not 1 <= n_atoms <= 4:
+        raise ConfigError(f"full-space oracle limited to n_atoms <= 4, got {n_atoms}")
+    import scipy.linalg
+
+    ops = _pauli_sums(n_atoms)
     psi = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
     full = psi
     for _ in range(n_atoms - 1):

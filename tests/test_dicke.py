@@ -250,6 +250,17 @@ def test_dicke_matches_full_space_oracle_on_random_schedules():
     assert worst < 1e-10, f"worst deviation {worst}"
 
 
+def test_oracle_operators_are_cached_read_only():
+    steps = [PulseStep("jz2", 0.4), PulseStep("jx", -0.3)]
+    first = dicke.full_space_oracle(3, steps)
+    ops = dicke._pauli_sums(3)
+    assert dicke._pauli_sums(3) is ops
+    for op in ops.values():
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
+    assert dicke.full_space_oracle(3, steps) == first
+
+
 def test_full_space_oracle_rejects_large_systems():
     with pytest.raises(ConfigError):
         dicke.full_space_oracle(5, [PulseStep("jx", 0.1)])

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,9 @@ def two_term_contrast(theta, a, b, beta0, cos_fac, sin_fac, inv_n, sin_gamma, eq
 def assert_kernel_matches_reference(*args, tol=1e-12):
     theta = args[0].copy()
     values = kernels.contrast_values(*args)
+    out = np.full(theta.shape[0], np.nan)
+    assert kernels.contrast_values(*args, out=out) is out
+    assert np.array_equal(out, values)
     assert np.array_equal(args[0], theta)  # the draws are not touched
     assert values.shape == (theta.shape[0],)
     assert np.abs(values - two_term_contrast(*args)).max() <= tol
@@ -141,6 +145,70 @@ def test_kernel_without_random_tones_or_amplitude():
             assert_kernel_matches_reference(*args)
             values = kernels.contrast_values(*args)
             assert np.all(values == values[0])
+
+
+def _tones(n_random, n_pinned=2):
+    random = [NoiseComponent(3.0 + k, 37.0 + 13.0 * k) for k in range(n_random)]
+    pinned = [NoiseComponent(2.0, 60.0 + 7.0 * k, phase=0.4 + k) for k in range(n_pinned)]
+    return random + pinned
+
+
+def _one_shot_values(components, schedule, cfg, integrand, point_index):
+    """All of a point's phases drawn at once and passed through one kernel call."""
+    from spinlock import analytic
+    from spinlock.lockin import phase_kernel
+
+    a, b = phase_kernel(components, schedule, True)
+    beta0, a_free, b_free = mc._split_fixed(components, a, b)
+    theta = mc.sample_thetas(cfg.master_seed, point_index, 0, cfg.samples, a_free.size)
+    return kernels.contrast_values(
+        theta,
+        a_free,
+        b_free,
+        beta0,
+        analytic.cos_factor(cfg.alpha, cfg.n_atoms),
+        analytic.sin_factor(cfg.alpha, cfg.n_atoms),
+        1.0 / cfg.n_atoms,
+        math.sin(schedule.n_pulses * math.pi),
+        integrand == "eq23",
+    )
+
+
+@pytest.mark.parametrize("integrand", mc.INTEGRANDS)
+@pytest.mark.parametrize("n_random", (0, 3, 4, 5, 9))
+def test_block_streaming_equals_one_shot_bit_for_bit(default_mc, integrand, n_random):
+    block = mc._BLOCK_SAMPLES
+    components = _tones(n_random)
+    sched = LockInSchedule(7, 5e-3)
+    for samples in (1, block - 1, block, block + 1, 2 * block + 17):
+        cfg = dataclasses.replace(default_mc, samples=samples)
+        want = _one_shot_values(components, sched, cfg, integrand, 3)
+        got = mc._point_values(components, sched, cfg, integrand, True, 3)
+        assert np.array_equal(got, want)
+        point = mc.fringe_contrast_mc(
+            components, sched, cfg, integrand=integrand, point_index=3
+        )
+        assert point.estimate == float(np.mean(want))
+        if samples > 1 and np.ptp(want) != 0.0:
+            stderr = float(np.std(want, ddof=1) / math.sqrt(samples))
+        else:
+            stderr = 0.0
+        assert point.stderr == stderr
+
+
+@pytest.mark.parametrize("integrand", mc.INTEGRANDS)
+def test_point_memory_is_values_plus_one_block(default_mc, integrand):
+    samples = 200_000
+    cfg = dataclasses.replace(default_mc, samples=samples)
+    components = _tones(9, n_pinned=0)
+    sched = LockInSchedule(7, 5e-3)
+    tracemalloc.start()
+    try:
+        mc.fringe_contrast_mc(components, sched, cfg, integrand=integrand)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * samples + 4 * 2**20
 
 
 def test_no_noise_gives_unit_contrast(default_mc):
