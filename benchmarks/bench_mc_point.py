@@ -1,4 +1,4 @@
-"""Wall time and traced peak memory of one Monte Carlo fringe-contrast point.
+"""Wall time and traced peak memory of Monte Carlo fringe-contrast points and curves.
 
     python3 benchmarks/bench_mc_point.py --label change
 
@@ -6,10 +6,13 @@ Measures the checkout this file sits in (its ``src/``).  For samples in
 {2e3, 1e5, 2e6}, random tones Q in {3, 9} and both integrands it runs one
 ``fringe_contrast_mc`` call on one thread and records the best wall time
 over a few repeats (tracemalloc off) and the tracemalloc peak of one more
-call.  The rows are printed and stored under ``--label`` in
-``BENCH_mc_stream.json`` at the repository root, next to the rows of other
-labels already there; to compare two commits, run each checkout's copy of
-this script with its own label and the same ``--output``.
+call.  It then does the same for the two shipped curves: the 301-point
+``configs/contrast_squeezed.json`` contrast curve and the 3 x 49-point
+``configs/sensitivity.json`` sensitivity curves, on one thread.  The rows
+are printed and stored under ``--label`` in ``BENCH_mc_stream.json`` at
+the repository root, next to the rows of other labels already there; to
+compare two commits, run each checkout's copy of this script with its own
+label and the same ``--output``.
 """
 from __future__ import annotations
 
@@ -27,6 +30,8 @@ SAMPLES = (2_000, 100_000, 2_000_000)
 RANDOM_TONES = (3, 9)
 # best-of repeats per sample count: the 2e6-sample points take about 1 s
 REPEATS = {2_000: 7, 100_000: 5, 2_000_000: 2}
+CURVES = ("contrast_squeezed.json", "sensitivity.json")
+CURVE_REPEATS = 9  # best-of; a curve takes about 0.1 s
 
 
 def measure(samples: int, n_tones: int, integrand: str) -> dict:
@@ -64,6 +69,58 @@ def measure(samples: int, n_tones: int, integrand: str) -> dict:
     }
 
 
+def measure_curve(config: str) -> dict:
+    from spinlock.config import load_config
+    from spinlock.montecarlo import McConfig, contrast_curve, sensitivity_curve
+
+    cfg = load_config(str(ROOT / "configs" / config))
+    mc = McConfig(
+        samples=cfg.samples,
+        master_seed=cfg.master_seed,
+        n_atoms=cfg.n_atoms[0],
+        chi=cfg.chi,
+        squeeze_duration=cfg.squeeze_duration,
+    )
+    kwargs = dict(integrand=cfg.integrand, toggle=cfg.toggle, threads=1)
+    if cfg.experiment == "contrast":
+        grid = [x * 1e-3 for x in cfg.tau_arm_grid_ms]
+        points = len(grid)
+
+        def curve():
+            return contrast_curve(cfg.components(), cfg.n_pulses, grid, mc, **kwargs)
+
+    else:
+        grid = [x * 1e-3 for x in cfg.duration_grid_ms]
+        points = len(grid) * len(cfg.n_atoms)
+
+        def curve():
+            return sensitivity_curve(
+                cfg.components(), cfg.n_atoms, grid, cfg.n_pulses, mc, **kwargs
+            )
+
+    curve()  # first-call set-up
+    tracemalloc.start()
+    try:
+        curve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    walls = []
+    for _ in range(CURVE_REPEATS):
+        start = time.perf_counter()
+        curve()
+        walls.append(time.perf_counter() - start)
+    return {
+        "config": config,
+        "points": points,
+        "samples": cfg.samples,
+        "threads": 1,
+        "wall_s": min(walls),
+        "repeats": len(walls),
+        "peak_mb": peak / 2**20,
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="key of this run in the output file")
@@ -86,6 +143,12 @@ def main() -> int:
                     f"{samples:>9} {n_tones:>2} {integrand:>9} "
                     f"{row['wall_s']:>9.4f} {row['peak_mb']:>9.2f}"
                 )
+    curves = []
+    print(f"{'config':>24} {'points':>6} {'wall_s':>9} {'peak_MB':>9}")
+    for config in CURVES:
+        row = measure_curve(config)
+        curves.append(row)
+        print(f"{config:>24} {row['points']:>6} {row['wall_s']:>9.4f} {row['peak_mb']:>9.2f}")
     report = json.loads(args.output.read_text()) if args.output.exists() else {}
     report.setdefault("description", __doc__.splitlines()[0])
     report.setdefault("runs", {})[args.label] = {
@@ -93,6 +156,7 @@ def main() -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "points": rows,
+        "curves": curves,
     }
     args.output.write_text(json.dumps(report, indent=1) + "\n")
     return 0

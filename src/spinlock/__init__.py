@@ -39,7 +39,13 @@ from .errors import (
     SpinlockError,
     WindowError,
 )
-from .lockin import LockInSchedule, accumulated_beta, phase_kernel, toggling_function
+from .lockin import (
+    LockInSchedule,
+    accumulated_beta,
+    phase_kernel,
+    phase_kernel_grid,
+    toggling_function,
+)
 from .montecarlo import (
     CurvePoint,
     McConfig,
@@ -98,6 +104,7 @@ __all__ = [
     "min_detectable_phase",
     "oracle_comparison",
     "phase_kernel",
+    "phase_kernel_grid",
     "schedule_expectations",
     "sensitivity_curve",
     "sql_phase",

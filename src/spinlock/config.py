@@ -290,6 +290,9 @@ def parse_config(data: Mapping[str, Any]) -> RunConfig:
         )
         if not n_atoms:
             raise ConfigError("physics.n_atoms list must be nonempty")
+        if len(set(n_atoms)) < len(n_atoms):
+            # the curves are keyed by atom number, so a repeat would vanish
+            raise ConfigError("physics.n_atoms must not repeat")
     else:
         n_atoms = (_as_positive_int("physics", "n_atoms", raw_atoms),)
     n_photons = _as_positive_int("physics", "n_photons", _require("physics", physics, "n_photons"))
@@ -373,7 +376,7 @@ def parse_config(data: Mapping[str, Any]) -> RunConfig:
         if phase is not None:
             phase = _as_number(section, "phase", phase)
         gyro = tone.get("gyro_hz_per_nt", GYRO_HZ_PER_NT)
-        if gyro != GYRO_HZ_PER_NT:
+        if "gyro_hz_per_nt" in tone:
             if units != "pT":
                 raise ConfigError(f"{section}.gyro_hz_per_nt only applies to pT tones")
             gyro = _as_number(section, "gyro_hz_per_nt", gyro)

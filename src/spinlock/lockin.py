@@ -75,12 +75,14 @@ def interval_signs(schedule: LockInSchedule, toggle: bool = True) -> np.ndarray:
     return (-1.0) ** np.arange(schedule.n_pulses + 1)
 
 
-def phase_kernel(
+def phase_kernel_grid(
     components: Sequence[NoiseComponent],
-    schedule: LockInSchedule,
+    n_pulses: int,
+    tau_arms: Sequence[float],
     toggle: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-tone coefficients (a, b) such that
+    """Per-tone coefficients (a, b), shape (P, Q), for each of the P arm
+    times of a grid with N = n_pulses: in row p,
     beta = sum_k a_k sin(theta_k) + b_k cos(theta_k).
 
     For tone k the exact interval integral gives
@@ -89,18 +91,44 @@ def phase_kernel(
     separates the theta dependence into these two schedule-only
     coefficients, which is what makes the Monte-Carlo hot loop a dot
     product instead of a time integral.
+
+    The N+1 signed interval differences are summed in interval order, one
+    edge at a time over the whole (P, Q) grid, so memory stays O(P Q).
+    OpenBLAS sums dot products shorter than 16 in that order too, so up to
+    N = 14 this equals np.dot per tone bit for bit; past that the two
+    differ in the last bits.
     """
-    signs = interval_signs(schedule, toggle)
-    edges = schedule.boundaries
-    q = len(components)
-    a = np.zeros(q)
-    b = np.zeros(q)
-    for k, comp in enumerate(components):
-        weight = comp.amplitude_hz / comp.freq_hz
-        x = 2.0 * np.pi * comp.freq_hz * edges
-        a[k] = weight * np.dot(signs, np.diff(np.cos(x)))
-        b[k] = weight * np.dot(signs, np.diff(np.sin(x)))
+    taus = np.asarray(tau_arms, dtype=float).reshape(-1)
+    for tau in taus[~(np.isfinite(taus) & (taus > 0))][:1]:
+        LockInSchedule(n_pulses, float(tau))  # raises on the first bad arm time
+    signs = interval_signs(LockInSchedule(n_pulses, 1.0), toggle)  # checks n_pulses
+    omega = np.array([2.0 * np.pi * comp.freq_hz for comp in components])
+    weight = np.array([comp.amplitude_hz / comp.freq_hz for comp in components])
+    a = np.zeros((taus.size, omega.size))
+    b = np.zeros_like(a)
+    x = np.zeros_like(a)  # 2 pi f t at the first edge, t = 0
+    cos_prev, sin_prev = np.cos(x), np.sin(x)
+    for i, sign in enumerate(signs, start=1):
+        # edge i sits at tau_arm * i, as in LockInSchedule.boundaries
+        np.multiply((taus * float(i))[:, None], omega, out=x)
+        cos_x, sin_x = np.cos(x), np.sin(x)
+        a += sign * (cos_x - cos_prev)
+        b += sign * (sin_x - sin_prev)
+        cos_prev, sin_prev = cos_x, sin_x
+    a *= weight
+    b *= weight
     return a, b
+
+
+def phase_kernel(
+    components: Sequence[NoiseComponent],
+    schedule: LockInSchedule,
+    toggle: bool = True,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-tone coefficients (a, b), shape (Q,), of one schedule: the
+    one-row case of phase_kernel_grid."""
+    a, b = phase_kernel_grid(components, schedule.n_pulses, [schedule.tau_arm], toggle)
+    return a[0], b[0]
 
 
 def accumulated_beta(

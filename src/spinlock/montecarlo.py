@@ -1,17 +1,22 @@
 """Monte-Carlo fringe contrast, measurement range, and sensitivity sweeps.
 
 Reproducibility contract: every result is a pure function of (config,
-master_seed), independent of worker count, evaluation order and block
-size.  Tone phases come from counter-based Philox streams keyed by
+master_seed), independent of worker count, evaluation order, chunking and
+block size.  Tone phases come from counter-based Philox streams keyed by
 (master_seed, point_index); each sample owns a fixed, precomputed slice of
 the counter sequence, so any scheduling of the work reproduces identical
-draws, and the reduction always sums an index-ordered buffer.
+draws, and each point's reduction sums its own index-ordered row.
 
-A point streams its samples through sample blocks of _BLOCK_SAMPLES: each
-block's phases are drawn into one reused buffer and its fringe values are
-written into the point's slice of a single values array, so a point holds
-8 bytes per sample plus one block instead of every raw word and phase at
-once.
+A curve is evaluated in chunks of whole points, up to _BLOCK_SAMPLES
+samples per chunk, or one point when a point alone is larger.  The phase
+kernel runs once for the whole grid; per chunk, each point's phases are
+drawn from its own stream into one (C, S, Q) buffer, and the tone sum,
+the readout and the mean/std reduction each run once over all C points.
+A point larger than a chunk streams through blocks of _BLOCK_SAMPLES
+instead, so it holds 8 bytes per sample plus one block.  Sensitivity
+curves share the draws and tone sums across atom numbers: a duration's
+stream is keyed by its grid index alone, so only the readout runs once
+per atom number.  fringe_contrast_mc evaluates a chunk of one point.
 """
 from __future__ import annotations
 
@@ -25,17 +30,17 @@ import numpy as np
 from . import analytic, kernels
 from .dicke import PhaseTriple
 from .errors import ConfigError, EmptyRangeError, NumericsError
-from .lockin import LockInSchedule, phase_kernel
+from .lockin import LockInSchedule, phase_kernel_grid
 from .noise import NoiseComponent
 
 INTEGRANDS = ("ramsey", "eq23")
 _TWO_PI = 2.0 * math.pi
 _DOUBLE_SCALE = 2.0**-53
 _RAWS_PER_BLOCK = 4  # Philox-4x64 emits four 64-bit words per counter step
-# samples per streamed block: the smallest size at full speed.  For 100,000-
-# sample, 12-tone eq23 points on 2 threads (2-core Xeon, 2 MB L2 per core)
-# 1024 took 14% longer than 4096, while 8192-32768 were within noise of it;
-# a block's buffers are then about 1 MB
+# samples per streamed block, and per chunk of points: the smallest block at
+# full speed.  For 100,000-sample, 12-tone eq23 points on 2 threads (2-core
+# Xeon, 2 MB L2 per core) 1024 took 14% longer than 4096, while 8192-32768
+# were within noise of it; a block's buffers are then about 1 MB
 _BLOCK_SAMPLES = 4096
 MAX_SEED = 2**64
 
@@ -104,9 +109,11 @@ def _draw(bitgen: np.random.Philox, theta: np.ndarray) -> np.ndarray:
     raw = bitgen.random_raw(count * words)
     # top 53 bits of each word -> double in [0, 1), scaled to [0, 2pi); the
     # shift runs on the contiguous buffer and words below 2^53 convert
-    # exactly, so this equals (raw >> 11) * (2pi * 2^-53) bit for bit
+    # exactly, so this equals (raw >> 11) * (2pi * 2^-53) bit for bit.  Read
+    # as int64 (the same values) they convert about 20% faster than as uint64
     raw >>= np.uint64(11)
-    np.multiply(raw.reshape(count, words)[:, :n_tones], _TWO_PI * _DOUBLE_SCALE, out=theta)
+    shifted = raw.view(np.int64).reshape(count, words)[:, :n_tones]
+    np.multiply(shifted, _TWO_PI * _DOUBLE_SCALE, out=theta)
     return theta
 
 
@@ -129,27 +136,25 @@ def sample_thetas(
 
 def _split_fixed(
     components: Sequence[NoiseComponent], a: np.ndarray, b: np.ndarray
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Fold pinned-phase tones into a constant offset; keep random ones."""
-    beta0 = 0.0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fold pinned-phase tones into a constant offset; keep random ones.
+
+    a and b have shape (..., Q), one row per schedule; the offsets have
+    shape (...,) and the random tones' columns shape (..., Q_random).
+    """
+    beta0 = np.zeros(a.shape[:-1])
     free: list[int] = []
     for k, comp in enumerate(components):
         if comp.phase is None:
             free.append(k)
         else:
-            beta0 += a[k] * math.sin(comp.phase) + b[k] * math.cos(comp.phase)
+            beta0 += a[..., k] * math.sin(comp.phase) + b[..., k] * math.cos(comp.phase)
     idx = np.array(free, dtype=int)
-    return beta0, np.ascontiguousarray(a[idx]), np.ascontiguousarray(b[idx])
+    return beta0, np.ascontiguousarray(a[..., idx]), np.ascontiguousarray(b[..., idx])
 
 
-def _point_values(
-    components: Sequence[NoiseComponent],
-    schedule: LockInSchedule,
-    mc: McConfig,
-    integrand: str,
-    toggle: bool,
-    point_index: int,
-) -> np.ndarray:
+def _fringe(mc: McConfig, integrand: str, n_pulses: int) -> tuple:
+    """The readout's scalar arguments for one atom number."""
     if integrand not in INTEGRANDS:
         raise ConfigError(
             f"unknown integrand {integrand!r}; expected one of {INTEGRANDS}"
@@ -165,50 +170,72 @@ def _point_values(
             f"twisting angle alpha={mc.alpha!r}: cos^(N-1)={cos_fac:.3e} is too small "
             f"against sin^(N-1)={sin_fac:.3e} to normalize the ramsey fringe"
         )
-    a, b = phase_kernel(components, schedule, toggle)
-    beta0, a_free, b_free = _split_fixed(components, a, b)
     # the bracketing drive is the N pi pulses acting about x
-    gamma = schedule.n_pulses * math.pi
-    physics = (
-        a_free, b_free, beta0, cos_fac, sin_fac, 1.0 / mc.n_atoms, math.sin(gamma),
-        integrand == "eq23",
-    )
-    values = np.empty(mc.samples)
-    theta = np.empty((min(mc.samples, _BLOCK_SAMPLES), a_free.size))
-    bitgen = _stream(mc.master_seed, point_index)
-    for start in range(0, mc.samples, _BLOCK_SAMPLES):
-        stop = min(start + _BLOCK_SAMPLES, mc.samples)
-        block = _draw(bitgen, theta[: stop - start])
-        kernels.contrast_values(block, *physics, out=values[start:stop])
-    return values
+    gamma = n_pulses * math.pi
+    return cos_fac, sin_fac, 1.0 / mc.n_atoms, math.sin(gamma), integrand == "eq23"
 
 
-def fringe_contrast_mc(
+def _chunk_values(
+    master_seed: int,
+    indices: Sequence[int],
+    samples: int,
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray],
+    fringes: Sequence[tuple],
+):
+    """Yield the (C, samples) fringe values of a chunk of C points, once per
+    entry of fringes (one atom number each).
+
+    Point c draws from the stream keyed by indices[c] and has offset
+    beta0[c] and random-tone coefficients a[c], b[c], where
+    (beta0, a, b) = terms.  The draws and the tone sums run once, block by
+    block, over the whole chunk; only the readout runs per fringe, and the
+    last one writes over the tone sums.
+    """
+    beta0, a, b = terms
+    sums = np.empty((len(indices), samples))
+    theta = np.empty((len(indices), min(samples, _BLOCK_SAMPLES), a.shape[-1]))
+    streams = [_stream(master_seed, i) for i in indices]
+    for start in range(0, samples, _BLOCK_SAMPLES):
+        stop = min(start + _BLOCK_SAMPLES, samples)
+        block = theta[:, : stop - start]
+        for c, bitgen in enumerate(streams):
+            _draw(bitgen, block[c])
+        kernels.tone_sum(block, a, b, out=sums[:, start:stop])
+    # free the phases before the readout's and reduction's full-row temporaries
+    del theta, block
+    for j, fringe in enumerate(fringes):
+        out = sums if j == len(fringes) - 1 else None
+        yield kernels.readout(sums, beta0[:, None], *fringe, out=out)
+
+
+def _reduce(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise estimate and stderr of (C, S) values: the mean, and
+    sample-std/sqrt(S) (0 for a single sample or a constant row)."""
+    samples = values.shape[1]
+    estimates = np.mean(values, axis=1)
+    stderrs = np.zeros(len(values))
+    if samples > 1:
+        # a constant row (all phases pinned, or no noise at all) has zero
+        # spread; np.std would report ~1e-16 from the rounding of the mean
+        spread = np.ptp(values, axis=1) != 0.0
+        std = np.std(values, axis=1, ddof=1) / math.sqrt(samples)
+        stderrs[spread] = std[spread]
+    return estimates, stderrs
+
+
+def _point_values(
     components: Sequence[NoiseComponent],
     schedule: LockInSchedule,
     mc: McConfig,
-    *,
-    integrand: str = "ramsey",
-    toggle: bool = True,
-    point_index: int = 0,
-    x_value: float | None = None,
-) -> CurvePoint:
-    """Monte-Carlo fringe contrast E[cos(detected phase)] with stderr.
-
-    The estimate is the mean of per-sample fringe values over iid uniform
-    tone phases; stderr is sample-std/sqrt(samples) (0 for a single
-    sample).  Deterministic given (mc, point_index).
-    """
-    values = _point_values(components, schedule, mc, integrand, toggle, point_index)
-    estimate = float(np.mean(values))
-    if mc.samples > 1 and np.ptp(values) != 0.0:
-        stderr = float(np.std(values, ddof=1) / math.sqrt(mc.samples))
-    else:
-        # a constant sample (all phases pinned, or no noise at all) has zero
-        # spread; np.std would report ~1e-16 from the rounding of the mean
-        stderr = 0.0
-    x = schedule.tau_arm * 1e3 if x_value is None else x_value
-    return CurvePoint(x=x, estimate=estimate, stderr=stderr)
+    integrand: str,
+    toggle: bool,
+    point_index: int,
+) -> np.ndarray:
+    """One point's per-sample fringe values: a chunk of one."""
+    fringe = _fringe(mc, integrand, schedule.n_pulses)
+    a, b = phase_kernel_grid(components, schedule.n_pulses, [schedule.tau_arm], toggle)
+    terms = _split_fixed(components, a, b)
+    return next(_chunk_values(mc.master_seed, [point_index], mc.samples, terms, [fringe]))[0]
 
 
 def _run_indexed(tasks, threads: int):
@@ -225,6 +252,70 @@ def _run_indexed(tasks, threads: int):
     return results
 
 
+def _evaluate(
+    components: Sequence[NoiseComponent],
+    n_pulses: int,
+    tau_arms: Sequence[float],
+    mcs: Sequence[McConfig],
+    integrand: str,
+    toggle: bool,
+    threads: int,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Contrast estimates and stderrs, shape (P,) each, on a grid of P arm
+    times, for each McConfig of mcs (they differ only in n_atoms).
+
+    Point p draws from the stream keyed by point_index=p.  The grid goes in
+    chunks of whole points, up to _BLOCK_SAMPLES samples per chunk or one
+    point; the chunks are the thread pool's tasks.
+    """
+    fringes = [_fringe(mc, integrand, n_pulses) for mc in mcs]
+    a, b = phase_kernel_grid(components, n_pulses, tau_arms, toggle)
+    terms = _split_fixed(components, a, b)
+    samples, master_seed = mcs[0].samples, mcs[0].master_seed
+    per_chunk = max(1, _BLOCK_SAMPLES // samples)
+
+    def make_task(lo: int, hi: int):
+        def task():
+            chunk = tuple(t[lo:hi] for t in terms)
+            values = _chunk_values(master_seed, range(lo, hi), samples, chunk, fringes)
+            return [_reduce(v) for v in values]
+
+        return task
+
+    points = len(tau_arms)
+    tasks = [
+        make_task(lo, min(lo + per_chunk, points)) for lo in range(0, points, per_chunk)
+    ]
+    chunks = _run_indexed(tasks, threads)
+    return [
+        tuple(np.concatenate([chunk[j][k] for chunk in chunks]) for k in (0, 1))
+        for j in range(len(mcs))
+    ]
+
+
+def fringe_contrast_mc(
+    components: Sequence[NoiseComponent],
+    schedule: LockInSchedule,
+    mc: McConfig,
+    *,
+    integrand: str = "ramsey",
+    toggle: bool = True,
+    point_index: int = 0,
+    x_value: float | None = None,
+) -> CurvePoint:
+    """Monte-Carlo fringe contrast E[cos(detected phase)] with stderr.
+
+    The estimate is the mean of per-sample fringe values over iid uniform
+    tone phases; stderr is sample-std/sqrt(samples) (0 for a single
+    sample).  Deterministic given (mc, point_index).  The point is a chunk
+    of one, so it has the same bits as inside any curve.
+    """
+    values = _point_values(components, schedule, mc, integrand, toggle, point_index)
+    (estimate,), (stderr,) = _reduce(values[None])
+    x = schedule.tau_arm * 1e3 if x_value is None else x_value
+    return CurvePoint(x=x, estimate=float(estimate), stderr=float(stderr))
+
+
 def contrast_curve(
     components: Sequence[NoiseComponent],
     n_pulses: int,
@@ -238,29 +329,19 @@ def contrast_curve(
     """Fringe contrast versus arm time; x reported in ms.
 
     Grid point i uses the phase stream keyed by point_index=i, so the curve
-    is reproducible point-by-point regardless of grid slicing or threads.
+    is reproducible point-by-point regardless of grid slicing, chunking or
+    threads.
     """
     grid = [float(t) for t in tau_arm_grid_s]
     if not grid:
         raise ConfigError("tau_arm grid must be nonempty")
-
-    def make_task(i: int, tau: float):
-        def task() -> CurvePoint:
-            schedule = LockInSchedule(n_pulses=n_pulses, tau_arm=tau)
-            return fringe_contrast_mc(
-                components,
-                schedule,
-                mc,
-                integrand=integrand,
-                toggle=toggle,
-                point_index=i,
-                x_value=tau * 1e3,
-            )
-
-        return task
-
-    tasks = [make_task(i, tau) for i, tau in enumerate(grid)]
-    return _run_indexed(tasks, threads)
+    [(estimates, stderrs)] = _evaluate(
+        components, n_pulses, grid, [mc], integrand, toggle, threads
+    )
+    return [
+        CurvePoint(x=tau * 1e3, estimate=e, stderr=s)
+        for tau, e, s in zip(grid, estimates.tolist(), stderrs.tolist())
+    ]
 
 
 def measurement_range(
@@ -348,29 +429,21 @@ def sensitivity_curve(
         raise ConfigError("duration grid must be nonempty")
     if not atoms:
         raise ConfigError("n_atoms list must be nonempty")
-
-    def make_task(n_atoms: int, t_index: int, duration: float):
-        def task() -> CurvePoint:
-            tau_arm = duration / (n_pulses + 1)
-            schedule = LockInSchedule(n_pulses=n_pulses, tau_arm=tau_arm)
-            mc_n = replace(mc, n_atoms=n_atoms)
-            contrast = fringe_contrast_mc(
-                components,
-                schedule,
-                mc_n,
-                integrand=integrand,
-                toggle=toggle,
-                point_index=t_index,
-                x_value=duration * 1e3,
-            )
-            return sensitivity_point(contrast, mc_n, n_pulses, tau_arm)
-
-        return task
-
-    tasks = [
-        make_task(n, i, t) for n in atoms for i, t in enumerate(grid)
-    ]
-    flat = _run_indexed(tasks, threads)
+    if len(set(atoms)) < len(atoms):
+        raise ConfigError("physics.n_atoms must not repeat")
+    tau_arms = [duration / (n_pulses + 1) for duration in grid]
+    mcs = [replace(mc, n_atoms=n) for n in atoms]
+    curves = _evaluate(
+        components, n_pulses, tau_arms, mcs, integrand, toggle, threads
+    )
     return {
-        n: flat[j * len(grid) : (j + 1) * len(grid)] for j, n in enumerate(atoms)
+        mc_n.n_atoms: [
+            sensitivity_point(
+                CurvePoint(x=duration * 1e3, estimate=e, stderr=s), mc_n, n_pulses, tau_arm
+            )
+            for duration, tau_arm, e, s in zip(
+                grid, tau_arms, estimates.tolist(), stderrs.tolist()
+            )
+        ]
+        for mc_n, (estimates, stderrs) in zip(mcs, curves)
     }

@@ -102,6 +102,32 @@ def test_sensitivity_accepts_atom_list():
     assert cfg.n_atoms == (50, 300, 500)
 
 
+def test_repeated_atom_number_is_a_config_error(tmp_path, capsys):
+    doc = minimal_contrast(experiment="sensitivity")
+    doc["physics"]["n_atoms"] = [50, 300, 50]
+    doc["lockin"] = {"n_pulses": 7, "duration_grid_ms": [40.0, 80.0]}
+    with pytest.raises(ConfigError, match="^physics.n_atoms must not repeat$"):
+        parse_config(doc)
+    assert run_cli(["sensitivity", "--config", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == "error: physics.n_atoms must not repeat\n"
+
+
+@pytest.mark.parametrize("units", ["Hz", "Hz2-slow"])
+@pytest.mark.parametrize("gyro", [28, 28.0, 10.0])
+def test_gyro_only_on_pt_tones(tmp_path, capsys, units, gyro):
+    doc = minimal_contrast()
+    doc["noise"][2] = {"units": units, "amplitude": 40, "freq_hz": 2.1, "gyro_hz_per_nt": gyro}
+    with pytest.raises(ConfigError, match="^noise\\[2\\].gyro_hz_per_nt only applies to pT"):
+        parse_config(doc)
+    assert run_cli(["contrast", "--config", write_config(tmp_path, doc)]) == 2
+    assert "gyro_hz_per_nt only applies to pT" in capsys.readouterr().err
+    # on a pT tone the key stays legal, and the default value hashes as if absent
+    doc = minimal_contrast()
+    doc["noise"][0]["gyro_hz_per_nt"] = gyro
+    same_hash = parse_config(doc).sha256() == parse_config(minimal_contrast()).sha256()
+    assert same_hash == (gyro == 28)
+
+
 def test_round_trip_identity():
     docs = [
         minimal_contrast(),

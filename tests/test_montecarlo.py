@@ -395,3 +395,84 @@ def test_sensitivity_atom_scaling(three_tone_noise, default_mc):
         min(p.estimate for p in curves[n]) for n in (50, 300, 500)
     ]
     assert minima[0] > minima[1] > minima[2]
+
+
+def _chunk_sample_counts():
+    # with the 7-point grids below a curve never fills its last chunk
+    # (4096, 3 or 1 points per chunk)
+    block = mc._BLOCK_SAMPLES
+    return (1, block // 3, block - 1, block, block + 1, 2 * block + 17)
+
+
+@pytest.mark.parametrize("integrand", mc.INTEGRANDS)
+@pytest.mark.parametrize("n_random", (0, 3, 9))
+def test_contrast_curve_chunks_never_change_a_bit(default_mc, integrand, n_random):
+    components = _tones(n_random)
+    for samples in _chunk_sample_counts():
+        cfg = dataclasses.replace(default_mc, samples=samples)
+        grid = [2e-3 + 1.3e-3 * i for i in range(7)]
+        points = [
+            mc.fringe_contrast_mc(
+                components, LockInSchedule(7, tau), cfg, integrand=integrand,
+                point_index=i, x_value=tau * 1e3,
+            )
+            for i, tau in enumerate(grid)
+        ]
+        for threads in (1, 2, 8):
+            curve = mc.contrast_curve(
+                components, 7, grid, cfg, integrand=integrand, threads=threads
+            )
+            assert curve == points, (samples, threads)
+
+
+@pytest.mark.parametrize("integrand", mc.INTEGRANDS)
+@pytest.mark.parametrize("n_random", (0, 3, 9))
+def test_sensitivity_curve_chunks_never_change_a_bit(default_mc, integrand, n_random):
+    components = _tones(n_random)
+    atoms = (50, 300, 7)
+    for samples in _chunk_sample_counts():
+        cfg = dataclasses.replace(default_mc, samples=samples)
+        grid = [0.016 + 0.011 * i for i in range(7)]
+        want = {}
+        for n in atoms:
+            mc_n = dataclasses.replace(cfg, n_atoms=n)
+            want[n] = [
+                mc.sensitivity_point(
+                    mc.fringe_contrast_mc(
+                        components, LockInSchedule(7, t / 8), mc_n, integrand=integrand,
+                        point_index=i, x_value=t * 1e3,
+                    ),
+                    mc_n, 7, t / 8,
+                )
+                for i, t in enumerate(grid)
+            ]
+        for threads in (1, 2, 8):
+            curves = mc.sensitivity_curve(
+                components, atoms, grid, 7, cfg, integrand=integrand, threads=threads
+            )
+            assert list(curves) == list(atoms)
+            assert curves == want, (samples, threads)
+
+
+def test_sensitivity_curve_rejects_repeated_atom_numbers(three_tone_noise, default_mc):
+    with pytest.raises(ConfigError, match="^physics.n_atoms must not repeat$"):
+        mc.sensitivity_curve(three_tone_noise, [50, 300, 50], [0.016], 7, default_mc)
+
+
+def test_curve_memory_is_one_point_plus_results(three_tone_noise, default_mc):
+    grid = [1e-3 + 8e-5 * i for i in range(301)]  # the shipped contrast grid
+    sched = LockInSchedule(7, grid[0])
+    mc.contrast_curve(three_tone_noise, 7, grid[:3], default_mc)  # first-call set-up
+    peaks = []
+    for run in (
+        lambda: mc.fringe_contrast_mc(three_tone_noise, sched, default_mc),
+        lambda: mc.contrast_curve(three_tone_noise, 7, grid, default_mc),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    point, curve = peaks
+    assert curve <= point + 16 * len(grid) + 2**20
