@@ -1,0 +1,153 @@
+"""Wall time and traced peak memory of the squeezing train, the BCH check and the oracle grid.
+
+    python3 benchmarks/bench_exact_layers.py --label change
+
+Measures the checkout this file sits in (its ``src/``), on one BLAS thread.
+It records the best wall time over a few repeats (tracemalloc off) and the
+tracemalloc peak of one more call for:
+
+- ``squeezing.u4_sequence`` at g tau = 1e-2 and (N_s, N) = (4, 4), (10, 20),
+  (50, 50) and (200, 48): joint dimensions 25, 231, 2601 and 9849, the last
+  the corner of ``MAX_JOINT_DIM`` at ``MAX_PHOTONS``;
+- ``squeezing.bch_error`` at (N_s, N) = (10, 20) for the four g tau values of
+  ``configs/verify_bch.json``, timed together;
+- the oracle-compare grid of ``configs/oracle_compare.json`` through
+  ``cli.run_oracle_compare`` (4 atom numbers x 72 comparisons).
+
+The rows are printed and stored under ``--label`` in
+``BENCH_exact_batch.json`` at the repository root, next to the rows of other
+labels already there; to compare two commits, run each checkout's copy of
+this script with its own label and the same ``--output``.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+G_TAU = 1e-2
+# (N_s, N, best-of repeats): the last case takes about 1 s
+U4_CASES = ((4, 4, 20), (10, 20, 20), (50, 50, 7), (200, 48, 3))
+BCH_SHAPE = (10, 20)
+REPEATS = 9  # best-of for the BCH points and the oracle grid
+
+
+def timed(fn, repeats: int) -> tuple[float, float]:
+    """Best wall time of ``repeats`` calls and the tracemalloc peak of one more (MB)."""
+    fn()  # first-call set-up stays out of the rows
+    walls = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        walls.append(time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return min(walls), peak / 2**20
+
+
+def u4_rows() -> list[dict]:
+    from spinlock import squeezing
+
+    rows = []
+    for n_photons, n_atoms, repeats in U4_CASES:
+        params = squeezing.SqueezeParams.from_g_tau(1.0, G_TAU, n_photons)
+        wall, peak = timed(lambda: squeezing.u4_sequence(params, n_photons, n_atoms), repeats)
+        rows.append(
+            {
+                "n_photons": n_photons,
+                "n_atoms": n_atoms,
+                "joint_dim": (n_photons + 1) * (n_atoms + 1),
+                "g_tau": G_TAU,
+                "wall_s": wall,
+                "repeats": repeats,
+                "peak_mb": peak,
+            }
+        )
+    return rows
+
+
+def bch_row() -> dict:
+    from spinlock import squeezing
+
+    grid = json.loads((ROOT / "configs" / "verify_bch.json").read_text())["bch"]["g_tau_grid"]
+    n_photons, n_atoms = BCH_SHAPE
+
+    def points():
+        for g_tau in grid:
+            params = squeezing.SqueezeParams.from_g_tau(1.0, g_tau, n_photons)
+            squeezing.bch_error(params, n_photons, n_atoms)
+
+    wall, peak = timed(points, REPEATS)
+    return {
+        "n_photons": n_photons,
+        "n_atoms": n_atoms,
+        "g_tau": grid,
+        "wall_s": wall,
+        "repeats": REPEATS,
+        "peak_mb": peak,
+    }
+
+
+def oracle_row() -> dict:
+    from spinlock import cli
+    from spinlock.config import load_config
+
+    cfg = load_config(str(ROOT / "configs" / "oracle_compare.json"))
+    comparisons = len(cfg.compare_n_atoms) * len(cfg.compare_alphas) * len(
+        cfg.compare_betas
+    ) * len(cfg.compare_gammas) * len(cfg.compare_orderings)
+    wall, peak = timed(lambda: cli.run_oracle_compare(cfg, 1), REPEATS)
+    return {"comparisons": comparisons, "wall_s": wall, "repeats": REPEATS, "peak_mb": peak}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="key of this run in the output file")
+    parser.add_argument("--output", type=Path, default=ROOT / "BENCH_exact_batch.json")
+    args = parser.parse_args()
+    # one BLAS thread, as in perfbench: the batched matrix powers are small
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(name, "1")
+    sys.path.insert(0, str(ROOT / "src"))
+    import numpy as np
+
+    print(f"{'N_s':>4} {'N':>3} {'dim':>5} {'wall_s':>9} {'peak_MB':>9}")
+    u4 = u4_rows()
+    for row in u4:
+        print(
+            f"{row['n_photons']:>4} {row['n_atoms']:>3} {row['joint_dim']:>5} "
+            f"{row['wall_s']:>9.5f} {row['peak_mb']:>9.2f}"
+        )
+    bch = bch_row()
+    print(f"bch_error x{len(bch['g_tau'])} at {BCH_SHAPE}: {bch['wall_s']:.5f} s, {bch['peak_mb']:.2f} MB")
+    oracle = oracle_row()
+    print(
+        f"oracle grid ({oracle['comparisons']} comparisons): "
+        f"{oracle['wall_s']:.5f} s, {oracle['peak_mb']:.2f} MB"
+    )
+    report = json.loads(args.output.read_text()) if args.output.exists() else {}
+    report.setdefault("description", __doc__.splitlines()[0])
+    report.setdefault("runs", {})[args.label] = {
+        "host": f"{platform.processor() or platform.machine()}, {os.cpu_count()} cores",
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "u4_sequence": u4,
+        "bch_error": bch,
+        "oracle_grid": oracle,
+    }
+    args.output.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,6 +11,7 @@ from .analytic import (
     expect_jz,
     min_detectable_phase,
     oracle_comparison,
+    oracle_grid,
     sql_phase,
 )
 from .dicke import (
@@ -20,6 +21,7 @@ from .dicke import (
     PulseStep,
     TridiagonalOperator,
     build_collective_ops,
+    column_moments,
     css_state,
     evolve_unitary,
     expect,
@@ -91,6 +93,7 @@ __all__ = [
     "bch_error",
     "build_collective_ops",
     "build_stokes_ops",
+    "column_moments",
     "contrast_curve",
     "css_state",
     "effective_unitary",
@@ -103,6 +106,7 @@ __all__ = [
     "measurement_range",
     "min_detectable_phase",
     "oracle_comparison",
+    "oracle_grid",
     "phase_kernel",
     "phase_kernel_grid",
     "schedule_expectations",

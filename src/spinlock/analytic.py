@@ -3,8 +3,9 @@
 These are the printed formulas of the squeezed-Ramsey analysis, implemented
 verbatim and kept strictly separate from the exact Dicke-basis evolution in
 ``dicke`` so that any disagreement between the two is measurable instead of
-hidden.  ``oracle_comparison`` computes both sides and reports the residual;
-nothing in this module silently corrects the formulas.
+hidden.  ``oracle_comparison`` computes both sides and reports the residual,
+and ``oracle_grid`` does so for a whole phase grid; nothing in this module
+silently corrects the formulas.
 
 Conventions: the cycle accumulates a twisting phase alpha (chi * t_squeeze),
 a signal/noise phase beta about z, and a drive phase gamma about x.  The
@@ -19,7 +20,7 @@ import math
 import numpy as np
 
 from . import dicke
-from .dicke import PhaseTriple, PulseStep, TridiagonalOperator
+from .dicke import PhaseTriple, TridiagonalOperator
 from .errors import ConfigError, FringeNodeError, PhaseDomainError
 
 DENOMINATOR_TOL = 1e-12
@@ -117,34 +118,112 @@ def min_detectable_phase(phases: PhaseTriple, n_atoms: int) -> float:
     return math.sqrt(radicand) / denominator
 
 
-def _comparison_state(
-    phases: PhaseTriple, n_atoms: int, ordering: str
-) -> tuple[dicke.DickeState, dicke.CollectiveOps]:
-    """x-CSS evolved through the cycle in one of three operator orderings.
+def _formula_entries(phases: PhaseTriple, n_atoms: int) -> dict[str, float]:
+    """The printed <Jx>, <Jz> and dphi, NaN where dphi is undefined."""
+    try:
+        dphi = min_detectable_phase(phases, n_atoms)
+    except (FringeNodeError, PhaseDomainError):
+        dphi = math.nan
+    return {
+        "jx": expect_jx(phases, n_atoms),
+        "jz": expect_jz(phases, n_atoms),
+        "dphi": dphi,
+    }
 
-    "product" applies squeeze, then signal, then drive (the physical sequence);
-    "reversed" applies them backwards; "single" exponentiates the summed
-    generator alpha*Jz^2 + beta*Jz + gamma*Jx in one step.
+
+def _grid_states(
+    ops: dicke.CollectiveOps,
+    css: np.ndarray,
+    ordering: str,
+    alphas: np.ndarray,
+    betas: np.ndarray,
+    gammas: np.ndarray,
+) -> np.ndarray:
+    """x-CSS amplitudes after every (alpha, beta, gamma) cycle of one ordering,
+    shape (dim, len(alphas), len(betas), len(gammas)).
+
+    "product" applies squeeze, then signal, then drive (the physical
+    sequence): every (alpha, beta) column gets its exact twist and shift
+    phases, and the columns are rotated as one block per gamma.  "reversed"
+    applies them backwards: the CSS is rotated once per gamma, then phased.
+    "single" exponentiates the summed generator alpha*Jz^2 + beta*Jz +
+    gamma*Jx in one step, which differs at every point.
     """
-    if ordering not in ORDERINGS:
-        raise ConfigError(f"unknown ordering {ordering!r}; expected one of {ORDERINGS}")
-    ops = dicke.build_collective_ops(n_atoms)
-    state = dicke.x_css(n_atoms)
-    if ordering == "single":
-        terms = ((phases.alpha, ops.jz2), (phases.beta, ops.jz), (phases.gamma, ops.jx))
+    dim = css.size
+    shape = (dim, alphas.size, betas.size, gammas.size)
+    if ordering == "product":
+        twisted = dicke._propagate(ops.jz2, alphas, css)  # (A, dim)
+        shifted = dicke._propagate(ops.jz, betas, twisted.T)  # (B, dim, A)
+        block = shifted.transpose(1, 2, 0).reshape(dim, -1)  # columns (alpha, beta)
+        rotated = [dicke._propagate(ops.jx, gamma, block) for gamma in gammas]
+        return np.stack(rotated, axis=-1).reshape(shape)
+    if ordering == "reversed":
+        rotated = np.stack([dicke._propagate(ops.jx, gamma, css) for gamma in gammas], axis=-1)
+        shifted = dicke._propagate(ops.jz, betas, rotated)  # (B, dim, G)
+        twisted = dicke._propagate(ops.jz2, alphas, shifted.transpose(1, 0, 2))
+        return twisted.transpose(1, 0, 2, 3)
+    states = np.empty(shape, dtype=complex)
+    for index in np.ndindex(shape[1:]):
+        weights = (alphas[index[0]], betas[index[1]], gammas[index[2]])
+        terms = tuple(zip(weights, (ops.jz2, ops.jz, ops.jx)))
         combined = TridiagonalOperator(
             sum(weight * op.diag for weight, op in terms),
             sum(weight * op.upper for weight, op in terms),
         )
-        return dicke.evolve_unitary(state, combined, 1.0), ops
-    steps = [
-        PulseStep("jz2", phases.alpha),
-        PulseStep("jz", phases.beta),
-        PulseStep("jx", phases.gamma),
-    ]
-    if ordering == "reversed":
-        steps.reverse()
-    return dicke.apply_schedule(state, ops, steps), ops
+        states[(slice(None),) + index] = dicke._propagate(combined, 1.0, css)
+    return states
+
+
+def oracle_grid(
+    n_atoms: int,
+    alphas: tuple[float, ...],
+    betas: tuple[float, ...],
+    gammas: tuple[float, ...],
+    orderings: tuple[str, ...] = ORDERINGS,
+) -> list[dict[str, dict[str, float]]]:
+    """``oracle_comparison`` at every point of a phase grid, sharing the work.
+
+    Returns one report per (alpha, beta, gamma, ordering), in the nested order
+    of the arguments with orderings innermost; repeated values give repeated
+    reports.  The operators and the x-CSS are built once, each ordering's
+    states come from ``_grid_states`` with shared rotations, and <Jx>, <Jz>
+    and Var(Jz) are taken for all states at once.
+    """
+    for ordering in orderings:
+        if ordering not in ORDERINGS:
+            raise ConfigError(f"unknown ordering {ordering!r}; expected one of {ORDERINGS}")
+    points = [PhaseTriple(a, b, g) for a in alphas for b in betas for g in gammas]
+    ops = dicke.build_collective_ops(n_atoms)
+    if not points or not orderings:
+        return []
+    css = dicke.x_css(n_atoms).amplitudes
+    grid = [np.array(values, dtype=float) for values in (alphas, betas, gammas)]
+    states = {o: _grid_states(ops, css, o, *grid) for o in set(orderings)}
+    # columns in (alpha, beta, gamma, ordering) order
+    columns = np.stack([states[o] for o in orderings], axis=-1).reshape(css.size, -1)
+    jx_oracle, _ = dicke.column_moments(columns, ops.jx)
+    jz_oracle, var_jz = dicke.column_moments(columns, ops.jz)
+    reports = []
+    for k, phases in enumerate(points):
+        formula = _formula_entries(phases, n_atoms)
+        for j in range(k * len(orderings), (k + 1) * len(orderings)):
+            jx = float(jx_oracle[j])
+            oracle = {
+                "jx": jx,
+                "jz": float(jz_oracle[j]),
+                "dphi": math.sqrt(var_jz[j]) / jx if jx != 0 else math.inf,
+            }
+            reports.append(
+                {
+                    q: {
+                        "formula": formula[q],
+                        "oracle": oracle[q],
+                        "abs_diff": abs(formula[q] - oracle[q]),
+                    }
+                    for q in ("jx", "jz", "dphi")
+                }
+            )
+    return reports
 
 
 def oracle_comparison(
@@ -157,29 +236,6 @@ def oracle_comparison(
     sqrt(var(Jz))/<Jx> (infinite at a fringe node); the formula entry is NaN
     where the closed form itself is undefined.  Residuals are reported, never
     asserted away: for alpha != 0 the printed formulas are known to deviate.
+    The one-point case of ``oracle_grid``.
     """
-    state, ops = _comparison_state(phases, n_atoms, ordering)
-    jx_oracle = dicke.expect(state, ops.jx)
-    jz_oracle = dicke.expect(state, ops.jz)
-    var_jz = dicke.variance(state, ops.jz)
-    dphi_oracle = math.sqrt(var_jz) / jx_oracle if jx_oracle != 0 else math.inf
-
-    jx_formula = expect_jx(phases, n_atoms)
-    jz_formula = expect_jz(phases, n_atoms)
-    try:
-        dphi_formula = min_detectable_phase(phases, n_atoms)
-    except (FringeNodeError, PhaseDomainError):
-        dphi_formula = math.nan
-
-    def entry(formula: float, oracle: float) -> dict[str, float]:
-        return {
-            "formula": formula,
-            "oracle": oracle,
-            "abs_diff": abs(formula - oracle),
-        }
-
-    return {
-        "jx": entry(jx_formula, jx_oracle),
-        "jz": entry(jz_formula, jz_oracle),
-        "dphi": entry(dphi_formula, dphi_oracle),
-    }
+    return oracle_grid(n_atoms, (phases.alpha,), (phases.beta,), (phases.gamma,), (ordering,))[0]

@@ -20,7 +20,6 @@ import scipy
 
 from . import __version__, analytic, squeezing
 from .config import EXPERIMENTS, RunConfig, load_config
-from .dicke import PhaseTriple
 from .errors import EmptyRangeError, SpinlockError
 from .lockin import LockInSchedule
 from .montecarlo import (
@@ -136,28 +135,33 @@ def run_oracle_compare(cfg: RunConfig, threads: int):
     del threads
     rows = []
     for n_atoms in cfg.compare_n_atoms:
-        for alpha in cfg.compare_alphas:
-            for beta in cfg.compare_betas:
-                for gamma in cfg.compare_gammas:
-                    for ordering in cfg.compare_orderings:
-                        report = analytic.oracle_comparison(
-                            PhaseTriple(alpha, beta, gamma), n_atoms, ordering
-                        )
-                        for quantity in ("jx", "jz", "dphi"):
-                            entry = report[quantity]
-                            rows.append(
-                                (
-                                    n_atoms,
-                                    alpha,
-                                    beta,
-                                    gamma,
-                                    ordering,
-                                    quantity,
-                                    entry["formula"],
-                                    entry["oracle"],
-                                    entry["abs_diff"],
-                                )
-                            )
+        reports = analytic.oracle_grid(
+            n_atoms,
+            cfg.compare_alphas,
+            cfg.compare_betas,
+            cfg.compare_gammas,
+            cfg.compare_orderings,
+        )
+        cases = [
+            (alpha, beta, gamma, ordering)
+            for alpha in cfg.compare_alphas
+            for beta in cfg.compare_betas
+            for gamma in cfg.compare_gammas
+            for ordering in cfg.compare_orderings
+        ]
+        for case, report in zip(cases, reports):
+            for quantity in ("jx", "jz", "dphi"):
+                entry = report[quantity]
+                rows.append(
+                    (
+                        n_atoms,
+                        *case,
+                        quantity,
+                        entry["formula"],
+                        entry["oracle"],
+                        entry["abs_diff"],
+                    )
+                )
     worst = max(
         (r for r in rows if math.isfinite(r[-1])), key=lambda r: r[-1], default=None
     )

@@ -160,6 +160,8 @@ class PulseStep:
             raise ConfigError(
                 f"unknown generator {self.generator!r}; expected one of {GENERATOR_NAMES}"
             )
+        if not np.isfinite(self.angle):
+            raise ConfigError(f"pulse angle must be finite, got {self.angle!r}")
 
 
 PulseSchedule = Sequence[PulseStep]
@@ -270,11 +272,15 @@ def _check_operator(op: TridiagonalOperator, n_atoms: int, role: str) -> None:
         raise DimensionMismatchError(f"{role} dim {op.dim} != state dim {n_atoms + 1}")
 
 
-def _propagate(generator: TridiagonalOperator, angle: float, vec: np.ndarray) -> np.ndarray:
+def _propagate(
+    generator: TridiagonalOperator, angle: float | np.ndarray, vec: np.ndarray
+) -> np.ndarray:
     """exp(-i*angle*G) @ vec for a Hermitian tridiagonal G.
 
     ``vec`` is one vector of shape (dim,) or a block of columns (dim, k).
-    Diagonal generators (Jz, Jz^2) and angle 0 short-circuit to exact phase
+    ``angle`` is a float, giving an array shaped like ``vec``, or a 1-D array
+    of A angles, giving the A results stacked as (A,) + vec.shape.  Diagonal
+    generators (Jz, Jz^2) and all-zero angles short-circuit to exact phase
     factors.  Otherwise the exponential is expanded in Chebyshev polynomials
     (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)):
 
@@ -283,52 +289,65 @@ def _propagate(generator: TridiagonalOperator, angle: float, vec: np.ndarray) ->
 
     where [c - h, c + h] is the Gershgorin interval of the two bands.  Each
     T_k v follows from the previous two by one banded mat-vec, so memory is
-    O(dim) and the cost is about |angle| h + O((|angle| h)^(1/3)) mat-vecs:
-    it grows with |angle| times the half-width h (N/2 for Jx at N atoms; a
-    Jz^2 term of weight w in a combined generator adds |w| N^2/8).  Only
-    terms with |J_k| < 1e-16 are dropped, and |T_k| <= 1 on the interval, so
-    the truncation error is at the level of rounding.
+    O(dim) per angle and the cost is about max|angle| h + O((|angle| h)^(1/3))
+    mat-vecs: it grows with |angle| times the half-width h (N/2 for Jx at N
+    atoms; a Jz^2 term of weight w in a combined generator adds |w| N^2/8).
+    The vectors T_k v are built once and shared by every angle, which only
+    changes the coefficients.  Only terms with |J_k| < 1e-16 are dropped, and
+    |T_k| <= 1 on the interval, so the truncation error is at the level of
+    rounding.
     """
-    rows = (-1,) + (1,) * (vec.ndim - 1)  # per-row factors broadcast over columns
+    angles = np.asarray(angle, dtype=float)
+    # per-row factors broadcast over the angles in front and the columns behind
+    rows = angles.shape + (-1,) + (1,) * (vec.ndim - 1)
     diag, upper = generator.diag, generator.upper
-    if angle == 0 or not upper.any():
-        return np.exp(-1j * angle * diag).reshape(rows) * vec
+    if not angles.any() or not upper.any():
+        return np.exp(-1j * angles[..., None] * diag).reshape(rows) * vec
     size = np.abs(upper)
     radius = np.concatenate(([0.0], size)) + np.concatenate((size, [0.0]))
     low, high = (diag - radius).min(), (diag + radius).max()
     centre, half_width = (high + low) / 2, (high - low) / 2
-    coeffs = _chebyshev_coefficients(angle * half_width)
+    # one coefficient per angle, broadcast over the vector's shape
+    coeffs = np.moveaxis(_chebyshev_coefficients(angles * half_width), -1, 0)
+    coeffs = coeffs.reshape(coeffs.shape + (1,) * vec.ndim)
     # 2 (G - c)/h, the factor of the three-term recurrence
     scaled = TridiagonalOperator(2 / half_width * (diag - centre), 2 / half_width * upper)
     prev, cur = vec, 0.5 * scaled.matvec(vec)
     total = coeffs[0] * prev + 2 * coeffs[1] * cur
+    term = np.empty_like(total)
     for coeff in coeffs[2:]:
         prev, cur = cur, scaled.matvec(cur) - prev
-        total += 2 * coeff * cur
-    return np.exp(-1j * angle * centre) * total
+        total += np.multiply(2 * coeff, cur, out=term)
+    total *= np.exp(-1j * angles * centre).reshape(coeffs.shape[1:])
+    return total
 
 
-def _chebyshev_coefficients(x: float) -> np.ndarray:
+def _chebyshev_coefficients(x: float | np.ndarray) -> np.ndarray:
     """(-i)^k J_k(x) for k = 0, 1, ... while Kapteyn's bound on |J_k(x)| >= 1e-16.
 
-    Kapteyn's inequality (DLMF 10.14.8) bounds |J_k(k z)| for 0 < z <= 1 by
-    (z e^r / (1 + r))^k with r = sqrt(1 - z^2); the bound falls monotonically
-    in k once k > |x|, so every dropped term is below 1e-16.  By Jacobi-Anger,
+    ``x`` is a float, giving shape (K,), or a 1-D array, giving one row per
+    entry, shape (A, K); the grid and K are set by max |x| and shared by
+    every row.  Kapteyn's inequality (DLMF 10.14.8) bounds |J_k(k z)| for
+    0 < z <= 1 by (z e^r / (1 + r))^k with r = sqrt(1 - z^2); the bound rises
+    with z and falls monotonically in k once k > |x|, so every dropped term
+    of every row is below 1e-16.  By Jacobi-Anger,
     exp(-i x cos t) = sum_k (-i)^k J_k(x) e^{ikt}, so one FFT of it on 2 half
     points gives the coefficients, aliased with those of index k +- 2 half.
     half >= |x| + 12 |x|^(1/3) + 40 puts every alias in the Airy tail of J_k,
     below 1e-17.  At least two coefficients are kept, which the recurrence in
     ``_propagate`` needs.
     """
-    half = math.ceil(abs(x) + 12 * abs(x) ** (1 / 3) + 40)
+    x = np.asarray(x, dtype=float)
+    top = float(np.abs(x).max())
+    half = math.ceil(top + 12 * top ** (1 / 3) + 40)
     k = np.arange(1, half + 1)
-    z = np.minimum(abs(x) / k, 1.0)
+    z = np.minimum(top / k, 1.0)
     root = np.sqrt(1 - z * z)
     with np.errstate(divide="ignore"):  # x = 0 gives log(0) = -inf, a zero bound
         log_bound = k * (np.log(z) + root - np.log1p(root))
     keep = max(2, 1 + np.count_nonzero(log_bound >= math.log(1e-16)))
     t = np.arange(2 * half) * (np.pi / half)
-    return np.fft.fft(np.exp(-1j * x * np.cos(t)))[:keep] / (2 * half)
+    return np.fft.fft(np.exp(-1j * x[..., None] * np.cos(t)))[..., :keep] / (2 * half)
 
 
 def evolve_unitary(
@@ -343,15 +362,28 @@ def evolve_unitary(
     return DickeState(n_atoms=state.n_atoms, amplitudes=amps)
 
 
+def _real_part(value):
+    """Real part of one expectation or an array of them; an imaginary part of
+    1e-10 or more is an error, not rounding."""
+    imag = np.max(np.abs(np.imag(value)))
+    if imag >= IMAG_TOL:
+        raise NumericsError(f"expectation has imaginary part {imag:.3e} beyond 1e-10")
+    return np.real(value)
+
+
+def _clamped_variance(var):
+    """One variance or an array of them, rounding-level negatives set to zero."""
+    if np.any(var <= VARIANCE_FLOOR):
+        raise NumericsError(
+            f"variance {np.min(var):.3e} below -1e-10: not mere rounding"
+        )
+    return np.where(var < 0, 0.0, var)
+
+
 def expect(state: DickeState, op: TridiagonalOperator) -> float:
     """⟨psi|op|psi⟩ for a Hermitian op; the (tiny) imaginary part is discarded."""
     _check_operator(op, state.n_atoms, "expect() operator")
-    value = np.vdot(state.amplitudes, op.matvec(state.amplitudes))
-    if abs(value.imag) >= IMAG_TOL:
-        raise NumericsError(
-            f"expectation has imaginary part {value.imag:.3e} beyond 1e-10"
-        )
-    return float(value.real)
+    return float(_real_part(np.vdot(state.amplitudes, op.matvec(state.amplitudes))))
 
 
 def variance(state: DickeState, op: TridiagonalOperator) -> float:
@@ -360,12 +392,27 @@ def variance(state: DickeState, op: TridiagonalOperator) -> float:
     vec = op.matvec(state.amplitudes)
     second = np.vdot(vec, vec).real  # ⟨psi|op^2|psi⟩ with op hermitian
     first = np.vdot(state.amplitudes, vec).real
-    var = second - first * first
-    if var < 0:
-        if var <= VARIANCE_FLOOR:
-            raise NumericsError(f"variance {var:.3e} below -1e-10: not mere rounding")
-        var = 0.0
-    return float(var)
+    return float(_clamped_variance(second - first * first))
+
+
+def column_moments(
+    amps: np.ndarray, op: TridiagonalOperator
+) -> tuple[np.ndarray, np.ndarray]:
+    """⟨op⟩ and Var(op) of every column of a (dim, k) block of amplitudes.
+
+    The block form of ``expect`` and ``variance``, with their checks; since
+    the columns are not ``DickeState``s, each must also be normalised to
+    within 1e-12.
+    """
+    if amps.ndim != 2 or amps.shape[0] != op.dim:
+        raise DimensionMismatchError(f"need a ({op.dim}, k) block, got shape {amps.shape}")
+    norms = np.linalg.norm(amps, axis=0)
+    if np.any(np.abs(norms - 1.0) >= NORM_TOL):
+        raise NumericsError(f"column norms {norms!r} deviate from 1 beyond 1e-12")
+    vec = op.matvec(amps)
+    first = _real_part(np.einsum("ij,ij->j", amps.conj(), vec))
+    second = np.einsum("ij,ij->j", vec.conj(), vec).real
+    return first, _clamped_variance(second - first * first)
 
 
 def apply_schedule(

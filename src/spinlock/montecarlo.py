@@ -210,16 +210,23 @@ def _chunk_values(
 
 def _reduce(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise estimate and stderr of (C, S) values: the mean, and
-    sample-std/sqrt(S) (0 for a single sample or a constant row)."""
+    sample-std/sqrt(S) (0 for a single sample or a constant row).
+
+    The one row mean serves the estimate and the deviations, in the
+    operation order of np.mean and np.std(ddof=1), so both are the same bits
+    as those calls.
+    """
     samples = values.shape[1]
-    estimates = np.mean(values, axis=1)
+    estimates = np.add.reduce(values, axis=1) / samples
     stderrs = np.zeros(len(values))
     if samples > 1:
         # a constant row (all phases pinned, or no noise at all) has zero
-        # spread; np.std would report ~1e-16 from the rounding of the mean
+        # spread; the std would report ~1e-16 from the rounding of the mean
         spread = np.ptp(values, axis=1) != 0.0
-        std = np.std(values, axis=1, ddof=1) / math.sqrt(samples)
-        stderrs[spread] = std[spread]
+        deviations = values - estimates[:, None]
+        np.square(deviations, out=deviations)
+        std = np.sqrt(np.add.reduce(deviations, axis=1) / (samples - 1))
+        stderrs[spread] = std[spread] / math.sqrt(samples)
     return estimates, stderrs
 
 

@@ -45,6 +45,12 @@ class SqueezeParams:
     tau: float
     chi: float
 
+    def __post_init__(self):
+        for name in ("g", "tau", "chi"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ConfigError(f"squeezing {name} must be finite, got {value!r}")
+
     @classmethod
     def from_g_tau(cls, g: float, tau: float, n_photons: int) -> "SqueezeParams":
         return cls(g=g, tau=tau, chi=n_photons * g * g * tau / 8)
@@ -94,16 +100,17 @@ def u4_sequence(params: SqueezeParams, n_photons: int, n_atoms: int) -> np.ndarr
     Jz, so on atom level m the train is the photon-space product
     (R_S F_m)^4 with F_m = exp(-i g tau m Sz).  Returns these blocks, shape
     (N+1, N_s+1, N_s+1), levels in Jz's m-descending order; they are the
-    block diagonal of the photon ⊗ atom matrix.
+    block diagonal of the photon ⊗ atom matrix.  Every F_m is one angle of a
+    single multi-angle rotation about Sz, so the Chebyshev vectors of Sz are
+    built once for all levels.
     """
     _check_joint_dim(n_photons, n_atoms)
     stokes = build_stokes_ops(n_photons)
     m_atoms = dicke.build_collective_ops(n_atoms).jz.diag
     eye = np.eye(n_photons + 1, dtype=complex)
     rot = np.exp(-1j * (np.pi / 2) * stokes.sx.diag)[:, None]
-    cycles = np.stack(
-        [rot * dicke._propagate(stokes.sz, params.g_tau * m, eye) for m in m_atoms]
-    )
+    cycles = dicke._propagate(stokes.sz, params.g_tau * m_atoms, eye)
+    cycles *= rot
     return np.linalg.matrix_power(cycles, 4)
 
 

@@ -1,11 +1,15 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spinlock import analytic
-from spinlock.dicke import PhaseTriple
+from spinlock import analytic, dicke
+from spinlock.dicke import PhaseTriple, PulseStep, TridiagonalOperator
 from spinlock.errors import ConfigError, FringeNodeError, PhaseDomainError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_jx_reduces_to_half_n_without_phases():
@@ -122,6 +126,71 @@ def test_orderings_are_distinct_operations():
     assert values["product"] != values["single"]
     with pytest.raises(ConfigError):
         analytic.oracle_comparison(phases, 3, "backwards")
+
+
+def close_or_equal(a, b):
+    if math.isfinite(b):
+        return abs(a - b) <= 1e-13 * max(1.0, abs(b))
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def pointwise_oracle(phases, n, ordering):
+    """The per-point reference: one DickeState through the cycle, then its moments."""
+    ops = dicke.build_collective_ops(n)
+    state = dicke.x_css(n)
+    if ordering == "single":
+        terms = ((phases.alpha, ops.jz2), (phases.beta, ops.jz), (phases.gamma, ops.jx))
+        combined = TridiagonalOperator(
+            sum(w * op.diag for w, op in terms), sum(w * op.upper for w, op in terms)
+        )
+        state = dicke.evolve_unitary(state, combined, 1.0)
+    else:
+        steps = [
+            PulseStep("jz2", phases.alpha),
+            PulseStep("jz", phases.beta),
+            PulseStep("jx", phases.gamma),
+        ]
+        if ordering == "reversed":
+            steps.reverse()
+        state = dicke.apply_schedule(state, ops, steps)
+    jx = dicke.expect(state, ops.jx)
+    dphi = math.sqrt(dicke.variance(state, ops.jz)) / jx if jx != 0 else math.inf
+    return {"jx": jx, "jz": dicke.expect(state, ops.jz), "dphi": dphi}
+
+
+@pytest.mark.parametrize(
+    "alphas",
+    [(0.0, 0.01, 0.1, 0.3), (0.1, 0.0, 0.1)],
+    ids=["shipped", "repeated-alpha"],
+)
+def test_oracle_grid_matches_pointwise_comparisons(alphas):
+    config = json.loads((CONFIGS / "oracle_compare.json").read_text())["compare"]
+    betas, gammas = tuple(config["betas"]), tuple(config["gammas"])
+    orderings = tuple(config["orderings"])
+    for n in config["n_atoms"]:
+        reports = analytic.oracle_grid(n, alphas, betas, gammas, orderings)
+        cases = [
+            (a, b, g, o) for a in alphas for b in betas for g in gammas for o in orderings
+        ]
+        assert len(reports) == len(cases)
+        for (a, b, g, o), report in zip(cases, reports):
+            phases = PhaseTriple(a, b, g)
+            single = analytic.oracle_comparison(phases, n, o)
+            reference = pointwise_oracle(phases, n, o)
+            for q in ("jx", "jz", "dphi"):
+                for key in ("formula", "oracle", "abs_diff"):
+                    assert close_or_equal(report[q][key], single[q][key]), (n, a, b, g, o, q, key)
+                assert close_or_equal(report[q]["oracle"], reference[q]), (n, a, b, g, o, q)
+
+
+def test_oracle_grid_validation():
+    assert analytic.oracle_grid(2, (), (0.1,), (0.2,)) == []
+    with pytest.raises(ConfigError):
+        analytic.oracle_grid(2, (0.1,), (0.2,), (0.3,), ("product", "backwards"))
+    with pytest.raises(ConfigError):
+        analytic.oracle_grid(2, (0.1,), (math.nan,), (0.3,))
+    with pytest.raises(ConfigError):
+        analytic.oracle_grid(0, (0.1,), (0.2,), (0.3,))
 
 
 def test_n_atoms_validation():

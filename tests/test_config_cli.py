@@ -437,6 +437,8 @@ def test_dicke_path_leaves_scipy_linalg_and_special_unloaded():
         "from spinlock import dicke, squeezing; "
         "dicke.schedule_expectations("
         "2000, [dicke.PulseStep('jz2', 0.01), dicke.PulseStep('jx', 0.3)]); "
-        "squeezing.bch_error(squeezing.SqueezeParams.from_g_tau(1.0, 1e-2, 4), 4, 4)"
+        "squeezing.bch_error(squeezing.SqueezeParams.from_g_tau(1.0, 1e-2, 4), 4, 4); "
+        "from spinlock import analytic; "
+        "analytic.oracle_grid(3, (0.0, 0.1), (0.4,), (0.0, 0.5))"
     )
     assert scipy_modules_loaded_by(code) == "[]"

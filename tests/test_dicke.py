@@ -168,6 +168,58 @@ def test_evolution_matches_dense_expm():
             assert np.abs(got - want).max() <= 1e-10, f"n={n}"
 
 
+def test_multi_angle_propagation_matches_single_angle_calls():
+    # one shared set of Chebyshev vectors and one coefficient table against a
+    # separate expansion per angle; zero and negative angles included
+    rng = np.random.default_rng(23)
+    n = 40
+    ops = dicke.build_collective_ops(n)
+    combined = TridiagonalOperator(
+        0.3 * ops.jz2.diag - 0.2 * ops.jz.diag, 0.9 * ops.jx.upper + 0.4 * ops.jy.upper
+    )
+    vec = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+    block = rng.normal(size=(n + 1, 3)) + 1j * rng.normal(size=(n + 1, 3))
+    angles = np.array([0.0, -1.2, 0.3, 2.0, -0.01, 0.0])
+    for generator in (ops.jx, ops.jy, ops.jz, ops.jz2, combined):
+        for v in (vec, block):
+            got = dicke._propagate(generator, angles, v)
+            assert got.shape == angles.shape + v.shape
+            want = np.stack([dicke._propagate(generator, float(a), v) for a in angles])
+            assert np.abs(got - want).max() <= 1e-14 * np.linalg.norm(v)
+            # a one-angle array runs the scalar's arithmetic: the same bits
+            one = dicke._propagate(generator, angles[1:2], v)
+            assert np.array_equal(one[0], want[1])
+
+
+def test_column_moments_match_expect_and_variance():
+    rng = np.random.default_rng(8)
+    n = 9
+    ops = dicke.build_collective_ops(n)
+    amps = rng.normal(size=(n + 1, 4)) + 1j * rng.normal(size=(n + 1, 4))
+    amps /= np.linalg.norm(amps, axis=0)
+    for name in dicke.GENERATOR_NAMES:
+        op = ops.by_name(name)
+        means, variances = dicke.column_moments(amps, op)
+        for column, mean, var in zip(amps.T, means, variances):
+            state = DickeState(n, column)
+            assert mean == pytest.approx(dicke.expect(state, op), rel=1e-14, abs=1e-14)
+            assert var == pytest.approx(dicke.variance(state, op), rel=1e-13, abs=1e-13)
+    eigen = np.zeros((n + 1, 1), dtype=complex)
+    eigen[0] = 1.0
+    assert dicke.column_moments(eigen, ops.jz)[1][0] == 0.0
+    with pytest.raises(NumericsError):
+        dicke.column_moments(2 * amps, ops.jx)
+    with pytest.raises(DimensionMismatchError):
+        dicke.column_moments(amps[:-1], ops.jx)
+
+
+def test_pulse_step_rejects_non_finite_angle():
+    for angle in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ConfigError):
+            PulseStep("jx", angle)
+    PulseStep("jx", 0.0)
+
+
 def twisted_rotated_moments(n, alpha, theta):
     """<Jx> and <Jz^2> after exp(-i theta Jx) exp(-i alpha Jz^2) on the x-CSS.
 

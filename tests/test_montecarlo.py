@@ -476,3 +476,24 @@ def test_curve_memory_is_one_point_plus_results(three_tone_noise, default_mc):
             tracemalloc.stop()
     point, curve = peaks
     assert curve <= point + 16 * len(grid) + 2**20
+
+
+def test_reduce_is_numpy_mean_and_std_bit_for_bit():
+    # the shared row mean must reproduce np.mean and np.std(ddof=1) exactly,
+    # so estimates and stderrs keep their bits
+    rng = np.random.default_rng(31)
+    random_rows = rng.normal(0.3, 0.2, size=(5, 2001))
+    constant_rows = np.full((3, 40), 0.1)
+    for values in (random_rows, constant_rows, rng.normal(size=(4, 2)), np.vstack(
+        [random_rows[:, :40], constant_rows]
+    )):
+        estimates, stderrs = mc._reduce(values)
+        samples = values.shape[1]
+        assert estimates.tobytes() == np.mean(values, axis=1).tobytes()
+        want = np.std(values, axis=1, ddof=1) / math.sqrt(samples)
+        want[np.ptp(values, axis=1) == 0.0] = 0.0
+        assert stderrs.tobytes() == want.tobytes()
+    single = rng.normal(size=(6, 1))
+    estimates, stderrs = mc._reduce(single)
+    assert estimates.tobytes() == np.mean(single, axis=1).tobytes()
+    assert not stderrs.any()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -35,6 +37,22 @@ def test_squeeze_params_invariant():
     params = squeezing.SqueezeParams.from_g_tau(g=1e6, tau=1e-10, n_photons=50)
     assert params.chi == pytest.approx(625.0, rel=1e-12)
     assert params.g_tau == pytest.approx(1e-4, rel=1e-12)
+
+
+def test_squeeze_params_reject_non_finite_inputs():
+    for g, tau in ((math.nan, 1e-3), (1.0, math.nan), (math.inf, 1e-3), (1.0, -math.inf)):
+        with pytest.raises(ConfigError):
+            squeezing.SqueezeParams.from_g_tau(g, tau, 10)
+    with pytest.raises(ConfigError):
+        squeezing.SqueezeParams(g=1.0, tau=1e-3, chi=math.nan)
+    # a finite g whose chi = N_s g^2 tau / 8 overflows
+    with pytest.raises(ConfigError):
+        squeezing.SqueezeParams.from_g_tau(1e200, 1.0, 10)
+
+
+def test_bch_error_rejects_nan_tau():
+    with pytest.raises(ConfigError):
+        squeezing.bch_error(squeezing.SqueezeParams.from_g_tau(1.0, math.nan, 10), 10, 20)
 
 
 def test_joint_dimension_cap():
@@ -153,6 +171,22 @@ def test_unitaries_match_dense_expm():
             got = scatter_levels(squeezing.effective_unitary(params, n_photons, n_atoms))
             assert np.abs(got - want).max() <= 1e-13, (n_photons, n_atoms, g_tau)
 
+
+
+def test_u4_sequence_matches_per_level_propagation():
+    # one multi-angle rotation for all atom levels against one call per level
+    for n_photons, n_atoms in ((4, 4), (10, 20), (50, 50)):
+        stokes = squeezing.build_stokes_ops(n_photons)
+        eye = np.eye(n_photons + 1, dtype=complex)
+        rot = np.exp(-1j * (np.pi / 2) * stokes.sx.diag)[:, None]
+        levels = dicke.build_collective_ops(n_atoms).jz.diag
+        for g_tau in (1e-3, 1e-2):
+            params = squeezing.SqueezeParams.from_g_tau(1.0, g_tau, n_photons)
+            want = np.linalg.matrix_power(
+                np.stack([rot * dicke._propagate(stokes.sz, g_tau * m, eye) for m in levels]), 4
+            )
+            got = squeezing.u4_sequence(params, n_photons, n_atoms)
+            assert np.abs(got - want).max() <= 1e-14, (n_photons, n_atoms, g_tau)
 
 
 def test_level_blocks_match_per_level_expm():
