@@ -1,4 +1,4 @@
-"""Wall time and traced peak memory of the squeezing train, the BCH check and the oracle grid.
+"""Wall time and traced peak memory of the squeezing train, the BCH check and the oracle grids.
 
     python3 benchmarks/bench_exact_layers.py --label change
 
@@ -12,7 +12,10 @@ tracemalloc peak of one more call for:
 - ``squeezing.bch_error`` at (N_s, N) = (10, 20) for the four g tau values of
   ``configs/verify_bch.json``, timed together;
 - the oracle-compare grid of ``configs/oracle_compare.json`` through
-  ``cli.run_oracle_compare`` (4 atom numbers x 72 comparisons).
+  ``cli.run_oracle_compare`` (4 atom numbers x 72 comparisons);
+- ``dicke.full_space_oracle`` for the 192 sequential (``product`` and
+  ``reversed``) comparisons of that grid, one schedule per call, as the
+  ``exact`` workload of ``perfbench`` runs them.
 
 The rows are printed and stored under ``--label`` in
 ``BENCH_exact_batch.json`` at the repository root, next to the rows of other
@@ -22,6 +25,7 @@ this script with its own label and the same ``--output``.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import platform
@@ -35,7 +39,7 @@ G_TAU = 1e-2
 # (N_s, N, best-of repeats): the last case takes about 1 s
 U4_CASES = ((4, 4, 20), (10, 20, 20), (50, 50, 7), (200, 48, 3))
 BCH_SHAPE = (10, 20)
-REPEATS = 9  # best-of for the BCH points and the oracle grid
+REPEATS = 9  # best-of for the BCH points and the oracle grids
 
 
 def timed(fn, repeats: int) -> tuple[float, float]:
@@ -110,6 +114,28 @@ def oracle_row() -> dict:
     return {"comparisons": comparisons, "wall_s": wall, "repeats": REPEATS, "peak_mb": peak}
 
 
+def full_space_row() -> dict:
+    from spinlock import dicke
+
+    c = json.loads((ROOT / "configs" / "oracle_compare.json").read_text())["compare"]
+    schedules = []
+    grid = (c[key] for key in ("n_atoms", "alphas", "betas", "gammas", "orderings"))
+    for n, a, b, g, ordering in itertools.product(*grid):
+        if ordering == "single":
+            continue
+        steps = [dicke.PulseStep("jz2", a), dicke.PulseStep("jz", b), dicke.PulseStep("jx", g)]
+        if ordering == "reversed":
+            steps.reverse()
+        schedules.append((n, steps))
+
+    def calls():
+        for n, steps in schedules:
+            dicke.full_space_oracle(n, steps)
+
+    wall, peak = timed(calls, REPEATS)
+    return {"calls": len(schedules), "wall_s": wall, "repeats": REPEATS, "peak_mb": peak}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="key of this run in the output file")
@@ -135,6 +161,11 @@ def main() -> int:
         f"oracle grid ({oracle['comparisons']} comparisons): "
         f"{oracle['wall_s']:.5f} s, {oracle['peak_mb']:.2f} MB"
     )
+    full = full_space_row()
+    print(
+        f"full_space_oracle x{full['calls']}: "
+        f"{full['wall_s']:.5f} s, {full['peak_mb']:.2f} MB"
+    )
     report = json.loads(args.output.read_text()) if args.output.exists() else {}
     report.setdefault("description", __doc__.splitlines()[0])
     report.setdefault("runs", {})[args.label] = {
@@ -144,6 +175,7 @@ def main() -> int:
         "u4_sequence": u4,
         "bch_error": bch,
         "oracle_grid": oracle,
+        "full_space_oracle": full,
     }
     args.output.write_text(json.dumps(report, indent=1) + "\n")
     return 0

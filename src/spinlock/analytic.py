@@ -147,7 +147,8 @@ def _grid_states(
     phases, and the columns are rotated as one block per gamma.  "reversed"
     applies them backwards: the CSS is rotated once per gamma, then phased.
     "single" exponentiates the summed generator alpha*Jz^2 + beta*Jz +
-    gamma*Jx in one step, which differs at every point.
+    gamma*Jx in one step, which differs at every point: the bands of all
+    points form one stack, propagated in a single Chebyshev pass.
     """
     dim = css.size
     shape = (dim, alphas.size, betas.size, gammas.size)
@@ -162,16 +163,14 @@ def _grid_states(
         shifted = dicke._propagate(ops.jz, betas, rotated)  # (B, dim, G)
         twisted = dicke._propagate(ops.jz2, alphas, shifted.transpose(1, 0, 2))
         return twisted.transpose(1, 0, 2, 3)
-    states = np.empty(shape, dtype=complex)
-    for index in np.ndindex(shape[1:]):
-        weights = (alphas[index[0]], betas[index[1]], gammas[index[2]])
-        terms = tuple(zip(weights, (ops.jz2, ops.jz, ops.jx)))
-        combined = TridiagonalOperator(
-            sum(weight * op.diag for weight, op in terms),
-            sum(weight * op.upper for weight, op in terms),
-        )
-        states[(slice(None),) + index] = dicke._propagate(combined, 1.0, css)
-    return states
+    # weights (A, 1, 1, 1), (1, B, 1, 1), (1, 1, G, 1) against each band
+    weights = [w[..., None] for w in np.ix_(alphas, betas, gammas)]
+    terms = tuple(zip(weights, (ops.jz2, ops.jz, ops.jx)))
+    combined = TridiagonalOperator(
+        sum(weight * op.diag for weight, op in terms).reshape(-1, dim),
+        sum(weight * op.upper for weight, op in terms).reshape(-1, dim - 1),
+    )
+    return dicke._propagate(combined, 1.0, css).T.reshape(shape)
 
 
 def oracle_grid(

@@ -51,6 +51,8 @@ CSV_COLUMNS = {
 
 
 def _fmt(value) -> str:
+    if type(value) is float:  # most cells: tested before the isinstance checks
+        return format(value, ".17g")
     if isinstance(value, bool):
         return str(value)
     if isinstance(value, (int, np.integer)):
@@ -221,8 +223,7 @@ def write_csv(stream, cfg: RunConfig, rows, extra_comments: Sequence[str]) -> No
     for line in header_lines(cfg, extra_comments):
         stream.write(f"# {line}\n")
     stream.write(",".join(CSV_COLUMNS[cfg.experiment]) + "\n")
-    for row in rows:
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
+    stream.write("".join(",".join(map(_fmt, row)) + "\n" for row in rows))
 
 
 def write_json(stream, cfg: RunConfig, rows, extra_comments: Sequence[str]) -> None:

@@ -50,8 +50,8 @@ class TridiagonalOperator:
 
     Parameters
     ----------
-    diag : real ndarray, shape (dim,)
-    upper : complex ndarray, shape (dim - 1,)
+    diag : real ndarray, shape (dim,), or (P, dim) for a stack of P operators
+    upper : complex ndarray, shape (dim - 1,), or (P, dim - 1)
         Super-diagonal entries <k|A|k+1>; the sub-diagonal is their
         conjugate, so the operator is Hermitian by construction.
     """
@@ -67,9 +67,14 @@ class TridiagonalOperator:
             diag = diag.real
         diag = np.array(diag, dtype=float)
         upper = np.array(self.upper, dtype=complex)
-        if diag.ndim != 1 or diag.size < 1 or upper.shape != (diag.size - 1,):
+        if (
+            diag.ndim not in (1, 2)
+            or diag.shape[-1] < 1
+            or upper.shape != diag.shape[:-1] + (diag.shape[-1] - 1,)
+        ):
             raise DimensionMismatchError(
-                f"need diag (dim,) and upper (dim-1,), got {diag.shape} and {upper.shape}"
+                "need diag (dim,) and upper (dim-1,), or stacks (P, dim) and "
+                f"(P, dim-1), got {diag.shape} and {upper.shape}"
             )
         diag.setflags(write=False)
         upper.setflags(write=False)
@@ -78,24 +83,34 @@ class TridiagonalOperator:
 
     @property
     def dim(self) -> int:
-        return self.diag.size
+        return self.diag.shape[-1]
 
     @property
     def entries(self) -> np.ndarray:
-        """The dense complex matrix, built on each access (O(dim^2))."""
-        return (
-            np.diag(self.diag.astype(complex))
-            + np.diag(self.upper, 1)
-            + np.diag(self.upper.conj(), -1)
-        )
+        """The dense complex matrix, (dim, dim) or (P, dim, dim) for a stack,
+        built on each access (O(dim^2))."""
+        k = np.arange(self.dim)
+        out = np.zeros(self.diag.shape + (self.dim,), dtype=complex)
+        out[..., k, k] = self.diag
+        out[..., k[:-1], k[1:]] = self.upper
+        out[..., k[1:], k[:-1]] = self.upper.conj()
+        return out
 
     def matvec(self, vec: np.ndarray) -> np.ndarray:
-        """A @ vec in O(dim) for a complex vector (dim,) or block of columns (dim, k)."""
-        rows = (-1,) + (1,) * (vec.ndim - 1)  # per-row factors broadcast over columns
-        upper = self.upper.reshape(rows)
-        out = self.diag.reshape(rows) * vec
-        out[:-1] += upper * vec[1:]
-        out[1:] += upper.conj() * vec[:-1]
+        """A @ vec in O(dim) for a complex vector (dim,) or block of columns (dim, k).
+
+        A stack of P operators takes vectors stacked the same way, (P, dim) or
+        (P, dim, k), and applies operator p to entry p.
+        """
+        columns = (1,) * (vec.ndim - self.diag.ndim)  # per-row factors broadcast over columns
+        diag = self.diag.reshape(self.diag.shape + columns)
+        upper = self.upper.reshape(self.upper.shape + columns)
+        # the m axis, after any stack axis
+        head = (Ellipsis, slice(None, -1)) + (slice(None),) * len(columns)
+        tail = (Ellipsis, slice(1, None)) + (slice(None),) * len(columns)
+        out = diag * vec
+        out[head] += upper * vec[tail]
+        out[tail] += upper.conj() * vec[head]
         return out
 
 
@@ -268,66 +283,80 @@ def x_css(n_atoms: int) -> DickeState:
 
 
 def _check_operator(op: TridiagonalOperator, n_atoms: int, role: str) -> None:
-    if op.dim != n_atoms + 1:
-        raise DimensionMismatchError(f"{role} dim {op.dim} != state dim {n_atoms + 1}")
+    if op.diag.shape != (n_atoms + 1,):
+        raise DimensionMismatchError(
+            f"{role} bands {op.diag.shape} != one operator of state dim {n_atoms + 1}"
+        )
 
 
 def _propagate(
     generator: TridiagonalOperator, angle: float | np.ndarray, vec: np.ndarray
 ) -> np.ndarray:
-    """exp(-i*angle*G) @ vec for a Hermitian tridiagonal G.
+    """exp(-i*angle*G) @ vec for a Hermitian tridiagonal G, or for each of a stack.
 
     ``vec`` is one vector of shape (dim,) or a block of columns (dim, k).
     ``angle`` is a float, giving an array shaped like ``vec``, or a 1-D array
-    of A angles, giving the A results stacked as (A,) + vec.shape.  Diagonal
-    generators (Jz, Jz^2) and all-zero angles short-circuit to exact phase
-    factors.  Otherwise the exponential is expanded in Chebyshev polynomials
+    of A angles, giving the A results stacked as (A,) + vec.shape.  A stack
+    of P generators (bands (P, dim) and (P, dim - 1)) propagates ``vec`` with
+    each, giving (P,) + vec.shape after any angle axis.  Diagonal generators
+    (Jz, Jz^2) and all-zero angles short-circuit to exact phase factors.
+    Otherwise the exponential is expanded in Chebyshev polynomials
     (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)):
 
         exp(-i angle G) v = e^{-i angle c} sum_k (2 - delta_k0) (-i)^k
                             J_k(angle h) T_k((G - c)/h) v,
 
-    where [c - h, c + h] is the Gershgorin interval of the two bands.  Each
-    T_k v follows from the previous two by one banded mat-vec, so memory is
-    O(dim) per angle and the cost is about max|angle| h + O((|angle| h)^(1/3))
-    mat-vecs: it grows with |angle| times the half-width h (N/2 for Jx at N
-    atoms; a Jz^2 term of weight w in a combined generator adds |w| N^2/8).
-    The vectors T_k v are built once and shared by every angle, which only
-    changes the coefficients.  Only terms with |J_k| < 1e-16 are dropped, and
+    where [c - h, c + h] is the Gershgorin interval of the two bands, one per
+    generator of a stack.  Each T_k v follows from the previous two by one
+    banded mat-vec, so memory is O(dim) per angle and generator, and the
+    cost is about max|angle| h + O((|angle| h)^(1/3)) mat-vecs: it grows with
+    |angle| times the half-width h (N/2 for Jx at N atoms; a Jz^2 term of
+    weight w in a combined generator adds |w| N^2/8).  The vectors T_k v are
+    built once and shared by every angle, which only changes the
+    coefficients; a stack runs one recurrence on all its rows, as many terms
+    as its widest row needs.  Only terms with |J_k| < 1e-16 are dropped, and
     |T_k| <= 1 on the interval, so the truncation error is at the level of
     rounding.
     """
     angles = np.asarray(angle, dtype=float)
-    # per-row factors broadcast over the angles in front and the columns behind
-    rows = angles.shape + (-1,) + (1,) * (vec.ndim - 1)
     diag, upper = generator.diag, generator.upper
+    stack = diag.shape[:-1]  # () for one generator, (P,) for a stack
+    vec = np.broadcast_to(vec, stack + vec.shape)
+    # per-row factors broadcast over the angles in front and the columns behind
+    columns = (1,) * (vec.ndim - diag.ndim)
     if not angles.any() or not upper.any():
-        return np.exp(-1j * angles[..., None] * diag).reshape(rows) * vec
+        phases = np.exp(np.multiply.outer(-1j * angles, diag))
+        return phases.reshape(phases.shape + columns) * vec
     size = np.abs(upper)
-    radius = np.concatenate(([0.0], size)) + np.concatenate((size, [0.0]))
-    low, high = (diag - radius).min(), (diag + radius).max()
+    edge = np.zeros(stack + (1,))
+    radius = np.concatenate((edge, size), axis=-1) + np.concatenate((size, edge), axis=-1)
+    low = (diag - radius).min(axis=-1, keepdims=True)
+    high = (diag + radius).max(axis=-1, keepdims=True)
     centre, half_width = (high + low) / 2, (high - low) / 2
-    # one coefficient per angle, broadcast over the vector's shape
-    coeffs = np.moveaxis(_chebyshev_coefficients(angles * half_width), -1, 0)
-    coeffs = coeffs.reshape(coeffs.shape + (1,) * vec.ndim)
-    # 2 (G - c)/h, the factor of the three-term recurrence
-    scaled = TridiagonalOperator(2 / half_width * (diag - centre), 2 / half_width * upper)
+    # one coefficient per angle and generator, broadcast over the vector's shape
+    coeffs = _chebyshev_coefficients(np.multiply.outer(angles, half_width[..., 0]))
+    coeffs = np.moveaxis(coeffs, -1, 0)
+    coeffs = coeffs.reshape(coeffs.shape + (1,) + columns)
+    # 2 (G - c)/h, the factor of the three-term recurrence; an all-zero
+    # generator of a stack has h = 0, and its scaled bands stay 0
+    scale = np.divide(2, half_width, out=np.zeros_like(half_width), where=half_width > 0)
+    scaled = TridiagonalOperator(scale * (diag - centre), scale * upper)
     prev, cur = vec, 0.5 * scaled.matvec(vec)
     total = coeffs[0] * prev + 2 * coeffs[1] * cur
     term = np.empty_like(total)
     for coeff in coeffs[2:]:
         prev, cur = cur, scaled.matvec(cur) - prev
         total += np.multiply(2 * coeff, cur, out=term)
-    total *= np.exp(-1j * angles * centre).reshape(coeffs.shape[1:])
+    total *= np.exp(np.multiply.outer(-1j * angles, centre[..., 0])).reshape(coeffs.shape[1:])
     return total
 
 
 def _chebyshev_coefficients(x: float | np.ndarray) -> np.ndarray:
     """(-i)^k J_k(x) for k = 0, 1, ... while Kapteyn's bound on |J_k(x)| >= 1e-16.
 
-    ``x`` is a float, giving shape (K,), or a 1-D array, giving one row per
-    entry, shape (A, K); the grid and K are set by max |x| and shared by
-    every row.  Kapteyn's inequality (DLMF 10.14.8) bounds |J_k(k z)| for
+    ``x`` is a float, giving shape (K,), or an array, giving one row per
+    entry, shape x.shape + (K,); the grid and K are set by max |x| and shared
+    by every row.  Kapteyn's inequality (DLMF 10.14.8) bounds |J_k(k z)| for
     0 < z <= 1 by (z e^r / (1 + r))^k with r = sqrt(1 - z^2); the bound rises
     with z and falls monotonically in k once k > |x|, so every dropped term
     of every row is below 1e-16.  By Jacobi-Anger,
@@ -404,7 +433,7 @@ def column_moments(
     the columns are not ``DickeState``s, each must also be normalised to
     within 1e-12.
     """
-    if amps.ndim != 2 or amps.shape[0] != op.dim:
+    if amps.ndim != 2 or op.diag.shape != amps.shape[:1]:
         raise DimensionMismatchError(f"need a ({op.dim}, k) block, got shape {amps.shape}")
     norms = np.linalg.norm(amps, axis=0)
     if np.any(np.abs(norms - 1.0) >= NORM_TOL):
@@ -432,9 +461,16 @@ def schedule_expectations(n_atoms: int, schedule: PulseSchedule) -> dict[str, fl
 
 
 @functools.lru_cache(maxsize=4)  # n_atoms <= 4
-def _pauli_sums(n_atoms: int) -> dict[str, np.ndarray]:
-    """Read-only 2^n collective operators {Jx, Jy, Jz, Jz^2}, built once per n
-    as Kronecker sums of single-spin Paulis."""
+def _pauli_sums(
+    n_atoms: int,
+) -> tuple[np.ndarray, dict[str, tuple[np.ndarray, np.ndarray]]]:
+    """Read-only 2^n collective operators, built once per n as Kronecker sums
+    of single-spin Paulis.
+
+    Returns the stack of {Jx, Jy, Jz, Jz^2} in ``GENERATOR_NAMES`` order,
+    shape (4, 2^n, 2^n), and each one's ``np.linalg.eigh`` decomposition
+    (eigenvalues, eigenvectors) by name.
+    """
     sx = np.array([[0, 1], [1, 0]], dtype=complex) / 2
     sy = np.array([[0, -1j], [1j, 0]], dtype=complex) / 2
     sz = np.array([[1, 0], [0, -1]], dtype=complex) / 2
@@ -451,31 +487,32 @@ def _pauli_sums(n_atoms: int) -> dict[str, np.ndarray]:
             total += term
         return total
 
-    ops = {"jx": collective(sx), "jy": collective(sy), "jz": collective(sz)}
-    ops["jz2"] = ops["jz"] @ ops["jz"]
-    for op in ops.values():
-        op.flags.writeable = False
-    return ops
+    jz = collective(sz)
+    ops = np.stack([collective(sx), collective(sy), jz, jz @ jz])
+    eigen = {name: np.linalg.eigh(op) for name, op in zip(GENERATOR_NAMES, ops)}
+    for array in (ops, *(a for pair in eigen.values() for a in pair)):
+        array.flags.writeable = False
+    return ops, eigen
 
 
 def full_space_oracle(n_atoms: int, schedule: PulseSchedule) -> dict[str, float]:
     """Expectations from an independent 2^n product-space simulation.
 
-    Builds the collective operators as Kronecker sums of single-spin Paulis,
-    starts from the product |+x⟩^n, and propagates with scipy's expm (a
-    different algorithm from the Dicke path on purpose).  Only feasible for
-    n_atoms <= 4; used to validate the symmetric-subspace code.
+    Builds the collective operators as Kronecker sums of single-spin Paulis
+    and diagonalises each once per n with ``np.linalg.eigh``.  Starts from
+    the product |+x⟩^n, every amplitude 2^(-n/2), applies each step as
+    V diag(e^{-i angle lambda}) V^dag, and takes all four expectations from
+    one product with the stacked operators: dense eigenvectors, a different
+    algorithm from the Dicke path's banded Chebyshev expansion on purpose.
+    Only feasible for n_atoms <= 4; used to validate the symmetric-subspace
+    code.
     """
     if not 1 <= n_atoms <= 4:
         raise ConfigError(f"full-space oracle limited to n_atoms <= 4, got {n_atoms}")
-    import scipy.linalg
-
-    ops = _pauli_sums(n_atoms)
-    psi = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-    full = psi
-    for _ in range(n_atoms - 1):
-        full = np.kron(full, psi)
+    ops, eigen = _pauli_sums(n_atoms)
+    full = np.full(2**n_atoms, 2 ** (-n_atoms / 2), dtype=complex)
     for step in schedule:
-        full = scipy.linalg.expm(-1j * step.angle * ops[step.generator]) @ full
-
-    return {name: float(np.vdot(full, ops[name] @ full).real) for name in GENERATOR_NAMES}
+        values, vectors = eigen[step.generator]
+        full = vectors @ (np.exp(-1j * step.angle * values) * (full @ vectors.conj()))
+    moments = (ops @ full) @ full.conj()
+    return dict(zip(GENERATOR_NAMES, moments.real.tolist()))

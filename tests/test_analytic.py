@@ -183,6 +183,24 @@ def test_oracle_grid_matches_pointwise_comparisons(alphas):
                 assert close_or_equal(report[q]["oracle"], reference[q]), (n, a, b, g, o, q)
 
 
+def test_single_ordering_grid_matches_per_point_propagation():
+    # one stacked Chebyshev pass per atom number against one propagation per
+    # point, over the all-zero point, gamma = 0 (diagonal) points and negative
+    # weights.  N stays <= 10: at N = 50 a twist of -0.3 spans ~94 rad of
+    # Chebyshev terms, whose rounding (bounded on the amplitudes in
+    # test_dicke) reaches 6e-14 in <Jx>.
+    alphas, betas, gammas = (0.0, 0.01, -0.3), (0.0, 0.8, -0.4), (0.0, 0.5, -1.2)
+    for n in (1, 2, 3, 4, 10):
+        reports = analytic.oracle_grid(n, alphas, betas, gammas, ("single",))
+        points = [PhaseTriple(a, b, g) for a in alphas for b in betas for g in gammas]
+        assert len(reports) == len(points)
+        for phases, report in zip(points, reports):
+            want = pointwise_oracle(phases, n, "single")
+            for q in ("jx", "jz", "dphi"):
+                got = report[q]["oracle"]
+                assert abs(got - want[q]) <= 1e-14 * max(1.0, abs(want[q])), (n, phases, q)
+
+
 def test_oracle_grid_validation():
     assert analytic.oracle_grid(2, (), (0.1,), (0.2,)) == []
     with pytest.raises(ConfigError):

@@ -439,6 +439,31 @@ def test_dicke_path_leaves_scipy_linalg_and_special_unloaded():
         "2000, [dicke.PulseStep('jz2', 0.01), dicke.PulseStep('jx', 0.3)]); "
         "squeezing.bch_error(squeezing.SqueezeParams.from_g_tau(1.0, 1e-2, 4), 4, 4); "
         "from spinlock import analytic; "
-        "analytic.oracle_grid(3, (0.0, 0.1), (0.4,), (0.0, 0.5))"
+        "analytic.oracle_grid(3, (0.0, 0.1), (0.4,), (0.0, 0.5)); "
+        "analytic.oracle_grid(4, (0.0, 0.3), (0.0, 0.8), (0.0, 0.5), ('single',)); "
+        "[dicke.full_space_oracle(n, [dicke.PulseStep(g, 0.3) for g in dicke.GENERATOR_NAMES])"
+        " for n in (1, 2, 3, 4)]"
     )
     assert scipy_modules_loaded_by(code) == "[]"
+
+
+def old_fmt(value) -> str:
+    """The CSV cell formatter before its float fast path, kept as the reference."""
+    if isinstance(value, bool):
+        return str(value)
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def test_csv_cells_keep_their_text():
+    values = [
+        True, False, 0, -7, 2**70, np.int64(-3), np.int32(5), 0.1, 1 / 3, 1e300,
+        5e-324, -0.0, 0.0, math.nan, math.inf, -math.inf, np.float64(2.5),
+        np.float64(-0.0), np.float64(math.nan), np.float64(-math.inf),
+        "single", "",
+    ]
+    for value in values:
+        assert cli._fmt(value) == old_fmt(value), repr(value)

@@ -305,12 +305,118 @@ def test_dicke_matches_full_space_oracle_on_random_schedules():
 def test_oracle_operators_are_cached_read_only():
     steps = [PulseStep("jz2", 0.4), PulseStep("jx", -0.3)]
     first = dicke.full_space_oracle(3, steps)
-    ops = dicke._pauli_sums(3)
-    assert dicke._pauli_sums(3) is ops
-    for op in ops.values():
+    cached = dicke._pauli_sums(3)
+    assert dicke._pauli_sums(3) is cached
+    ops, eigen = cached
+    assert ops.shape == (4, 8, 8) and sorted(eigen) == sorted(dicke.GENERATOR_NAMES)
+    for array in (ops, *(a for pair in eigen.values() for a in pair)):
         with pytest.raises(ValueError):
-            op[0, 0] = 1.0
+            array[0] = 1.0
     assert dicke.full_space_oracle(3, steps) == first
+
+
+def collective_product_ops(n):
+    """Dense {Jx, Jy, Jz, Jz^2} of n spins-1/2 as Kronecker sums, built here."""
+    single = dicke.spin_matrices(2)
+    ops = []
+    for s in single:
+        total = np.zeros((2**n, 2**n), dtype=complex)
+        for site in range(n):
+            total += np.kron(np.kron(np.eye(2**site), s), np.eye(2 ** (n - site - 1)))
+        ops.append(total)
+    return dict(zip(dicke.GENERATOR_NAMES, ops + [ops[2] @ ops[2]]))
+
+
+def test_full_space_oracle_matches_expm_reference():
+    # reference: scipy's expm of the dense Kronecker sums on the product
+    # |+x>^n, sharing no code with the oracle's eigendecomposition
+    rng = np.random.default_rng(31)
+    worst = 0.0
+    for n in (1, 2, 3, 4):
+        ops = collective_product_ops(n)
+        plus = np.full(2, 2**-0.5)
+        for _ in range(8):
+            schedule = [
+                PulseStep(dicke.GENERATOR_NAMES[rng.integers(0, 4)], float(rng.uniform(-3, 3)))
+                for _ in range(rng.integers(1, 7))
+            ]
+            psi = plus
+            for _ in range(n - 1):
+                psi = np.kron(psi, plus)
+            for step in schedule:
+                psi = scipy.linalg.expm(-1j * step.angle * ops[step.generator]) @ psi
+            got = dicke.full_space_oracle(n, schedule)
+            for name, op in ops.items():
+                worst = max(worst, abs(got[name] - np.vdot(psi, op @ psi).real))
+    assert worst <= 1e-12, worst
+
+
+def stacked_generators(n, weights):
+    """Bands of sum_g w_g G for each row (w_jz2, w_jz, w_jx, w_jy) of weights."""
+    ops = dicke.build_collective_ops(n)
+    generators = (ops.jz2, ops.jz, ops.jx, ops.jy)
+    rows = [
+        TridiagonalOperator(
+            sum(w * g.diag for w, g in zip(row, generators)),
+            sum(w * g.upper for w, g in zip(row, generators)),
+        )
+        for row in weights
+    ]
+    stack = TridiagonalOperator(
+        np.stack([r.diag for r in rows]), np.stack([r.upper for r in rows])
+    )
+    return stack, rows
+
+
+def test_stacked_propagation_matches_one_generator_at_a_time():
+    # one Chebyshev pass over a stack against one call per generator: an
+    # all-zero row (half-width 0), diagonal rows (no Jx or Jy), negative
+    # weights and complex bands, on a vector and on a block of columns
+    weights = np.array(
+        [
+            [0.0, 0.0, 0.0, 0.0],
+            [0.3, -0.8, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+            [-0.2, 0.4, 0.5, 0.0],
+            [0.1, 0.0, -1.3, 0.6],
+            [0.0, 0.0, 0.7, 0.0],
+            [0.0, 1.1, 0.0, 0.0],
+        ]
+    )
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 3, 4, 50):
+        stack, rows = stacked_generators(n, weights)
+        vec = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        block = rng.normal(size=(n + 1, 3)) + 1j * rng.normal(size=(n + 1, 3))
+        for v in (vec, block):
+            got = dicke._propagate(stack, 1.0, v)
+            assert got.shape == (len(rows),) + v.shape
+            want = np.stack([dicke._propagate(row, 1.0, v) for row in rows])
+            assert np.abs(got - want).max() <= 1e-14 * np.linalg.norm(v), n
+        # the same stack under several angles, angle axis first
+        angles = np.array([0.4, -1.0])
+        got = dicke._propagate(stack, angles, vec)
+        want = np.stack([dicke._propagate(stack, float(a), vec) for a in angles])
+        assert np.abs(got - want).max() <= 1e-14 * np.linalg.norm(vec), n
+        # a stack of diagonal rows alone keeps the exact phase factors
+        diagonal, diag_rows = stacked_generators(n, weights[:3])
+        got = dicke._propagate(diagonal, 1.0, vec)
+        assert np.array_equal(got, np.stack([dicke._propagate(r, 1.0, vec) for r in diag_rows]))
+
+
+def test_operator_stack_rows_act_as_their_operators():
+    stack, rows = stacked_generators(5, [[0.2, 0.1, -0.3, 0.4], [0.0, 1.0, 0.5, 0.0]])
+    assert stack.dim == 6
+    assert np.array_equal(stack.entries, np.stack([r.entries for r in rows]))
+    vecs = np.arange(12.0).reshape(2, 6) + 1j
+    want = np.stack([r.matvec(v) for r, v in zip(rows, vecs)])
+    assert np.array_equal(stack.matvec(vecs), want)
+    with pytest.raises(DimensionMismatchError):
+        TridiagonalOperator(np.zeros((2, 3)), np.zeros((3, 2)))
+    with pytest.raises(DimensionMismatchError):
+        dicke.evolve_unitary(dicke.x_css(5), stack, 0.1)
+    with pytest.raises(DimensionMismatchError):
+        dicke.column_moments(np.eye(6, dtype=complex), stack)
 
 
 def test_full_space_oracle_rejects_large_systems():

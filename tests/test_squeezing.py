@@ -189,6 +189,34 @@ def test_u4_sequence_matches_per_level_propagation():
             assert np.abs(got - want).max() <= 1e-14, (n_photons, n_atoms, g_tau)
 
 
+def test_u4_sequence_is_the_matrix_power_of_its_cycles():
+    # the fourth power squared into a reused buffer keeps numpy's bits
+    for n_photons, n_atoms in ((2, 2), (4, 4), (10, 20), (7, 13)):
+        stokes = squeezing.build_stokes_ops(n_photons)
+        levels = dicke.build_collective_ops(n_atoms).jz.diag
+        eye = np.eye(n_photons + 1, dtype=complex)
+        rot = np.exp(-1j * (np.pi / 2) * stokes.sx.diag)[:, None]
+        params = squeezing.SqueezeParams.from_g_tau(1.0, 1e-2, n_photons)
+        cycles = dicke._propagate(stokes.sz, params.g_tau * levels, eye) * rot
+        want = np.linalg.matrix_power(cycles, 4)
+        assert np.array_equal(squeezing.u4_sequence(params, n_photons, n_atoms), want)
+
+
+def test_u4_sequence_peak_memory_at_the_joint_dimension_cap():
+    # (N_s, N) = (200, 48): each (49, 201, 201) block stack is 31.7 MB, and
+    # at most two are held at once
+    import tracemalloc
+
+    params = squeezing.SqueezeParams.from_g_tau(1.0, 1e-2, 200)
+    tracemalloc.start()
+    try:
+        squeezing.u4_sequence(params, 200, 48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 70 * 2**20, peak / 2**20
+
+
 def test_level_blocks_match_per_level_expm():
     # at joint dimension 2601, each block against (R_S F_m)^4 from dense expm,
     # and the error against the largest reference block norm
