@@ -1,4 +1,4 @@
-"""Wall time and traced peak memory of the squeezing train, the BCH check and the oracle grids.
+"""Wall time and traced peak memory of the exact layers: squeezing, BCH, oracle grids, moments.
 
     python3 benchmarks/bench_exact_layers.py --label change
 
@@ -15,7 +15,15 @@ tracemalloc peak of one more call for:
   ``cli.run_oracle_compare`` (4 atom numbers x 72 comparisons);
 - ``dicke.full_space_oracle`` for the 192 sequential (``product`` and
   ``reversed``) comparisons of that grid, one schedule per call, as the
-  ``exact`` workload of ``perfbench`` runs them.
+  ``exact`` workload of ``perfbench`` runs them;
+- ``dicke.schedule_expectations`` of ``[jz2 0.01, jx 0.3]`` (the ``exact``
+  workload's twist-then-rotate) at N = 250, 2000 and 10,000;
+- ``squeezing.bch_error`` at the photon limit, (N_s, N) = (200, 48) at
+  g tau = 1e-2 and (200, 10,000) at g tau = 1e-6 (a row records the error
+  where a checkout rejects the size);
+- ``analytic.oracle_grid(200, (0, 0, 0, 0.3), (0, 0.4), (0.5, 1), ("single",))``,
+  a stacked summed-generator grid whose twisted rows need ten times the
+  Chebyshev terms of the others.
 
 The rows are printed and stored under ``--label`` in
 ``BENCH_exact_batch.json`` at the repository root, next to the rows of other
@@ -39,6 +47,10 @@ G_TAU = 1e-2
 # (N_s, N, best-of repeats): the last case takes about 1 s
 U4_CASES = ((4, 4, 20), (10, 20, 20), (50, 50, 7), (200, 48, 3))
 BCH_SHAPE = (10, 20)
+# (N_s, N, g tau, best-of repeats): a block check at (200, 48) takes about 1 s
+BCH_LIMIT_CASES = ((200, 48, 1e-2, 3), (200, 10_000, 1e-6, 9))
+SCHEDULE_ATOMS = (250, 2000, 10_000)
+MIXED_GRID = (200, (0.0, 0.0, 0.0, 0.3), (0.0, 0.4), (0.5, 1.0), ("single",))
 REPEATS = 9  # best-of for the BCH points and the oracle grids
 
 
@@ -136,6 +148,52 @@ def full_space_row() -> dict:
     return {"calls": len(schedules), "wall_s": wall, "repeats": REPEATS, "peak_mb": peak}
 
 
+def schedule_rows() -> list[dict]:
+    from spinlock import dicke
+
+    steps = [dicke.PulseStep("jz2", 0.01), dicke.PulseStep("jx", 0.3)]
+    rows = []
+    for n_atoms in SCHEDULE_ATOMS:
+        wall, peak = timed(lambda: dicke.schedule_expectations(n_atoms, steps), REPEATS)
+        rows.append({"n_atoms": n_atoms, "wall_s": wall, "repeats": REPEATS, "peak_mb": peak})
+    return rows
+
+
+def bch_limit_rows() -> list[dict]:
+    from spinlock import squeezing
+    from spinlock.errors import ConfigError
+
+    rows = []
+    for n_photons, n_atoms, g_tau, repeats in BCH_LIMIT_CASES:
+        params = squeezing.SqueezeParams.from_g_tau(1.0, g_tau, n_photons)
+        row = {"n_photons": n_photons, "n_atoms": n_atoms, "g_tau": g_tau}
+        try:
+            wall, peak = timed(lambda: squeezing.bch_error(params, n_photons, n_atoms), repeats)
+        except ConfigError as exc:
+            row["error"] = f"ConfigError: {exc}"
+        else:
+            row.update(wall_s=wall, repeats=repeats, peak_mb=peak)
+        rows.append(row)
+    return rows
+
+
+def mixed_grid_row() -> dict:
+    from spinlock import analytic
+
+    wall, peak = timed(lambda: analytic.oracle_grid(*MIXED_GRID), REPEATS)
+    n_atoms, alphas, betas, gammas, orderings = MIXED_GRID
+    return {
+        "n_atoms": n_atoms,
+        "alphas": list(alphas),
+        "betas": list(betas),
+        "gammas": list(gammas),
+        "orderings": list(orderings),
+        "wall_s": wall,
+        "repeats": REPEATS,
+        "peak_mb": peak,
+    }
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="key of this run in the output file")
@@ -166,6 +224,21 @@ def main() -> int:
         f"full_space_oracle x{full['calls']}: "
         f"{full['wall_s']:.5f} s, {full['peak_mb']:.2f} MB"
     )
+    schedule = schedule_rows()
+    for row in schedule:
+        print(
+            f"schedule_expectations N={row['n_atoms']}: "
+            f"{row['wall_s']:.5f} s, {row['peak_mb']:.2f} MB"
+        )
+    limits = bch_limit_rows()
+    for row in limits:
+        shape = f"({row['n_photons']}, {row['n_atoms']}) at g tau {row['g_tau']}"
+        if "error" in row:
+            print(f"bch_error {shape}: {row['error']}")
+        else:
+            print(f"bch_error {shape}: {row['wall_s']:.5f} s, {row['peak_mb']:.2f} MB")
+    mixed = mixed_grid_row()
+    print(f"mixed-twist oracle grid: {mixed['wall_s']:.5f} s, {mixed['peak_mb']:.2f} MB")
     report = json.loads(args.output.read_text()) if args.output.exists() else {}
     report.setdefault("description", __doc__.splitlines()[0])
     report.setdefault("runs", {})[args.label] = {
@@ -176,6 +249,9 @@ def main() -> int:
         "bch_error": bch,
         "oracle_grid": oracle,
         "full_space_oracle": full,
+        "schedule_expectations": schedule,
+        "bch_error_limits": limits,
+        "mixed_oracle_grid": mixed,
     }
     args.output.write_text(json.dumps(report, indent=1) + "\n")
     return 0

@@ -8,7 +8,10 @@ all-x-polarized, maximum-Sx state).  The four-pulse train
 leading order in g*tau, to a one-axis-twisting map exp(-i (g tau)^2 Sx Jz^2);
 this module constructs both unitaries exactly so the reduction error can be
 measured instead of assumed.  Both commute with Jz, so each is kept as one
-photon-space map per atom level m, in Jz's m-descending order.
+photon-space map per atom level m, in Jz's m-descending order.  Every
+factor of such a map is generated by a Stokes operator, so it is the
+spin-N_s/2 image of a 2x2 SU(2) matrix; ``bch_error`` measures the
+reduction on those 2x2 images, in O(N) and with no joint-dimension cap.
 """
 from __future__ import annotations
 
@@ -60,6 +63,14 @@ class SqueezeParams:
         return self.g * self.tau
 
 
+def _check_photons(n_photons: int) -> int:
+    if not isinstance(n_photons, (int, np.integer)) or isinstance(n_photons, bool):
+        raise ConfigError(f"n_photons must be an integer, got {n_photons!r}")
+    if not 1 <= n_photons <= MAX_PHOTONS:
+        raise ConfigError(f"n_photons={n_photons} outside [1, {MAX_PHOTONS}]")
+    return n_photons
+
+
 def build_stokes_ops(n_photons: int) -> StokesOps:
     """Stokes (Sx, Sy, Sz) for N_s photons: the spin-N_s/2 Schwinger irrep.
 
@@ -67,11 +78,7 @@ def build_stokes_ops(n_photons: int) -> StokesOps:
     ladder structure of a_x^dag a_y (its Jx and Jy), so [Sx, Sy] = i Sz and
     cyclic permutations hold exactly.
     """
-    if not isinstance(n_photons, (int, np.integer)) or isinstance(n_photons, bool):
-        raise ConfigError(f"n_photons must be an integer, got {n_photons!r}")
-    if not 1 <= n_photons <= MAX_PHOTONS:
-        raise ConfigError(f"n_photons={n_photons} outside [1, {MAX_PHOTONS}]")
-    spin = dicke.build_collective_ops(n_photons)
+    spin = dicke.build_collective_ops(_check_photons(n_photons))
     return StokesOps(n_photons=n_photons, sx=spin.jz, sy=spin.jx, sz=spin.jy)
 
 
@@ -83,10 +90,11 @@ def max_sx_state(n_photons: int) -> np.ndarray:
 
 
 def _check_joint_dim(n_photons: int, n_atoms: int) -> None:
-    # (N+1) blocks of (N_s+1)^2 entries: at the cap at most 1e4 (N_s+1)
-    # complex entries, <= 32 MB per block stack for N_s <= MAX_PHOTONS;
-    # u4_sequence holds two stacks at once, a traced peak of 63.7 MB at
-    # (N_s, N) = (200, 48)
+    # bounds the block builders only: (N+1) blocks of (N_s+1)^2 entries are
+    # at the cap at most 1e4 (N_s+1) complex entries, <= 32 MB per block
+    # stack for N_s <= MAX_PHOTONS; u4_sequence holds two stacks at once, a
+    # traced peak of 63.7 MB at (N_s, N) = (200, 48).  bch_error builds no
+    # block and has no cap.
     dim = (n_photons + 1) * (n_atoms + 1)
     if dim > MAX_JOINT_DIM:
         raise ConfigError(
@@ -133,31 +141,71 @@ def effective_unitary(params: SqueezeParams, n_photons: int, n_atoms: int) -> np
     return np.exp(-1j * params.g_tau**2 * np.outer(jz2, stokes.sx.diag))
 
 
-def align_global_phase(u: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Rotate u by the global phase that best matches it to reference.
+def _rotation_angles(params: SqueezeParams, n_atoms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per atom level, the rotation angle of W_m = U4_m U_eff,m^-1 in SU(2),
+    folded into [0, pi], and the sign that the fold puts on its spin-1/2 image.
 
-    A four-pulse train carries a physically irrelevant global phase (e.g.
-    (-1)^{N_s} at g*tau = 0) that would otherwise dominate any norm comparison.
-    The phase of tr(u^dag reference) minimises the Frobenius distance and,
-    unlike any single entry, does not hinge on which of many near-equal
-    entries rounding makes largest.
+    In the spin-1/2 image of the Stokes operators (Sx, Sy, Sz to sigma_z/2,
+    sigma_x/2, sigma_y/2) R_S is diag(e^{-i pi/4}, e^{i pi/4}), F_m a real
+    rotation by g tau m about y and the reduction diag(e^{-i phi/2}, e^{i phi/2})
+    with phi = (g tau m)^2.  W = [[a, b], [-b*, a*]] has eigenvalues
+    e^{-+i omega/2} with omega = 2 atan2(sqrt(Im a^2 + |b|^2), Re a); where
+    Re a < 0 the level is folded to -W, with angle 2 pi - omega read off the
+    same atan2 with |Re a|, so no angle near 2 pi loses digits to a cancellation.
     """
-    overlap = np.vdot(u, reference)
-    if overlap == 0:
-        return u
-    return u * (overlap / abs(overlap))
+    m = dicke.build_collective_ops(n_atoms).jz.diag
+    half = params.g_tau * m / 2
+    c, s = np.cos(half), np.sin(half)
+    rot = np.exp(-0.25j * np.pi)
+    cycle = np.empty((m.size, 2, 2), dtype=complex)
+    cycle[:, 0, 0], cycle[:, 0, 1] = rot * c, -rot * s
+    cycle[:, 1, 0], cycle[:, 1, 1] = rot.conjugate() * s, rot.conjugate() * c
+    square = cycle @ cycle
+    u4 = square @ square
+    twist = np.exp(0.5j * params.g_tau**2 * m * m)  # U_eff^-1 on the upper state
+    a, b = u4[:, 0, 0] * twist, u4[:, 0, 1] * twist.conj()
+    omega = 2 * np.arctan2(np.hypot(a.imag, np.abs(b)), np.abs(a.real))
+    return omega, np.where(a.real < 0, -1.0, 1.0)
 
 
 def bch_error(params: SqueezeParams, n_photons: int, n_atoms: int) -> float:
     """Operator-norm distance between the exact four-pulse train and its
     leading-order reduction, after global-phase alignment.
 
-    Both maps are block diagonal over atom levels, so the largest singular
-    value of their difference (worst-case state interpretation) is the
-    largest per-level block norm; the result scales as (g tau)^3.
+    Both maps are block diagonal over atom levels, and every factor of each
+    level's block is the spin-N_s/2 image D^j (j = N_s/2) of a 2x2 SU(2)
+    matrix, so the difference is measured on those images instead of on the
+    (N_s+1)^2 blocks.  With W_m = U4_m U_eff,m^-1 of rotation angle omega_m,
+    D^j(W_m) has eigenvalues e^{-ik omega_m}, k = -j..j, and trace the real
+    character chi_j(omega_m) = sin((2j+1) omega_m/2) / sin(omega_m/2).  The
+    phase that best aligns the train with the reduction (that of their
+    overlap sum_m tr(U4_m^dag U_eff,m)) is then the sign s of
+    sum_m chi_j(omega_m), and the error is max_m max_k |s e^{-ik omega_m} - 1|
+    = max_m max_k 2 |sin(k omega_m/2 + delta_m)|, delta_m = 0 or pi/2.  On
+    [0, pi/2] |sin| rises and on [pi/2, 3 pi/2] it is V-shaped, so while a
+    level's arguments stay there its maximum is at an end, k = 0 (or 1/2 at
+    half-integer j) or k = j; only the levels past a peak are scanned over
+    k.  The result scales as (g tau)^3; no block is built, so the cost is
+    O(N) plus N_s per scanned level and no joint-dimension cap applies.
     """
-    u4 = u4_sequence(params, n_photons, n_atoms)
-    phases = effective_unitary(params, n_photons, n_atoms)
-    ueff = phases[:, :, None] * np.eye(n_photons + 1)
-    aligned = align_global_phase(u4, ueff)
-    return float(np.linalg.norm(aligned - ueff, ord=2, axis=(1, 2)).max())
+    n_photons = _check_photons(n_photons)
+    omega, fold = _rotation_angles(params, n_atoms)
+    j = n_photons / 2
+    # D^j(-W) = (-1)^{2j} D^j(W)
+    level_sign = fold if n_photons % 2 else np.ones_like(fold)
+    # chi_j as a ratio of sincs, finite at omega = 0; omega <= pi keeps the
+    # denominator at least sinc(1/2)
+    chi = (2 * j + 1) * np.sinc((2 * j + 1) * omega / (2 * np.pi)) / np.sinc(omega / (2 * np.pi))
+    sign = -1.0 if np.dot(level_sign, chi) < 0 else 1.0
+    delta = np.where(sign * level_sign < 0, np.pi / 2, 0.0)
+    first = (j % 1) * omega / 2 + delta
+    last = j * omega / 2 + delta
+    peak = np.maximum(np.abs(np.sin(first)), np.abs(np.sin(last)))
+    scan = np.flatnonzero(last > np.where(delta == 0, np.pi / 2, 1.5 * np.pi))
+    if scan.size:
+        half_omega, offset = omega[scan] / 2, delta[scan]
+        scanned = np.zeros(scan.size)
+        for k in np.arange(j % 1, j + 0.5):
+            np.maximum(scanned, np.abs(np.sin(k * half_omega + offset)), out=scanned)
+        peak[scan] = scanned
+    return float(2 * peak.max())

@@ -268,6 +268,37 @@ def test_verify_bch_cli(tmp_path):
     assert float(slope_line.split()[1]) == pytest.approx(3.0, abs=0.3)
 
 
+def test_verify_bch_cli_at_the_photon_and_atom_limits(tmp_path):
+    # (N_s, N) = (200, 10^4): the per-level blocks would hold 6.5 GB, the
+    # 2x2 SU(2) images take a few MB; g tau N/2 <= 0.05 keeps it cubic
+    import tracemalloc
+
+    doc = {
+        "experiment": "verify-bch",
+        "physics": {
+            "n_atoms": 10_000,
+            "n_photons": 200,
+            "g": 1.0,
+            "tau": 1e-6,
+            "squeeze_duration": 0.0,
+        },
+        "bch": {"g_tau_grid": [1e-6, 2e-6, 5e-6, 1e-5]},
+    }
+    cfg_path = write_config(tmp_path, doc)
+    out = tmp_path / "bch.csv"
+    tracemalloc.start()
+    try:
+        assert run_cli(["verify-bch", "--config", cfg_path, "--output", out]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, peak / 2**20
+    comments, _, rows = read_output(out)
+    assert len(rows) == 4
+    slope_line = next(c for c in comments if c.startswith("fitted-slope "))
+    assert float(slope_line.split()[1]) == pytest.approx(3.0, abs=0.05)
+
+
 def test_compare_section_validation():
     doc = minimal_contrast()
     assert "compare" not in parse_config(doc).to_dict()

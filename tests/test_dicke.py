@@ -259,6 +259,68 @@ def test_twist_then_rotate_at_documented_limit():
     assert abs(dicke.expect(state, ops.jz)) < 1e-9
 
 
+def propagated_expectations(n, schedule):
+    """Every step of the schedule run on the state, then the four expectations."""
+    ops = dicke.build_collective_ops(n)
+    state = dicke.apply_schedule(dicke.x_css(n), ops, schedule)
+    return {name: dicke.expect(state, ops.by_name(name)) for name in dicke.GENERATOR_NAMES}
+
+
+def test_schedule_expectations_match_propagated_state():
+    # trailing rotations act on the moments, not the state: against the state
+    # propagated through every step, with Jy steps, 0-3 trailing rotations
+    # and rotation-only schedules
+    rng = np.random.default_rng(1207)
+    cases = []
+    for n in (1, 2, 3, 4, 7, 50, 500):
+        for trailing in range(4):
+            for twisted in (False, True):
+                for _ in range(3):
+                    head = [
+                        PulseStep(str(rng.choice(dicke.GENERATOR_NAMES)), float(rng.uniform(-1, 1)))
+                        for _ in range(int(rng.integers(0, 3)) * twisted)
+                    ]
+                    if twisted:
+                        head.append(PulseStep("jz2", float(rng.uniform(-0.5, 0.5))))
+                    tail = [
+                        PulseStep(str(rng.choice(("jx", "jy", "jz"))), float(rng.uniform(-2, 2)))
+                        for _ in range(trailing)
+                    ]
+                    cases.append((n, head + tail))
+    # the atom limit, with angles that keep the reference's rotations short
+    cases.append((10_000, [PulseStep("jy", 0.1), PulseStep("jz2", 0.01), PulseStep("jx", 0.3),
+                           PulseStep("jz", 0.5), PulseStep("jy", -0.2)]))
+    cases.append((10_000, [PulseStep("jx", 0.3), PulseStep("jy", 0.1)]))
+    for n, schedule in cases:
+        got = dicke.schedule_expectations(n, schedule)
+        want = propagated_expectations(n, schedule)
+        for name in ("jx", "jy", "jz"):
+            assert abs(got[name] - want[name]) <= 1e-11 * n / 2, (n, schedule, name)
+        assert abs(got["jz2"] - want["jz2"]) <= 1e-11 * n * n / 4, (n, schedule)
+
+
+def test_spin_moments_match_dense_operators():
+    rng = np.random.default_rng(77)
+    for n in (1, 2, 5, 12):
+        block = rng.normal(size=(n + 1, 3)) + 1j * rng.normal(size=(n + 1, 3))
+        block /= np.linalg.norm(block, axis=0)
+        jx, jy, jz = dicke.spin_matrices(n + 1)
+        ops = (jx, jy, jz)
+        mean, second = dicke.spin_moments(block)
+        assert mean.shape == (3, 3) and second.shape == (3, 3, 3)
+        for col in range(3):
+            v = block[:, col]
+            for a, op_a in enumerate(ops):
+                assert mean[a, col] == pytest.approx(np.vdot(v, op_a @ v).real, abs=1e-13)
+                for b, op_b in enumerate(ops):
+                    sym = (op_a @ op_b + op_b @ op_a) / 2
+                    assert second[a, b, col] == pytest.approx(np.vdot(v, sym @ v).real, abs=1e-12)
+            one_mean, one_second = dicke.spin_moments(v)
+            # a column sums in another order than a vector: rounding apart
+            assert np.abs(one_mean - mean[:, col]).max() <= 1e-14 * n
+            assert np.abs(one_second - second[:, :, col]).max() <= 1e-14 * n * n
+
+
 def test_tridiagonal_operator_validation():
     with pytest.raises(DimensionMismatchError):
         TridiagonalOperator(np.zeros(3), np.zeros(3))
@@ -402,6 +464,41 @@ def test_stacked_propagation_matches_one_generator_at_a_time():
         diagonal, diag_rows = stacked_generators(n, weights[:3])
         got = dicke._propagate(diagonal, 1.0, vec)
         assert np.array_equal(got, np.stack([dicke._propagate(r, 1.0, vec) for r in diag_rows]))
+
+
+def test_stack_rows_and_angles_stop_at_their_own_term_counts():
+    # rows of very different widths, out of order, under angles of very
+    # different sizes: each row leaves the recurrence and each angle the sums
+    # at its own count, and the results come back in the callers' order
+    weights = np.array(
+        [
+            [0.0, 0.2, 0.1, 0.0],
+            [0.3, 0.4, 0.5, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 0.02, 0.01],
+            [-0.25, 0.0, 1.0, 0.3],
+        ]
+    )
+    angles = np.array([0.05, -1.5, 0.0, 0.7])
+    rng = np.random.default_rng(52)
+    for n in (3, 20):
+        stack, rows = stacked_generators(n, weights)
+        vec = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
+        block = rng.normal(size=(n + 1, 2)) + 1j * rng.normal(size=(n + 1, 2))
+        for v in (vec, block):
+            got = dicke._propagate(stack, angles, v)
+            assert got.shape == angles.shape + (len(rows),) + v.shape
+            want = np.stack(
+                [np.stack([dicke._propagate(row, float(a), v) for row in rows]) for a in angles]
+            )
+            assert np.abs(got - want).max() <= 1e-14 * np.linalg.norm(v), n
+    # the counts themselves: Kapteyn's bound per entry, zero past it
+    coeffs, counts = dicke._chebyshev_coefficients(np.array([[0.0, 3.0], [40.0, 0.5]]))
+    for x, count, row in zip((0.0, 3.0, 40.0, 0.5), counts.ravel(), coeffs.reshape(4, -1)):
+        alone, own = dicke._chebyshev_coefficients(x)
+        assert count == own == alone.size
+        assert not row[count:].any()
+        assert np.abs(row[:count] - alone).max() <= 1e-15
 
 
 def test_operator_stack_rows_act_as_their_operators():

@@ -7,7 +7,7 @@ import scipy.linalg
 from spinlock import dicke, squeezing
 from spinlock.errors import ConfigError
 
-from blocks import scatter_levels
+from blocks import align_global_phase, block_bch_error, scatter_levels
 
 
 def test_stokes_commutators_and_spectrum():
@@ -244,5 +244,71 @@ def test_global_phase_alignment():
     rng = np.random.default_rng(3)
     ref = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     rotated = ref * np.exp(1j * 0.8)
-    aligned = squeezing.align_global_phase(rotated, ref)
+    aligned = align_global_phase(rotated, ref)
     assert np.abs(aligned - ref).max() < 1e-12
+
+
+BCH_SHAPES = ((1, 1), (2, 2), (2, 3), (4, 4), (7, 13), (10, 20), (50, 4), (50, 50))
+BCH_G_TAU = (0.0, 1e-3, 2e-3, 5e-3, 1e-2, 3e-2, 0.1, 0.3, 0.7)
+
+
+def test_su2_bch_error_matches_block_reference():
+    # the 2x2 SU(2) images against the (N_s+1)^2 blocks of every level; the
+    # two differ by rounding, ~1e-16 absolute, which is up to 1e-6 of the
+    # smallest errors (4e-11 at (1, 1), g tau = 1e-3)
+    cases = [(ns, n, g) for ns, n in BCH_SHAPES for g in BCH_G_TAU]
+    # the cap corner, where the block reference takes 0.5-1 s per point here
+    # and up to 18 s at g tau = 0.7
+    cases += [(200, 48, g) for g in (0.0, 1e-3, 1e-2)]
+    for n_photons, n_atoms, g_tau in cases:
+        params = squeezing.SqueezeParams.from_g_tau(1.0, g_tau, n_photons)
+        want = block_bch_error(params, n_photons, n_atoms)
+        got = squeezing.bch_error(params, n_photons, n_atoms)
+        assert abs(got - want) <= 1e-12 * want + 1e-13, (n_photons, n_atoms, g_tau, got, want)
+
+
+def test_su2_bch_error_signs_and_folds():
+    # odd N_s: the four pi/2 pulses are a 2 pi rotation, -1 in SU(2), so at
+    # small g tau every level folds from omega ~ 2 pi, its spin-N_s/2 image
+    # carries (-1)^{N_s} and the alignment sign is -1.  At large g tau some
+    # levels fold and some do not, so some are compared with the opposite
+    # sign (|e^{-ik omega} + 1|, the cosine twin): closed form at (1, 20),
+    # scanned over k at (7, 13) and (5, 7), and with an alignment sign of +1
+    # at (3, 40)
+    for n_photons, n_atoms, g_tau, mixed in (
+        (1, 1, 1e-3, False),
+        (7, 13, 1e-2, False),
+        (1, 20, 0.7, True),
+        (7, 13, 0.7, True),
+        (5, 7, 1.3, True),
+        (3, 40, 0.7, True),
+    ):
+        params = squeezing.SqueezeParams.from_g_tau(1.0, g_tau, n_photons)
+        omega, fold = squeezing._rotation_angles(params, n_atoms)
+        assert np.all((0 <= omega) & (omega <= np.pi))
+        assert np.any(fold > 0) == mixed and np.any(fold < 0)
+        want = block_bch_error(params, n_photons, n_atoms)
+        got = squeezing.bch_error(params, n_photons, n_atoms)
+        assert abs(got - want) <= 1e-12 * want + 1e-13, (n_photons, n_atoms, g_tau, got, want)
+
+
+def test_su2_bch_error_leading_term_up_to_the_atom_limit():
+    # to leading order each level's SU(2) error rotates by sqrt(2) (g tau m)^3,
+    # so the error is j (g tau N/2)^3 / sqrt(2) (1 - 5 (g tau N/2)^2 / 36 + ...)
+    # for j = N_s/2; checked where no block could be built
+    for n_photons, n_atoms in ((1, 1), (2, 2), (7, 13), (50, 50), (200, 48), (200, 10_000), (3, 9_999)):
+        x = 1e-3
+        params = squeezing.SqueezeParams.from_g_tau(1.0, x / (n_atoms / 2), n_photons)
+        lead = n_photons / 2 * x**3 / math.sqrt(2)
+        got = squeezing.bch_error(params, n_photons, n_atoms)
+        assert got / lead == pytest.approx(1 - 5 * x**2 / 36, rel=1e-9), (n_photons, n_atoms)
+
+
+def test_bch_error_validates_its_sizes():
+    params = squeezing.SqueezeParams.from_g_tau(1.0, 1e-3, 4)
+    for n_photons in (0, 201, 2.0, True):
+        with pytest.raises(ConfigError):
+            squeezing.bch_error(params, n_photons, 4)
+    for n_atoms in (0, 10_001, 4.0):
+        with pytest.raises(ConfigError):
+            squeezing.bch_error(params, 4, n_atoms)
