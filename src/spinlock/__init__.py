@@ -27,7 +27,6 @@ from .dicke import (
     expect,
     full_space_oracle,
     schedule_expectations,
-    spin_moments,
     variance,
     x_css,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "phase_kernel_grid",
     "schedule_expectations",
     "sensitivity_curve",
-    "spin_moments",
     "sql_phase",
     "synth_noise",
     "toggling_function",

@@ -12,8 +12,8 @@ The expansion is truncated at terms below 1e-16, so evolution is exact up
 to rounding, with no step size to tune, and can serve as ground truth for
 closed-form expressions.
 Rotations that follow a schedule's last twist need no state at all: they
-act on the first and second moments of J as one SO(3) matrix, and
-``spin_moments`` reads those moments from the state in O(N).
+act on the first and second moments of J as one SO(3) matrix, read from
+the state's populations and first two coherences in O(N).
 ``TridiagonalOperator`` is the package's one operator type: ``squeezing``
 takes its photon Stokes operators from the same spin-N_s/2 bands and
 propagates them with the same rotation.
@@ -316,12 +316,10 @@ def _propagate(
     |angle| times the half-width h (N/2 for Jx at N atoms; a Jz^2 term of
     weight w in a combined generator adds |w| N^2/8).  The vectors T_k v are
     built once and shared by every angle, which only changes the
-    coefficients; a stack runs one recurrence on all its rows.  Each angle
-    and each row keeps its own term count: both are sorted by it, a row
-    leaves the recurrence and an angle the sums once their terms are done,
-    and the results come back in the callers' order.  Only terms with
-    |J_k| < 1e-16 are dropped, and |T_k| <= 1 on the interval, so the
-    truncation error is at the level of rounding.
+    coefficients; a stack runs one recurrence on all its rows, as many terms
+    as its widest row needs.  Only terms with |J_k| < 1e-16 are dropped, and
+    |T_k| <= 1 on the interval, so the truncation error is at the level of
+    rounding.
     """
     angles = np.asarray(angle, dtype=float)
     diag, upper = generator.diag, generator.upper
@@ -338,22 +336,8 @@ def _propagate(
     low = (diag - radius).min(axis=-1, keepdims=True)
     high = (diag + radius).max(axis=-1, keepdims=True)
     centre, half_width = (high + low) / 2, (high - low) / 2
-    # one coefficient row per angle and generator, zero past its own count
-    coeffs, counts = _chebyshev_coefficients(np.multiply.outer(angles, half_width[..., 0]))
-    # sort the angles and the rows of a stack by their term counts, most first,
-    # so those still summing at term k are a leading slice of each axis
-    orders, active = [], []
-    for axis in range(counts.ndim):  # the angle axis, then the stack axis
-        need = np.moveaxis(counts, axis, 0).reshape(counts.shape[axis], -1).max(axis=1)
-        order = np.argsort(-need, kind="stable")
-        orders.append(order)
-        active.append(np.count_nonzero(need[:, None] > np.arange(coeffs.shape[-1]), axis=0))
-        coeffs = np.take(coeffs, order, axis=axis)
-    if angles.ndim:
-        angles = angles[orders[0]]
-    if stack:
-        diag, upper, vec = diag[orders[-1]], upper[orders[-1]], vec[orders[-1]]
-        centre, half_width = centre[orders[-1]], half_width[orders[-1]]
+    # one coefficient per angle and generator, broadcast over the vector's shape
+    coeffs = _chebyshev_coefficients(np.multiply.outer(angles, half_width[..., 0]))
     coeffs = np.moveaxis(coeffs, -1, 0)
     coeffs = coeffs.reshape(coeffs.shape + (1,) + columns)
     # 2 (G - c)/h, the factor of the three-term recurrence; an all-zero
@@ -363,52 +347,39 @@ def _propagate(
     prev, cur = vec, 0.5 * scaled.matvec(vec)
     total = coeffs[0] * prev + 2 * coeffs[1] * cur
     term = np.empty_like(total)
-    rows = stack[0] if stack else 0
-    for k in range(2, coeffs.shape[0]):
-        if stack and active[-1][k] < rows:  # drop the rows whose terms are done
-            rows = active[-1][k]
-            scaled = TridiagonalOperator(scaled.diag[:rows], scaled.upper[:rows])
-            prev, cur = prev[:rows], cur[:rows]
+    for coeff in coeffs[2:]:
         prev, cur = cur, scaled.matvec(cur) - prev
-        live = tuple(slice(n[k]) for n in active)
-        total[live] += np.multiply(2 * coeffs[k][live], cur, out=term[live])
+        total += np.multiply(2 * coeff, cur, out=term)
     total *= np.exp(np.multiply.outer(-1j * angles, centre[..., 0])).reshape(coeffs.shape[1:])
-    del term  # the reordering copies total: hold two such arrays, not three
-    for axis, order in enumerate(orders):  # back to the callers' order
-        total = np.take(total, np.argsort(order), axis=axis)
     return total
 
 
-def _chebyshev_coefficients(x: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _chebyshev_coefficients(x: float | np.ndarray) -> np.ndarray:
     """(-i)^k J_k(x) for k = 0, 1, ... while Kapteyn's bound on |J_k(x)| >= 1e-16.
 
-    ``x`` is a float or an array.  Returns the coefficients, one row per
-    entry, shape x.shape + (K,), and each entry's own term count, shape
-    x.shape; K is the largest count, and a row is zero past its own count.
-    Kapteyn's inequality (DLMF 10.14.8) bounds |J_k(k z)| for 0 < z <= 1 by
-    (z e^r / (1 + r))^k with r = sqrt(1 - z^2); the bound rises with z and
-    falls monotonically in k once k > |x|, so every dropped term is below
-    1e-16.  By Jacobi-Anger, exp(-i x cos t) = sum_k (-i)^k J_k(x) e^{ikt},
-    so one FFT of it on 2 half points gives the coefficients, aliased with
-    those of index k +- 2 half; the grid is set by max |x| and shared by
-    every entry.  half >= |x| + 12 |x|^(1/3) + 40 puts every alias in the
-    Airy tail of J_k, below 1e-17.  At least two coefficients are kept,
-    which the recurrence in ``_propagate`` needs.
+    ``x`` is a float, giving shape (K,), or an array, giving one row per
+    entry, shape x.shape + (K,); the grid and K are set by max |x| and shared
+    by every row.  Kapteyn's inequality (DLMF 10.14.8) bounds |J_k(k z)| for
+    0 < z <= 1 by (z e^r / (1 + r))^k with r = sqrt(1 - z^2); the bound rises
+    with z and falls monotonically in k once k > |x|, so every dropped term
+    of every row is below 1e-16.  By Jacobi-Anger,
+    exp(-i x cos t) = sum_k (-i)^k J_k(x) e^{ikt}, so one FFT of it on 2 half
+    points gives the coefficients, aliased with those of index k +- 2 half.
+    half >= |x| + 12 |x|^(1/3) + 40 puts every alias in the Airy tail of J_k,
+    below 1e-17.  At least two coefficients are kept, which the recurrence in
+    ``_propagate`` needs.
     """
     x = np.asarray(x, dtype=float)
     top = float(np.abs(x).max())
     half = math.ceil(top + 12 * top ** (1 / 3) + 40)
     k = np.arange(1, half + 1)
-    z = np.minimum(np.abs(x)[..., None] / k, 1.0)
+    z = np.minimum(top / k, 1.0)
     root = np.sqrt(1 - z * z)
     with np.errstate(divide="ignore"):  # x = 0 gives log(0) = -inf, a zero bound
         log_bound = k * (np.log(z) + root - np.log1p(root))
-    counts = np.maximum(2, 1 + np.count_nonzero(log_bound >= math.log(1e-16), axis=-1))
-    keep = int(counts.max())
+    keep = max(2, 1 + np.count_nonzero(log_bound >= math.log(1e-16)))
     t = np.arange(2 * half) * (np.pi / half)
-    coeffs = np.fft.fft(np.exp(-1j * x[..., None] * np.cos(t)))[..., :keep] / (2 * half)
-    coeffs[np.arange(keep) >= counts[..., None]] = 0
-    return coeffs, counts
+    return np.fft.fft(np.exp(-1j * x[..., None] * np.cos(t)))[..., :keep] / (2 * half)
 
 
 def evolve_unitary(
@@ -485,35 +456,30 @@ def apply_schedule(
     return state
 
 
-def spin_moments(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _spin_moments(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First and symmetrised second moments of J for amplitudes in the m basis.
 
-    ``amps`` has the m axis first, (dim,) or (dim, ...) for columns.  Returns
-    <J> = (<Jx>, <Jy>, <Jz>), shape (3, ...), and M_ab = <{J_a, J_b}>/2,
-    shape (3, 3, ...).  Everything is read from the diagonal of the density
-    matrix and its first two off-diagonals in O(dim): <J+> = <Jx> + i<Jy> and
-    <{J+, Jz}> = <{Jx, Jz}> + i<{Jy, Jz}> from the first, <J+^2> =
-    <Jx^2 - Jy^2> + i<{Jx, Jy}> from the second, and <Jx^2 + Jy^2> =
-    j(j+1) - <Jz^2> from the Casimir.
+    Returns <J> = (<Jx>, <Jy>, <Jz>) and M_ab = <{J_a, J_b}>/2, shape (3, 3).
+    Everything is read from the diagonal of the density matrix and its first
+    two off-diagonals in O(dim): <J+> = <Jx> + i<Jy> and <{J+, Jz}> =
+    <{Jx, Jz}> + i<{Jy, Jz}> from the first, <J+^2> = <Jx^2 - Jy^2> +
+    i<{Jx, Jy}> from the second, and <Jx^2 + Jy^2> = j(j+1) - <Jz^2> from
+    the Casimir.
     """
-    dim = amps.shape[0]
-    columns = (1,) * (amps.ndim - 1)
-    m, ladder = _m_and_ladder(dim)
-    m = m.reshape((dim,) + columns)
-    ladder = ladder.reshape((dim - 1,) + columns)
+    m, ladder = _m_and_ladder(amps.size)
     pop = (amps.conj() * amps).real
     near = amps[:-1].conj() * amps[1:] * ladder  # <m|J+|m-1> a_m^* a_(m-1)
-    plus = near.sum(axis=0)
-    plus_z = (near * (m[:-1] + m[1:])).sum(axis=0)
-    plus2 = (amps[:-2].conj() * amps[2:] * (ladder[:-1] * ladder[1:])).sum(axis=0)
-    jz = (pop * m).sum(axis=0)
-    jz2 = (pop * (m * m)).sum(axis=0)
-    j = (dim - 1) / 2
-    transverse = j * (j + 1) * pop.sum(axis=0) - jz2  # <Jx^2 + Jy^2>
+    plus = near.sum()
+    plus_z = (near * (m[:-1] + m[1:])).sum()
+    plus2 = (amps[:-2].conj() * amps[2:] * (ladder[:-1] * ladder[1:])).sum()
+    jz = (pop * m).sum()
+    jz2 = (pop * (m * m)).sum()
+    j = (amps.size - 1) / 2
+    transverse = j * (j + 1) * pop.sum() - jz2  # <Jx^2 + Jy^2>
     xx, yy = (transverse + plus2.real) / 2, (transverse - plus2.real) / 2
     xy, xz, yz = plus2.imag / 2, plus_z.real / 2, plus_z.imag / 2
-    mean = np.stack([plus.real, plus.imag, jz])
-    second = np.stack([np.stack(row) for row in ((xx, xy, xz), (xy, yy, yz), (xz, yz, jz2))])
+    mean = np.array([plus.real, plus.imag, jz])
+    second = np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, jz2]])
     return mean, second
 
 
@@ -535,7 +501,7 @@ def schedule_expectations(n_atoms: int, schedule: PulseSchedule) -> dict[str, fl
     The rotations after it act on the moments instead: in the Heisenberg
     picture each maps J to R J with R in SO(3), so their product R gives
     <J> -> R<J> and the second moments M -> R M R^T, read from the twisted
-    state by ``spin_moments`` in O(N).
+    state by ``_spin_moments`` in O(N).
     """
     ops = build_collective_ops(n_atoms)
     twists = [k for k, step in enumerate(schedule) if step.generator == "jz2"]
@@ -544,7 +510,7 @@ def schedule_expectations(n_atoms: int, schedule: PulseSchedule) -> dict[str, fl
     rotation = np.eye(3)
     for step in schedule[split:]:
         rotation = _rotation_matrix(step.generator, step.angle) @ rotation
-    mean, second = spin_moments(state.amplitudes)
+    mean, second = _spin_moments(state.amplitudes)
     mean = rotation @ mean
     jz2 = rotation[2] @ second @ rotation[2]
     return {"jx": float(mean[0]), "jy": float(mean[1]), "jz": float(mean[2]), "jz2": float(jz2)}

@@ -181,12 +181,10 @@ def bch_error(params: SqueezeParams, n_photons: int, n_atoms: int) -> float:
     phase that best aligns the train with the reduction (that of their
     overlap sum_m tr(U4_m^dag U_eff,m)) is then the sign s of
     sum_m chi_j(omega_m), and the error is max_m max_k |s e^{-ik omega_m} - 1|
-    = max_m max_k 2 |sin(k omega_m/2 + delta_m)|, delta_m = 0 or pi/2.  On
-    [0, pi/2] |sin| rises and on [pi/2, 3 pi/2] it is V-shaped, so while a
-    level's arguments stay there its maximum is at an end, k = 0 (or 1/2 at
-    half-integer j) or k = j; only the levels past a peak are scanned over
-    k.  The result scales as (g tau)^3; no block is built, so the cost is
-    O(N) plus N_s per scanned level and no joint-dimension cap applies.
+    = max_m max_k 2 |sin(k omega_m/2 + delta_m)|, delta_m = 0 or pi/2,
+    taken over k = j, j - 1, ... >= 0 on all levels at once.  The result
+    scales as (g tau)^3; no block is built, so the cost is O(N) memory and
+    N_s/2 + 1 passes over the levels, and no joint-dimension cap applies.
     """
     n_photons = _check_photons(n_photons)
     omega, fold = _rotation_angles(params, n_atoms)
@@ -198,14 +196,8 @@ def bch_error(params: SqueezeParams, n_photons: int, n_atoms: int) -> float:
     chi = (2 * j + 1) * np.sinc((2 * j + 1) * omega / (2 * np.pi)) / np.sinc(omega / (2 * np.pi))
     sign = -1.0 if np.dot(level_sign, chi) < 0 else 1.0
     delta = np.where(sign * level_sign < 0, np.pi / 2, 0.0)
-    first = (j % 1) * omega / 2 + delta
-    last = j * omega / 2 + delta
-    peak = np.maximum(np.abs(np.sin(first)), np.abs(np.sin(last)))
-    scan = np.flatnonzero(last > np.where(delta == 0, np.pi / 2, 1.5 * np.pi))
-    if scan.size:
-        half_omega, offset = omega[scan] / 2, delta[scan]
-        scanned = np.zeros(scan.size)
-        for k in np.arange(j % 1, j + 0.5):
-            np.maximum(scanned, np.abs(np.sin(k * half_omega + offset)), out=scanned)
-        peak[scan] = scanned
+    half_omega = omega / 2
+    peak = np.zeros(omega.size)
+    for k in np.arange(j % 1, j + 0.5):
+        np.maximum(peak, np.abs(np.sin(k * half_omega + delta)), out=peak)
     return float(2 * peak.max())

@@ -272,9 +272,8 @@ def test_su2_bch_error_signs_and_folds():
     # small g tau every level folds from omega ~ 2 pi, its spin-N_s/2 image
     # carries (-1)^{N_s} and the alignment sign is -1.  At large g tau some
     # levels fold and some do not, so some are compared with the opposite
-    # sign (|e^{-ik omega} + 1|, the cosine twin): closed form at (1, 20),
-    # scanned over k at (7, 13) and (5, 7), and with an alignment sign of +1
-    # at (3, 40)
+    # sign (|e^{-ik omega} + 1|, the cosine twin): at (1, 20), (7, 13) and
+    # (5, 7), and with an alignment sign of +1 at (3, 40)
     for n_photons, n_atoms, g_tau, mixed in (
         (1, 1, 1e-3, False),
         (7, 13, 1e-2, False),
