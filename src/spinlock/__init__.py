@@ -10,7 +10,6 @@ from .analytic import (
     expect_jx,
     expect_jz,
     min_detectable_phase,
-    oracle_comparison,
     oracle_grid,
     sql_phase,
 )
@@ -44,7 +43,6 @@ from .errors import (
 from .lockin import (
     LockInSchedule,
     accumulated_beta,
-    phase_kernel,
     phase_kernel_grid,
     toggling_function,
 )
@@ -105,9 +103,7 @@ __all__ = [
     "full_space_oracle",
     "measurement_range",
     "min_detectable_phase",
-    "oracle_comparison",
     "oracle_grid",
-    "phase_kernel",
     "phase_kernel_grid",
     "schedule_expectations",
     "sensitivity_curve",

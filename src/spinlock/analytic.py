@@ -3,8 +3,8 @@
 These are the printed formulas of the squeezed-Ramsey analysis, implemented
 verbatim and kept strictly separate from the exact Dicke-basis evolution in
 ``dicke`` so that any disagreement between the two is measurable instead of
-hidden.  ``oracle_comparison`` computes both sides and reports the residual,
-and ``oracle_grid`` does so for a whole phase grid; nothing in this module
+hidden.  ``oracle_grid`` computes both sides over a phase grid, one point
+being a grid of one, and reports the residuals; nothing in this module
 silently corrects the formulas.
 
 Conventions: the cycle accumulates a twisting phase alpha (chi * t_squeeze),
@@ -180,13 +180,21 @@ def oracle_grid(
     gammas: tuple[float, ...],
     orderings: tuple[str, ...] = ORDERINGS,
 ) -> list[dict[str, dict[str, float]]]:
-    """``oracle_comparison`` at every point of a phase grid, sharing the work.
+    """Closed-form values next to exact Dicke evolution, with residuals, at
+    every point of a phase grid.
 
     Returns one report per (alpha, beta, gamma, ordering), in the nested order
     of the arguments with orderings innermost; repeated values give repeated
-    reports.  The operators and the x-CSS are built once, each ordering's
-    states come from ``_grid_states`` with shared rotations, and <Jx>, <Jz>
-    and Var(Jz) are taken for all states at once.
+    reports.  A report is {"jx": {...}, "jz": {...}, "dphi": {...}}, each
+    entry holding formula, oracle and abs_diff.  The oracle phase resolution
+    is sqrt(var(Jz))/<Jx> (infinite at a fringe node); the formula entry is
+    NaN where the closed form itself is undefined.  Residuals are reported,
+    never asserted away: for alpha != 0 the printed formulas are known to
+    deviate.
+
+    The operators and the x-CSS are built once, each ordering's states come
+    from ``_grid_states`` with shared rotations, and <Jx>, <Jz> and Var(Jz)
+    are taken for all states at once.
     """
     for ordering in orderings:
         if ordering not in ORDERINGS:
@@ -224,17 +232,3 @@ def oracle_grid(
             )
     return reports
 
-
-def oracle_comparison(
-    phases: PhaseTriple, n_atoms: int, ordering: str = "product"
-) -> dict[str, dict[str, float]]:
-    """Closed-form values next to exact Dicke evolution, with residuals.
-
-    Returns {"jx": {...}, "jz": {...}, "dphi": {...}} where each entry holds
-    formula, oracle, and abs_diff.  The oracle phase resolution is
-    sqrt(var(Jz))/<Jx> (infinite at a fringe node); the formula entry is NaN
-    where the closed form itself is undefined.  Residuals are reported, never
-    asserted away: for alpha != 0 the printed formulas are known to deviate.
-    The one-point case of ``oracle_grid``.
-    """
-    return oracle_grid(n_atoms, (phases.alpha,), (phases.beta,), (phases.gamma,), (ordering,))[0]

@@ -138,14 +138,6 @@ class DickeState:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    @property
-    def j(self) -> float:
-        return self.n_atoms / 2
-
-    @property
-    def m_values(self) -> np.ndarray:
-        return self.j - np.arange(self.n_atoms + 1)
-
 
 @dataclass(frozen=True)
 class PhaseTriple:

@@ -88,25 +88,3 @@ def readout(
     np.divide(radicand, phase, out=phase)
     return np.cos(phase, out=phase)
 
-
-def contrast_values(
-    theta: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    beta0: float,
-    cos_fac: float,
-    sin_fac: float,
-    inv_n: float,
-    sin_gamma: float,
-    eq23: bool,
-    *,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Per-sample fringe values for sampled phases theta (n_samples, n_tones):
-    readout of tone_sum at beta = beta0 + sin(theta) . a + cos(theta) . b.
-
-    The values go into out (float64, shape (n_samples,)) when given, else
-    into a new array; theta is not modified.
-    """
-    tones = tone_sum(theta, a, b, out=out)
-    return readout(tones, beta0, cos_fac, sin_fac, inv_n, sin_gamma, eq23, out=tones)

@@ -120,17 +120,6 @@ def phase_kernel_grid(
     return a, b
 
 
-def phase_kernel(
-    components: Sequence[NoiseComponent],
-    schedule: LockInSchedule,
-    toggle: bool = True,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-tone coefficients (a, b), shape (Q,), of one schedule: the
-    one-row case of phase_kernel_grid."""
-    a, b = phase_kernel_grid(components, schedule.n_pulses, [schedule.tau_arm], toggle)
-    return a[0], b[0]
-
-
 def accumulated_beta(
     components: Sequence[NoiseComponent],
     theta: Sequence[float],
@@ -146,6 +135,6 @@ def accumulated_beta(
     check_phase_count(components, theta)
     if not components:
         return 0.0
-    a, b = phase_kernel(components, schedule, toggle)
+    (a,), (b,) = phase_kernel_grid(components, schedule.n_pulses, [schedule.tau_arm], toggle)
     theta_arr = np.asarray(theta, dtype=float)
     return float(np.dot(np.sin(theta_arr), a) + np.dot(np.cos(theta_arr), b))

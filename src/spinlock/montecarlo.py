@@ -117,23 +117,6 @@ def _draw(bitgen: np.random.Philox, theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def sample_thetas(
-    master_seed: int, point_index: int, start: int, count: int, n_tones: int
-) -> np.ndarray:
-    """Uniform [0, 2pi) phases, shape (count, n_tones), for samples
-    start..start+count of the stream keyed by (master_seed, point_index).
-
-    Each sample consumes a fixed number of whole Philox counter blocks
-    (ceil(n_tones/4)), so the draws for sample j never depend on how many
-    samples were generated before it or in which batch; advance() jumps
-    straight to the requested offset.
-    """
-    bitgen = _stream(master_seed, point_index)
-    if start:
-        bitgen.advance(start * _counter_blocks_per_sample(n_tones))
-    return _draw(bitgen, np.empty((count, n_tones)))
-
-
 def _split_fixed(
     components: Sequence[NoiseComponent], a: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

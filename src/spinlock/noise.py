@@ -65,6 +65,10 @@ class NoiseComponent:
         the tone amplitude is strength/freq."""
         if not np.isfinite(strength_hz2) or strength_hz2 < 0:
             raise ConfigError(f"strength_hz2 must be >= 0, got {strength_hz2!r}")
+        # before the division, which would turn a bad frequency into a
+        # ZeroDivisionError or a negative amplitude
+        if not np.isfinite(freq_hz) or freq_hz <= 0:
+            raise ConfigError(f"freq_hz must be > 0, got {freq_hz!r}")
         return cls(amplitude_hz=strength_hz2 / freq_hz, freq_hz=freq_hz, phase=phase)
 
 

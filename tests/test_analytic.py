@@ -100,8 +100,8 @@ def test_formulas_match_oracle_without_twisting():
     for n in (1, 2, 3, 4):
         for beta in np.linspace(0, math.pi / 2, 5):
             for gamma in np.linspace(0, math.pi / 2, 5):
-                report = analytic.oracle_comparison(
-                    PhaseTriple(0.0, float(beta), float(gamma)), n
+                (report,) = analytic.oracle_grid(
+                    n, (0.0,), (float(beta),), (float(gamma),), ("product",)
                 )
                 worst = max(
                     worst, report["jx"]["abs_diff"], report["jz"]["abs_diff"]
@@ -110,7 +110,7 @@ def test_formulas_match_oracle_without_twisting():
 
 
 def test_twisted_deviation_is_reported_not_hidden():
-    report = analytic.oracle_comparison(PhaseTriple(0.3, 0.4, 0.5), 4)
+    (report,) = analytic.oracle_grid(4, (0.3,), (0.4,), (0.5,), ("product",))
     assert report["jx"]["abs_diff"] > 1e-3
     assert report["jx"]["abs_diff"] == pytest.approx(
         abs(report["jx"]["formula"] - report["jx"]["oracle"]), rel=1e-12
@@ -118,14 +118,13 @@ def test_twisted_deviation_is_reported_not_hidden():
 
 
 def test_orderings_are_distinct_operations():
-    phases = PhaseTriple(0.2, 0.3, 0.4)
     values = {
-        ordering: analytic.oracle_comparison(phases, 3, ordering)["jx"]["oracle"]
-        for ordering in analytic.ORDERINGS
+        o: analytic.oracle_grid(3, (0.2,), (0.3,), (0.4,), (o,))[0]["jx"]["oracle"]
+        for o in analytic.ORDERINGS
     }
     assert values["product"] != values["single"]
     with pytest.raises(ConfigError):
-        analytic.oracle_comparison(phases, 3, "backwards")
+        analytic.oracle_grid(3, (0.2,), (0.3,), (0.4,), ("backwards",))
 
 
 def close_or_equal(a, b):
@@ -174,9 +173,8 @@ def test_oracle_grid_matches_pointwise_comparisons(alphas):
         ]
         assert len(reports) == len(cases)
         for (a, b, g, o), report in zip(cases, reports):
-            phases = PhaseTriple(a, b, g)
-            single = analytic.oracle_comparison(phases, n, o)
-            reference = pointwise_oracle(phases, n, o)
+            (single,) = analytic.oracle_grid(n, (a,), (b,), (g,), (o,))
+            reference = pointwise_oracle(PhaseTriple(a, b, g), n, o)
             for q in ("jx", "jz", "dphi"):
                 for key in ("formula", "oracle", "abs_diff"):
                     assert close_or_equal(report[q][key], single[q][key]), (n, a, b, g, o, q, key)

@@ -1,0 +1,96 @@
+"""The benchmark scripts' calls into spinlock must resolve.
+
+benchmarks/*.py and perfbench/workloads.py import spinlock inside their
+functions, so a renamed or deleted name would otherwise surface only when a
+benchmark runs.  This reads their syntax trees; it runs none of them.
+"""
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = sorted(ROOT.glob("benchmarks/*.py")) + [ROOT / "perfbench" / "workloads.py"]
+MODULE_NAMES = ("dicke", "squeezing", "analytic", "cli")
+
+
+def resolve(dotted: str):
+    """The object at a dotted path below spinlock, importing submodules on the way."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=1):
+        if not hasattr(obj, part):
+            importlib.import_module(".".join(parts[: i + 1]))
+        obj = getattr(obj, part)
+    return obj
+
+
+def dotted_name(node: ast.AST) -> str | None:
+    """The path "a.b.c" of a chain of attributes on a plain name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    return ".".join([node.id, *reversed(parts)])
+
+
+def spinlock_references(tree: ast.AST) -> set[str]:
+    """Dotted spinlock paths that the module's imports and attribute uses name."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "spinlock":
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(a.name for a in node.names if a.name.split(".")[0] == "spinlock")
+        elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            dotted = dotted_name(node)
+            root = dotted.split(".")[0] if dotted else None
+            if root in MODULE_NAMES:
+                names.add(f"spinlock.{dotted}")
+            elif root == "spinlock":
+                names.add(dotted)
+    return names
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_benchmark_references_resolve(script):
+    references = spinlock_references(ast.parse(script.read_text(), str(script)))
+    assert references, "no spinlock reference found: the walker no longer sees the imports"
+    missing = []
+    for dotted in sorted(references):
+        try:
+            resolve(dotted)
+        except (ImportError, AttributeError):
+            missing.append(dotted)
+    assert not missing, f"{script.name} uses names spinlock no longer has: {missing}"
+
+
+def test_walker_flags_a_deleted_name():
+    tree = ast.parse(
+        "def f():\n"
+        "    from spinlock.montecarlo import McConfig, gone_sampler\n"
+        "    from spinlock import dicke\n"
+        "    return dicke.schedule_expectations, dicke.gone_accessor\n"
+    )
+    references = spinlock_references(tree)
+    assert references == {
+        "spinlock.montecarlo.McConfig",
+        "spinlock.montecarlo.gone_sampler",
+        "spinlock.dicke",
+        "spinlock.dicke.schedule_expectations",
+        "spinlock.dicke.gone_accessor",
+    }
+    for dotted, exists in (
+        ("spinlock.montecarlo.McConfig", True),
+        ("spinlock.montecarlo.gone_sampler", False),
+        ("spinlock.dicke.gone_accessor", False),
+    ):
+        try:
+            resolve(dotted)
+            found = True
+        except (ImportError, AttributeError):
+            found = False
+        assert found == exists, dotted

@@ -128,6 +128,19 @@ def test_gyro_only_on_pt_tones(tmp_path, capsys, units, gyro):
     assert same_hash == (gyro == 28)
 
 
+@pytest.mark.parametrize("freq_hz", [0, -2.1])
+def test_slow_drift_frequency_is_checked_before_dividing(tmp_path, capsys, freq_hz):
+    # the tone amplitude is strength / freq_hz: 0 must not escape as a
+    # ZeroDivisionError, nor a negative frequency be reported as a negative
+    # amplitude
+    doc = minimal_contrast(experiment="noise-preview")
+    doc["noise"][2]["freq_hz"] = freq_hz
+    with pytest.raises(ConfigError, match="^freq_hz must be > 0, got "):
+        parse_config(doc)
+    assert run_cli(["noise-preview", "--config", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.startswith("error: freq_hz must be > 0, got ")
+
+
 def test_round_trip_identity():
     docs = [
         minimal_contrast(),
@@ -430,7 +443,7 @@ def test_threads_env_fallback(monkeypatch):
 
 
 def scipy_modules_loaded_by(code):
-    """scipy.linalg / scipy.special as loaded in a fresh interpreter running code."""
+    """Every scipy module loaded in a fresh interpreter running code."""
     import os
     import subprocess
     import sys
@@ -447,7 +460,7 @@ def scipy_modules_loaded_by(code):
     )
     code += (
         "; import sys; "
-        "print(sorted(m for m in ('scipy.linalg', 'scipy.special') if m in sys.modules))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code],
@@ -459,11 +472,24 @@ def scipy_modules_loaded_by(code):
     return result.stdout.strip()
 
 
-def test_cli_import_leaves_scipy_linalg_and_special_unloaded():
+def test_cli_import_leaves_scipy_unloaded():
     assert scipy_modules_loaded_by("import spinlock.cli") == "[]"
 
 
-def test_dicke_path_leaves_scipy_linalg_and_special_unloaded():
+def test_every_subcommand_leaves_scipy_unloaded(tmp_path):
+    # scipy is a test-only dependency: no shipped config may need it
+    config_dir = Path(__file__).resolve().parent.parent / "configs"
+    runs = [
+        [load_config(str(path)).experiment, "--config", str(path),
+         "--samples", "50", "--output", str(tmp_path / f"{path.stem}.csv")]
+        for path in sorted(config_dir.glob("*.json"))
+    ]
+    assert {argv[0] for argv in runs} == set(EXPERIMENTS)
+    code = f"import spinlock.cli; assert all(spinlock.cli.main(a) == 0 for a in {runs!r})"
+    assert scipy_modules_loaded_by(code) == "[]"
+
+
+def test_dicke_path_leaves_scipy_unloaded():
     code = (
         "from spinlock import dicke, squeezing; "
         "dicke.schedule_expectations("

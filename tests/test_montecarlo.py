@@ -41,34 +41,36 @@ def test_curvepoint_rejects_negative_stderr():
         CurvePoint(1.0, 0.5, -1e-3)
 
 
+def _reads(master_seed, point_index, *counts, n_tones):
+    """Consecutive _draw reads of one point's stream, one array per count."""
+    bitgen = mc._stream(master_seed, point_index)
+    return [mc._draw(bitgen, np.empty((count, n_tones))) for count in counts]
+
+
 def test_sampling_is_chunk_stable():
-    full = mc.sample_thetas(12345, 3, 0, 100, 5)
-    split = np.vstack(
-        [
-            mc.sample_thetas(12345, 3, 0, 17, 5),
-            mc.sample_thetas(12345, 3, 17, 33, 5),
-            mc.sample_thetas(12345, 3, 50, 50, 5),
-        ]
-    )
+    # the property _chunk_values relies on: a stream read block by block
+    # gives the draws of one read
+    (full,) = _reads(12345, 3, 100, n_tones=5)
+    split = np.vstack(_reads(12345, 3, 17, 33, 50, n_tones=5))
     assert np.array_equal(full, split)
 
 
 def test_sampling_range_and_independence():
-    draws = mc.sample_thetas(1, 0, 0, 2000, 3)
+    (draws,) = _reads(1, 0, 2000, n_tones=3)
     assert draws.min() >= 0.0
     assert draws.max() < 2 * math.pi
-    other_point = mc.sample_thetas(1, 1, 0, 2000, 3)
+    (other_point,) = _reads(1, 1, 2000, n_tones=3)
     assert not np.array_equal(draws, other_point)
-    other_seed = mc.sample_thetas(2, 0, 0, 2000, 3)
+    (other_seed,) = _reads(2, 0, 2000, n_tones=3)
     assert not np.array_equal(draws, other_seed)
     # n_tones wider than one counter block still chunk-stable
-    wide = mc.sample_thetas(1, 0, 2, 4, 9)
-    bulk = mc.sample_thetas(1, 0, 0, 6, 9)
+    _, wide = _reads(1, 0, 2, 4, n_tones=9)
+    (bulk,) = _reads(1, 0, 6, n_tones=9)
     assert np.array_equal(wide, bulk[2:])
 
 
 def test_sampling_with_zero_tones():
-    draws = mc.sample_thetas(1, 0, 0, 10, 0)
+    (draws,) = _reads(1, 0, 10, n_tones=0)
     assert draws.shape == (10, 0)
 
 
@@ -80,7 +82,7 @@ def test_sampling_matches_shifted_raw_words_bit_for_bit():
         bitgen.advance(start * blocks)
         raw = bitgen.random_raw(257 * blocks * 4).reshape(257, blocks * 4)[:, :n_tones]
         expected = (raw >> np.uint64(11)) * (2 * math.pi * 2.0**-53)
-        draws = mc.sample_thetas(99, 4, start, 257, n_tones)
+        _, draws = _reads(99, 4, start, 257, n_tones=n_tones)
         assert draws.dtype == np.float64 and draws.shape == expected.shape
         assert draws.tobytes() == expected.tobytes()
 
@@ -96,15 +98,19 @@ def two_term_contrast(theta, a, b, beta0, cos_fac, sin_fac, inv_n, sin_gamma, eq
     return np.cos(np.sqrt(radicand) / denominator)
 
 
-def assert_kernel_matches_reference(*args, tol=1e-12):
-    theta = args[0].copy()
-    values = kernels.contrast_values(*args)
+def assert_kernel_matches_reference(theta, a, b, beta0, *fringe, tol=1e-12):
+    """tone_sum then readout, composed through out= as the pipeline runs them,
+    against the two-term reference; returns the values."""
+    before = theta.copy()
+    values = kernels.readout(kernels.tone_sum(theta, a, b), beta0, *fringe)
     out = np.full(theta.shape[0], np.nan)
-    assert kernels.contrast_values(*args, out=out) is out
+    assert kernels.tone_sum(theta, a, b, out=out) is out
+    assert kernels.readout(out, beta0, *fringe, out=out) is out
     assert np.array_equal(out, values)
-    assert np.array_equal(args[0], theta)  # the draws are not touched
+    assert np.array_equal(theta, before)  # the draws are not touched
     assert values.shape == (theta.shape[0],)
-    assert np.abs(values - two_term_contrast(*args)).max() <= tol
+    assert np.abs(values - two_term_contrast(theta, a, b, beta0, *fringe)).max() <= tol
+    return values
 
 
 def test_kernel_matches_two_term_formula_on_ramsey():
@@ -142,8 +148,7 @@ def test_kernel_without_random_tones_or_amplitude():
     ):
         for eq23 in (False, True):
             args = (theta, a, b, 0.4, -0.7, 0.2, 0.02, 0.9, eq23)
-            assert_kernel_matches_reference(*args)
-            values = kernels.contrast_values(*args)
+            values = assert_kernel_matches_reference(*args)
             assert np.all(values == values[0])
 
 
@@ -154,23 +159,23 @@ def _tones(n_random, n_pinned=2):
 
 
 def _one_shot_values(components, schedule, cfg, integrand, point_index):
-    """All of a point's phases drawn at once and passed through one kernel call."""
+    """All of a point's phases drawn in one read, then one tone_sum and readout."""
     from spinlock import analytic
-    from spinlock.lockin import phase_kernel
+    from spinlock.lockin import phase_kernel_grid
 
-    a, b = phase_kernel(components, schedule, True)
+    (a,), (b,) = phase_kernel_grid(components, schedule.n_pulses, [schedule.tau_arm], True)
     beta0, a_free, b_free = mc._split_fixed(components, a, b)
-    theta = mc.sample_thetas(cfg.master_seed, point_index, 0, cfg.samples, a_free.size)
-    return kernels.contrast_values(
-        theta,
-        a_free,
-        b_free,
+    (theta,) = _reads(cfg.master_seed, point_index, cfg.samples, n_tones=a_free.size)
+    tones = kernels.tone_sum(theta, a_free, b_free)
+    return kernels.readout(
+        tones,
         beta0,
         analytic.cos_factor(cfg.alpha, cfg.n_atoms),
         analytic.sin_factor(cfg.alpha, cfg.n_atoms),
         1.0 / cfg.n_atoms,
         math.sin(schedule.n_pulses * math.pi),
         integrand == "eq23",
+        out=tones,
     )
 
 
