@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from typing import Sequence
 
@@ -21,13 +20,7 @@ from . import __version__, analytic, squeezing
 from .config import EXPERIMENTS, RunConfig, load_config
 from .errors import EmptyRangeError, SpinlockError
 from .lockin import LockInSchedule
-from .montecarlo import (
-    INTEGRANDS,
-    McConfig,
-    contrast_curve,
-    measurement_range,
-    sensitivity_curve,
-)
+from .montecarlo import McConfig, contrast_curve, measurement_range, sensitivity_curve
 from .noise import resolve_phases, synth_noise
 
 CSV_COLUMNS = {
@@ -245,32 +238,17 @@ def emit(cfg: RunConfig, rows, extra_comments: Sequence[str]) -> None:
     if cfg.output_path == "-":
         writer(sys.stdout, cfg, rows, extra_comments)
         return
-    with open(cfg.output_path, "w", encoding="utf-8", newline="\n") as handle:
-        writer(handle, cfg, rows, extra_comments)
-
-
-def apply_overrides(cfg: RunConfig, args: argparse.Namespace) -> RunConfig:
-    updates = {}
-    if args.seed is not None:
-        updates["master_seed"] = args.seed
-    if args.samples is not None:
-        updates["samples"] = args.samples
-    if args.no_toggle:
-        updates["toggle"] = False
-    if args.contrast_integrand is not None:
-        updates["integrand"] = args.contrast_integrand
-    if args.output is not None:
-        updates["output_path"] = args.output
-    if not updates:
-        return cfg
-    merged = dataclasses.replace(cfg, **updates)
-    # re-validate the merged document exactly as if it had been loaded
-    from .config import parse_config
-
-    return parse_config(merged.to_dict())
+    # opened only once the rows exist, so a failed run leaves no empty file
+    try:
+        with open(cfg.output_path, "w", encoding="utf-8", newline="\n") as handle:
+            writer(handle, cfg, rows, extra_comments)
+    except OSError as exc:
+        raise SpinlockError(f"cannot write output {cfg.output_path!r}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The config file sets every input of a run; the options only say where
+    its result goes and how many threads compute it."""
     parser = argparse.ArgumentParser(
         prog="spinlock",
         description="Phase-locked collective-spin magnetometry sweeps",
@@ -280,51 +258,17 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=f"run a {name} experiment from a config file")
         cmd.add_argument("--config", required=True, help="JSON config file path")
         cmd.add_argument(
-            "--seed", type=int, default=None, help="override mc.master_seed"
-        )
-        cmd.add_argument(
-            "--samples", type=int, default=None, help="override mc.samples"
+            "--output",
+            default=None,
+            help="output path ('-' for stdout); default the config's output.path",
         )
         cmd.add_argument(
             "--threads",
             type=int,
-            default=None,
-            help="worker threads (speed only, never results); on 2 cores, 2"
-            " threads take 0.9-1.0x the time of 2000-sample sweeps and"
-            " 0.53-0.57x of 1e5-sample points; default SPINLOCK_THREADS or 1",
-        )
-        cmd.add_argument(
-            "--no-toggle",
-            action="store_true",
-            help="disable pi-pulse demodulation: plain integral of the noise",
-        )
-        cmd.add_argument(
-            "--contrast-integrand",
-            choices=INTEGRANDS,
-            default=None,
-            help="fringe integrand: normalized amplitude (ramsey) or"
-            " cos of the phase-resolution formula (eq23)",
-        )
-        cmd.add_argument(
-            "--output", default=None, help="output path ('-' for stdout)"
+            default=1,
+            help="worker threads (speed only, never results); default 1",
         )
     return parser
-
-
-def resolve_threads(flag_value: int | None) -> int:
-    if flag_value is not None:
-        value = flag_value
-    else:
-        env = os.environ.get("SPINLOCK_THREADS", "").strip()
-        if not env:
-            return 1
-        try:
-            value = int(env)
-        except ValueError:
-            raise SpinlockError(f"SPINLOCK_THREADS={env!r} is not an integer")
-    if value < 1:
-        raise SpinlockError(f"thread count must be >= 1, got {value}")
-    return value
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -336,9 +280,14 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"config declares experiment {cfg.experiment!r} but the"
                 f" {args.command!r} subcommand was invoked"
             )
-        cfg = apply_overrides(cfg, args)
-        threads = resolve_threads(args.threads)
-        rows, comments = RUNNERS[cfg.experiment](cfg, threads)
+        if args.output is not None:
+            if not args.output:
+                raise SpinlockError("--output must be a nonempty path or '-'")
+            # the output section is not hashed, so nothing needs re-validating
+            cfg = dataclasses.replace(cfg, output_path=args.output)
+        if args.threads < 1:
+            raise SpinlockError(f"thread count must be >= 1, got {args.threads}")
+        rows, comments = RUNNERS[cfg.experiment](cfg, args.threads)
         emit(cfg, rows, comments)
     except SpinlockError as exc:
         print(f"error: {exc}", file=sys.stderr)

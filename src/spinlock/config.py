@@ -380,8 +380,21 @@ def parse_config(data: Mapping[str, Any]) -> RunConfig:
             if units != "pT":
                 raise ConfigError(f"{section}.gyro_hz_per_nt only applies to pT tones")
             gyro = _as_number(section, "gyro_hz_per_nt", gyro)
+        # checked before any unit conversion, so that an error names the
+        # tone, its config key and the value as written
+        if amplitude < 0:
+            raise ConfigError(f"{section}.amplitude must be >= 0, got {tone['amplitude']!r}")
+        if freq_hz <= 0:
+            raise ConfigError(f"{section}.freq_hz must be > 0, got {tone['freq_hz']!r}")
+        if gyro <= 0:
+            raise ConfigError(
+                f"{section}.gyro_hz_per_nt must be > 0, got {tone['gyro_hz_per_nt']!r}"
+            )
         spec = NoiseSpec(units, amplitude, freq_hz, phase, gyro)
-        spec.build()  # surfaces amplitude/frequency range errors at load time
+        try:
+            spec.build()  # what is left: a converted amplitude that overflows
+        except ConfigError as exc:
+            raise ConfigError(f"{section}: {exc}") from exc
         noise_specs.append(spec)
 
     mc = _as_section("mc", data.get("mc", {}))
@@ -479,6 +492,8 @@ def load_config(path: str) -> RunConfig:
             data = json.load(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path!r} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config {path!r} is not valid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -2,17 +2,22 @@
 
 benchmarks/*.py and perfbench/workloads.py import spinlock inside their
 functions, so a renamed or deleted name would otherwise surface only when a
-benchmark runs.  This reads their syntax trees; it runs none of them.
+benchmark runs.  This reads their syntax trees and the benchmark's configs;
+it runs and imports none of them.
 """
 import ast
 import importlib
+import json
 from pathlib import Path
 
 import pytest
 
+from spinlock import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted(ROOT.glob("benchmarks/*.py")) + [ROOT / "perfbench" / "workloads.py"]
 MODULE_NAMES = ("dicke", "squeezing", "analytic", "cli")
+BENCHMARK_CONFIGS = sorted((ROOT / "perfbench" / "configs").glob("*.json"))
 
 
 def resolve(dotted: str):
@@ -94,3 +99,11 @@ def test_walker_flags_a_deleted_name():
         except (ImportError, AttributeError):
             found = False
         assert found == exists, dotted
+
+
+@pytest.mark.parametrize("config", BENCHMARK_CONFIGS, ids=lambda p: p.name)
+def test_benchmark_argv_parses(config):
+    # the argv shape of perfbench's Workload.run_configs
+    experiment = json.loads(config.read_text())["experiment"]
+    args = cli.build_parser().parse_args([experiment, "--config", str(config), "--threads", "2"])
+    assert (args.command, args.config, args.threads) == (experiment, str(config), 2)

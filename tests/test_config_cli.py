@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -8,7 +9,7 @@ import pytest
 
 from spinlock import cli
 from spinlock.config import EXPERIMENTS, expand_grid, load_config, parse_config
-from spinlock.errors import ConfigError
+from spinlock.errors import ConfigError, SpinlockError
 
 
 def minimal_contrast(**overrides):
@@ -135,10 +136,36 @@ def test_slow_drift_frequency_is_checked_before_dividing(tmp_path, capsys, freq_
     # amplitude
     doc = minimal_contrast(experiment="noise-preview")
     doc["noise"][2]["freq_hz"] = freq_hz
-    with pytest.raises(ConfigError, match="^freq_hz must be > 0, got "):
+    with pytest.raises(ConfigError, match="^noise\\[2\\].freq_hz must be > 0, got "):
         parse_config(doc)
     assert run_cli(["noise-preview", "--config", write_config(tmp_path, doc)]) == 2
-    assert capsys.readouterr().err.startswith("error: freq_hz must be > 0, got ")
+    assert capsys.readouterr().err.startswith("error: noise[2].freq_hz must be > 0, got ")
+
+
+@pytest.mark.parametrize(
+    "tone, message",
+    [
+        ({"units": "pT", "amplitude": -5, "freq_hz": 50}, ".amplitude must be >= 0, got -5"),
+        ({"units": "Hz", "amplitude": -0.5, "freq_hz": 50}, ".amplitude must be >= 0, got -0.5"),
+        ({"units": "Hz2-slow", "amplitude": -40, "freq_hz": 2.1}, ".amplitude must be >= 0, got -40"),
+        ({"units": "pT", "amplitude": 5, "freq_hz": 0}, ".freq_hz must be > 0, got 0"),
+        ({"units": "Hz", "amplitude": 5, "freq_hz": -1.5}, ".freq_hz must be > 0, got -1.5"),
+        (
+            {"units": "pT", "amplitude": 5, "freq_hz": 50, "gyro_hz_per_nt": 0},
+            ".gyro_hz_per_nt must be > 0, got 0",
+        ),
+        # finite inputs whose converted amplitude overflows still name the tone
+        ({"units": "Hz2-slow", "amplitude": 1e300, "freq_hz": 1e-10}, ": amplitude_hz must be >= 0, got inf"),
+    ],
+    ids=["pT-amplitude", "Hz-amplitude", "slow-amplitude", "pT-freq", "Hz-freq", "gyro", "overflow"],
+)
+def test_tone_range_error_names_tone_key_and_configured_value(tmp_path, capsys, tone, message):
+    doc = minimal_contrast()
+    doc["noise"].append(tone)
+    with pytest.raises(ConfigError, match=f"^noise\\[3\\]{re.escape(message)}$"):
+        parse_config(doc)
+    assert run_cli(["contrast", "--config", write_config(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == f"error: noise[3]{message}\n"
 
 
 def test_round_trip_identity():
@@ -184,6 +211,15 @@ def test_config_parse_error_reports_position(tmp_path):
         load_config(str(path))
 
 
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(minimal_contrast()).encode("utf-16-le"))
+    with pytest.raises(ConfigError, match=f"^config {re.escape(repr(str(path)))} is not UTF-8"):
+        load_config(str(path))
+    assert run_cli(["contrast", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config {str(path)!r} is not UTF-8")
+
+
 def run_cli(args):
     return cli.main([str(a) for a in args])
 
@@ -226,26 +262,72 @@ def test_cli_is_thread_count_invariant(tmp_path):
     assert out1.read_bytes() == out8.read_bytes()
 
 
-def test_cli_seed_override_changes_rows(tmp_path):
-    cfg_path = write_config(tmp_path, minimal_contrast())
-    base, reseeded = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run_cli(["contrast", "--config", cfg_path, "--output", base]) == 0
-    assert run_cli(["contrast", "--config", cfg_path, "--output", reseeded, "--seed", 99]) == 0
-    rows_a = read_output(base)[2]
-    rows_b = read_output(reseeded)[2]
+def run_variants(tmp_path, docs):
+    """Each config through the CLI: (rows, echoed config) per run."""
+    results = []
+    for i, doc in enumerate(docs):
+        out = tmp_path / f"run{i}.csv"
+        cfg_path = write_config(tmp_path, doc, name=f"run{i}.json")
+        assert run_cli(["contrast", "--config", cfg_path, "--output", out]) == 0
+        comments, _, rows = read_output(out)
+        config_line = next(c for c in comments if c.startswith("config "))
+        results.append((rows, json.loads(config_line[len("config "):])))
+    return results
+
+
+def test_cli_seed_changes_rows(tmp_path):
+    reseeded = minimal_contrast(mc={"samples": 50, "master_seed": 99})
+    (rows_a, echo_a), (rows_b, echo_b) = run_variants(tmp_path, [minimal_contrast(), reseeded])
     assert rows_a != rows_b
-    # the echoed config reflects the effective seed
-    comments = read_output(reseeded)[0]
-    config_line = next(c for c in comments if c.startswith("config "))
-    assert json.loads(config_line[len("config "):])["mc"]["master_seed"] == 99
+    assert (echo_a["mc"]["master_seed"], echo_b["mc"]["master_seed"]) == (7, 99)
 
 
 def test_cli_no_toggle_flows_through(tmp_path):
+    (rows_on, echo_on), (rows_off, echo_off) = run_variants(
+        tmp_path, [minimal_contrast(), minimal_contrast(toggle=False)]
+    )
+    assert rows_on != rows_off
+    assert (echo_on["toggle"], echo_off["toggle"]) == (True, False)
+
+
+def subcommand_options():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {s for action in cmd._actions for s in action.option_strings}
+        for name, cmd in sub.choices.items()
+    }
+
+
+def test_every_subcommand_takes_only_config_output_and_threads():
+    # the config file sets every input of a run
+    expected = {"-h", "--help", "--config", "--output", "--threads"}
+    assert subcommand_options() == {name: expected for name in EXPERIMENTS}
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_thread_count_below_one_is_an_error(tmp_path, capsys, threads):
     cfg_path = write_config(tmp_path, minimal_contrast())
-    on, off = tmp_path / "on.csv", tmp_path / "off.csv"
-    assert run_cli(["contrast", "--config", cfg_path, "--output", on]) == 0
-    assert run_cli(["contrast", "--config", cfg_path, "--output", off, "--no-toggle"]) == 0
-    assert read_output(on)[2] != read_output(off)[2]
+    assert run_cli(["contrast", "--config", cfg_path, "--threads", threads]) == 2
+    assert capsys.readouterr().err == f"error: thread count must be >= 1, got {threads}\n"
+
+
+def test_unwritable_output_is_an_error_and_leaves_no_file(tmp_path, capsys, monkeypatch):
+    cfg_path = write_config(tmp_path, minimal_contrast())
+    out = tmp_path / "missing" / "out.csv"
+    assert run_cli(["contrast", "--config", cfg_path, "--output", out]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write output {str(out)!r}: ")
+    assert run_cli(["contrast", "--config", cfg_path, "--output", ""]) == 2
+    assert capsys.readouterr().err.startswith("error: --output must be a nonempty path")
+
+    def failing_run(cfg, threads):
+        raise SpinlockError("computation failed")
+
+    # the destination is opened only after the rows exist
+    monkeypatch.setitem(cli.RUNNERS, "contrast", failing_run)
+    out = tmp_path / "never.csv"
+    assert run_cli(["contrast", "--config", cfg_path, "--output", out]) == 2
+    assert not out.exists()
 
 
 def test_cli_rejects_mismatched_subcommand(tmp_path, capsys):
@@ -433,15 +515,6 @@ def test_json_output_format(tmp_path):
     assert parsed["config"]["mc"]["master_seed"] == 7
 
 
-def test_threads_env_fallback(monkeypatch):
-    monkeypatch.setenv("SPINLOCK_THREADS", "3")
-    assert cli.resolve_threads(None) == 3
-    assert cli.resolve_threads(2) == 2
-    monkeypatch.setenv("SPINLOCK_THREADS", "zebra")
-    with pytest.raises(Exception):
-        cli.resolve_threads(None)
-
-
 def scipy_modules_loaded_by(code):
     """Every scipy module loaded in a fresh interpreter running code."""
     import os
@@ -481,7 +554,7 @@ def test_every_subcommand_leaves_scipy_unloaded(tmp_path):
     config_dir = Path(__file__).resolve().parent.parent / "configs"
     runs = [
         [load_config(str(path)).experiment, "--config", str(path),
-         "--samples", "50", "--output", str(tmp_path / f"{path.stem}.csv")]
+         "--output", str(tmp_path / f"{path.stem}.csv")]
         for path in sorted(config_dir.glob("*.json"))
     ]
     assert {argv[0] for argv in runs} == set(EXPERIMENTS)
