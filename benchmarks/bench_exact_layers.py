@@ -1,6 +1,6 @@
 """Wall time and traced peak memory of the exact layers: squeezing, BCH, oracle grids, moments.
 
-    python3 benchmarks/bench_exact_layers.py --label change
+    python3 benchmarks/bench_exact_layers.py --label "$(git rev-parse --short HEAD)"
 
 Measures the checkout this file sits in (its ``src/``), on one BLAS thread.
 It records the best wall time over a few repeats (tracemalloc off) and the
@@ -27,8 +27,9 @@ tracemalloc peak of one more call for:
 
 The rows are printed and stored under ``--label`` in
 ``BENCH_exact_batch.json`` at the repository root, next to the rows of other
-labels already there; to compare two commits, run each checkout's copy of
-this script with its own label and the same ``--output``.
+labels already there. A label is the commit whose program a row measured, so
+a later run never overwrites it; to compare two commits, run each checkout's
+copy of this script with its own commit as label and the same ``--output``.
 """
 from __future__ import annotations
 

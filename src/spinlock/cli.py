@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -246,9 +247,11 @@ def emit(cfg: RunConfig, rows, extra_comments: Sequence[str]) -> None:
         raise SpinlockError(f"cannot write output {cfg.output_path!r}: {exc}") from exc
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The config file sets every input of a run; the options only say where
-    its result goes and how many threads compute it."""
+    its result goes and how many threads compute it.  Built once per process:
+    parsing leaves the parser unchanged, so every run can share it."""
     parser = argparse.ArgumentParser(
         prog="spinlock",
         description="Phase-locked collective-spin magnetometry sweeps",

@@ -6,6 +6,12 @@ traceable to their exact inputs.  Validation is strict: unknown keys are
 errors (with a nearest-key suggestion), grids must be nonempty and
 strictly increasing.  User-facing units are ms / pT / Hz, matching lab
 conventions; conversion to SI happens at run time, never in the config.
+
+Every key is one row of `SCHEMA` (a tone's keys are rows of `TONE`, a grid
+object's of `RANGE`): the field it sets, its default or REQUIRED, and the
+parser of its JSON value.
+`parse_config` and `to_dict` walk the same rows, so a new key is one field
+plus one row, and while it sits at its default no config hash moves.
 """
 from __future__ import annotations
 
@@ -13,8 +19,8 @@ import difflib
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .analytic import ORDERINGS
 from .errors import ConfigError
@@ -31,19 +37,19 @@ EXPERIMENTS = (
 )
 FORMATS = ("csv", "json")
 UNIT_TAGS = ("pT", "Hz", "Hz2-slow")
-DEFAULT_SAMPLES = 2000
-DEFAULT_SEED = 0
-DEFAULT_BCH_GRID = (1e-3, 2e-3, 5e-3, 1e-2)
-DEFAULT_PREVIEW_POINTS = 1001
 GRID_EPS = 1e-9
+REQUIRED = object()  # the default of a key that must be given
+
+
+def _hint(value: Any, options: Sequence[str], cutoff: float = 0.6) -> str:
+    close = difflib.get_close_matches(str(value), options, n=1, cutoff=cutoff)
+    return f"; did you mean {close[0]!r}?" if close else ""
 
 
 def _unknown_keys(section: str, given: Mapping[str, Any], allowed: Sequence[str]):
     for key in given:
         if key not in allowed:
-            close = difflib.get_close_matches(key, allowed, n=1)
-            hint = f"; did you mean {close[0]!r}?" if close else ""
-            raise ConfigError(f"unknown key {key!r} in {section}{hint}")
+            raise ConfigError(f"unknown key {key!r} in {section}{_hint(key, allowed)}")
 
 
 def _as_section(section: str, value: Any) -> Mapping[str, Any]:
@@ -52,16 +58,21 @@ def _as_section(section: str, value: Any) -> Mapping[str, Any]:
     return value
 
 
-def _require(section: str, given: Mapping[str, Any], key: str) -> Any:
-    if key not in given:
-        raise ConfigError(f"missing required key {key!r} in {section}")
-    return given[key]
+def _is_list(value: Any) -> bool:
+    return isinstance(value, Sequence) and not isinstance(value, (str, bytes))
+
+
+# item parsers: (section, key, JSON value) -> field value, or ConfigError
+
+
+def _as_integer(section: str, key: str, value: Any) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
+    return value
 
 
 def _as_positive_int(section: str, key: str, value: Any) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
-    if value < 1:
+    if _as_integer(section, key, value) < 1:
         raise ConfigError(f"{section}.{key} must be >= 1, got {value}")
     return value
 
@@ -74,37 +85,82 @@ def _as_number(section: str, key: str, value: Any) -> float:
     return float(value)
 
 
-def _as_ordering(section: str, key: str, value: Any) -> str:
-    if value not in ORDERINGS:
-        raise ConfigError(
-            f"{section}.{key}: unknown ordering {value!r}, expected one of {ORDERINGS}"
-        )
+def _as_nonnegative(section: str, key: str, value: Any) -> float:
+    number = _as_number(section, key, value)
+    if number < 0:
+        raise ConfigError(f"{section}.{key} must be >= 0, got {number}")
+    return number
+
+
+def _optional(parse: Callable[[str, str, Any], Any]):
+    """A key whose null means unset, as if it were left out."""
+    return lambda section, key, value: None if value is None else parse(section, key, value)
+
+
+def _as_bool(section: str, key: str, value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
     return value
 
 
-# the "compare" section: key -> (default, item parser); RunConfig field is
-# compare_<key>
-COMPARE_SECTION = {
-    "n_atoms": ((1, 2, 3, 4), _as_positive_int),
-    "alphas": ((0.0, 0.1, 0.3), _as_number),
-    "betas": ((0.0, 0.4), _as_number),
-    "gammas": ((0.0, 0.5), _as_number),
-    "orderings": (ORDERINGS, _as_ordering),
-}
+def _one_of(options: Sequence[str], message: str, cutoff: float = 0.6):
+    """A parser for one of options; message names {where}, {value}, {options}, {hint}."""
+
+    def parse(section: str, key: str, value: Any) -> str:
+        if value not in options:
+            where = key if section == "config" else f"{section}.{key}"
+            hint = _hint(value, options, cutoff)
+            raise ConfigError(message.format(where=where, value=value, options=options, hint=hint))
+        return value
+
+    return parse
+
+
+_INVALID = "{where} {value!r} invalid; expected one of {options}"
+_as_experiment = _one_of(EXPERIMENTS, "unknown experiment {value!r}{hint}")
+# cutoff 0.5 lets single-character case slips ("pt") match
+_as_units = _one_of(UNIT_TAGS, "{where} {value!r} invalid, expected one of {options}{hint}", 0.5)
+_as_ordering = _one_of(ORDERINGS, "{where}: unknown ordering {value!r}, expected one of {options}")
+
+
+def _as_path(section: str, key: str, value: Any) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{section}.{key} must be a nonempty string, got {value!r}")
+    return value
+
+
+def _list_of(item: Callable[[str, str, Any], Any]):
+    """A nonempty list, each entry checked by item."""
+
+    def parse(section: str, key: str, value: Any) -> tuple:
+        if not _is_list(value):
+            raise ConfigError(f"{section}.{key} must be a list, got {value!r}")
+        if not value:
+            raise ConfigError(f"{section}.{key} list must be nonempty")
+        return tuple(item(section, f"{key}[{i}]", v) for i, v in enumerate(value))
+
+    return parse
+
+
+def _as_atoms(section: str, key: str, value: Any) -> tuple[int, ...]:
+    if _is_list(value):
+        return _list_of(_as_positive_int)(section, key, value)
+    return (_as_positive_int(section, key, value),)
+
+
+def _as_grid(section: str, key: str, value: Any) -> tuple[float, ...]:
+    return expand_grid(f"{section}.{key}", value)
 
 
 def expand_grid(section: str, spec: Any) -> tuple[float, ...]:
     """A grid is an explicit strictly increasing list, or {start, stop, step}."""
     if isinstance(spec, Mapping):
-        _unknown_keys(section, spec, ("start", "stop", "step"))
-        start = _as_number(section, "start", _require(section, spec, "start"))
-        stop = _as_number(section, "stop", _require(section, spec, "stop"))
-        step = _as_number(section, "step", _require(section, spec, "step"))
+        start, stop, step = _walk(section, spec, RANGE).values()
         if step <= 0 or stop < start:
             raise ConfigError(f"{section}: need step > 0 and stop >= start")
         count = int(math.floor((stop - start) / step + GRID_EPS)) + 1
         values = tuple(start + i * step for i in range(count))
-    elif isinstance(spec, Sequence) and not isinstance(spec, (str, bytes)):
+    elif _is_list(spec):
         values = tuple(_as_number(section, f"[{i}]", v) for i, v in enumerate(spec))
     else:
         raise ConfigError(f"{section} must be a list or a start/stop/step object")
@@ -113,6 +169,179 @@ def expand_grid(section: str, spec: Any) -> tuple[float, ...]:
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ConfigError(f"{section} must be strictly increasing")
     return values
+
+
+def _as_tones(section: str, key: str, value: Any) -> tuple[NoiseSpec, ...]:
+    if not _is_list(value):
+        raise ConfigError("noise must be a list of tone objects")
+    specs = []
+    for i, tone in enumerate(value):
+        where = f"noise[{i}]"
+        tone = _as_section(where, tone)
+        spec = NoiseSpec(**_walk(where, tone, TONE))
+        if "gyro_hz_per_nt" in tone and spec.units != "pT":
+            raise ConfigError(f"{where}.gyro_hz_per_nt only applies to pT tones")
+        # checked before any unit conversion, so that an error names the
+        # tone, its config key and the value as written
+        if spec.amplitude < 0:
+            raise ConfigError(f"{where}.amplitude must be >= 0, got {tone['amplitude']!r}")
+        if spec.freq_hz <= 0:
+            raise ConfigError(f"{where}.freq_hz must be > 0, got {tone['freq_hz']!r}")
+        if spec.gyro_hz_per_nt <= 0:
+            raise ConfigError(
+                f"{where}.gyro_hz_per_nt must be > 0, got {tone['gyro_hz_per_nt']!r}"
+            )
+        try:
+            spec.build()  # what is left: a converted amplitude that overflows
+        except ConfigError as exc:
+            raise ConfigError(f"{where}: {exc}") from exc
+        specs.append(spec)
+    return tuple(specs)
+
+
+def _json(value: Any) -> Any:
+    return list(value) if isinstance(value, tuple) else value
+
+
+class Key(NamedTuple):
+    """One config key: the field it sets, its default (or REQUIRED), the
+    parser of its JSON value, and the JSON form of the field."""
+
+    field: str
+    default: Any
+    parse: Callable[[str, str, Any], Any]
+    emit: Callable[[Any], Any] = _json
+
+
+class Section(NamedTuple):
+    """A config object: its keys, what it reads as when left out (REQUIRED:
+    it must be given), and the one experiment that owns it, if any."""
+
+    keys: Mapping[str, Key]
+    absent: Any = {}
+    owner: str | None = None
+
+
+SCHEMA: dict[str, Key | Section] = {
+    "experiment": Key("experiment", REQUIRED, _as_experiment),
+    "physics": Section(
+        {
+            # one atom number is written bare, even if configured as a list
+            "n_atoms": Key(
+                "n_atoms", REQUIRED, _as_atoms, lambda n: n[0] if len(n) == 1 else list(n)
+            ),
+            "n_photons": Key("n_photons", REQUIRED, _as_positive_int),
+            "g": Key("g", REQUIRED, _as_nonnegative),
+            "tau": Key("tau", REQUIRED, _as_nonnegative),
+            "squeeze_duration": Key("squeeze_duration", REQUIRED, _as_nonnegative),
+            "chi_override": Key("chi_override", None, _optional(_as_nonnegative)),
+        },
+        absent=REQUIRED,
+    ),
+    "lockin": Section(
+        {
+            "n_pulses": Key("n_pulses", REQUIRED, _as_positive_int),
+            "tau_arm_grid_ms": Key("tau_arm_grid_ms", None, _as_grid),
+            "duration_grid_ms": Key("duration_grid_ms", None, _as_grid),
+        },
+        absent={"n_pulses": 7},
+    ),
+    "noise": Key("noise", (), _as_tones, lambda specs: [spec.to_dict() for spec in specs]),
+    "mc": Section(
+        {
+            "samples": Key("samples", 2000, _as_positive_int),
+            "master_seed": Key("master_seed", 0, _as_integer),
+        }
+    ),
+    "toggle": Key("toggle", True, _as_bool),
+    "contrast_integrand": Key("integrand", "ramsey", _one_of(INTEGRANDS, _INVALID)),
+    "threshold": Key("threshold", 0.9, _as_number),
+    "output": Section(
+        {
+            "path": Key("output_path", "-", _as_path),
+            "format": Key("output_format", "csv", _one_of(FORMATS, _INVALID)),
+        }
+    ),
+    "bch": Section(
+        {"g_tau_grid": Key("g_tau_grid", (1e-3, 2e-3, 5e-3, 1e-2), _as_grid)},
+        owner="verify-bch",
+    ),
+    "preview": Section(
+        {"n_points": Key("preview_points", 1001, _as_positive_int)},
+        owner="noise-preview",
+    ),
+    "compare": Section(
+        {
+            "n_atoms": Key("compare_n_atoms", (1, 2, 3, 4), _list_of(_as_positive_int)),
+            "alphas": Key("compare_alphas", (0.0, 0.1, 0.3), _list_of(_as_number)),
+            "betas": Key("compare_betas", (0.0, 0.4), _list_of(_as_number)),
+            "gammas": Key("compare_gammas", (0.0, 0.5), _list_of(_as_number)),
+            "orderings": Key("compare_orderings", ORDERINGS, _list_of(_as_ordering)),
+        },
+        owner="oracle-compare",
+    ),
+}
+
+# the keys of each noise[i] tone, whose fields are NoiseSpec's
+TONE: dict[str, Key] = {
+    "units": Key("units", REQUIRED, _as_units),
+    "amplitude": Key("amplitude", REQUIRED, _as_number),
+    "freq_hz": Key("freq_hz", REQUIRED, _as_number),
+    "phase": Key("phase", None, _optional(_as_number)),
+    "gyro_hz_per_nt": Key("gyro_hz_per_nt", GYRO_HZ_PER_NT, _as_number),
+}
+
+# the keys of a {start, stop, step} grid object
+RANGE: dict[str, Key] = {key: Key(key, REQUIRED, _as_number) for key in ("start", "stop", "step")}
+
+# Keys written even at their defaults (a required key always is).  Every
+# published config-sha256 hashes them, so this list is frozen: any other key,
+# including every key added later, is written only when set away from its
+# default.  A section that one experiment owns writes its listed keys for that
+# experiment, and for another only when one of its keys is away from default.
+ALWAYS_WRITTEN = frozenset({
+    "noise", "mc.samples", "mc.master_seed", "toggle", "contrast_integrand", "threshold",
+    "output.path", "output.format", "bch.g_tau_grid", "preview.n_points",
+    "compare.n_atoms", "compare.alphas", "compare.betas", "compare.gammas", "compare.orderings",
+})
+
+
+def _walk(name: str, given: Mapping[str, Any], table: Mapping[str, Any]) -> dict[str, Any]:
+    """Field values for every row of table: parsed if given, else defaults."""
+    _unknown_keys(name, given, tuple(table))
+    fields: dict[str, Any] = {}
+    for key, entry in table.items():
+        default = entry.absent if isinstance(entry, Section) else entry.default
+        if key not in given and default is REQUIRED:
+            raise ConfigError(f"missing required key {key!r} in {name}")
+        if isinstance(entry, Section):
+            value = _as_section(key, given[key]) if key in given else default
+            fields.update(_walk(key, value, entry.keys))
+        else:
+            fields[entry.field] = entry.parse(name, key, given[key]) if key in given else default
+    return fields
+
+
+def _emit(
+    table: Mapping[str, Any], source: Any, whole: bool = True, prefix: str = ""
+) -> dict[str, Any]:
+    """The JSON form of source's fields: required keys, keys away from their
+    defaults, and (when the section is written whole) ALWAYS_WRITTEN keys."""
+    out: dict[str, Any] = {}
+    for key, entry in table.items():
+        if isinstance(entry, Section):
+            written_whole = entry.owner in (None, source.experiment) or any(
+                getattr(source, row.field) != row.default for row in entry.keys.values()
+            )
+            section = _emit(entry.keys, source, written_whole, f"{key}.")
+            if section:
+                out[key] = section
+            continue
+        value = getattr(source, entry.field)
+        frozen = whole and prefix + key in ALWAYS_WRITTEN
+        if entry.default is REQUIRED or value != entry.default or frozen:
+            out[key] = entry.emit(value)
+    return out
 
 
 @dataclass(frozen=True)
@@ -135,16 +364,7 @@ class NoiseSpec:
         return NoiseComponent.from_slow_drift(self.amplitude, self.freq_hz, self.phase)
 
     def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "units": self.units,
-            "amplitude": self.amplitude,
-            "freq_hz": self.freq_hz,
-        }
-        if self.phase is not None:
-            out["phase"] = self.phase
-        if self.units == "pT" and self.gyro_hz_per_nt != GYRO_HZ_PER_NT:
-            out["gyro_hz_per_nt"] = self.gyro_hz_per_nt
-        return out
+        return _emit(TONE, self, prefix="noise.")
 
 
 @dataclass(frozen=True)
@@ -182,51 +402,17 @@ class RunConfig:
     def alpha(self) -> float:
         return self.chi * self.squeeze_duration
 
+    @property
+    def chi_override(self) -> float | None:
+        """The configured chi, or None when chi follows from g, tau and n_photons."""
+        return self.chi if self.chi_is_override else None
+
     def components(self) -> list[NoiseComponent]:
         return [spec.build() for spec in self.noise]
 
     def to_dict(self) -> dict[str, Any]:
         """Normalized JSON-ready form; load(to_dict()) round-trips exactly."""
-        physics: dict[str, Any] = {
-            "n_atoms": list(self.n_atoms) if len(self.n_atoms) > 1 else self.n_atoms[0],
-            "n_photons": self.n_photons,
-            "g": self.g,
-            "tau": self.tau,
-            "squeeze_duration": self.squeeze_duration,
-        }
-        if self.chi_is_override:
-            physics["chi_override"] = self.chi
-        lockin: dict[str, Any] = {"n_pulses": self.n_pulses}
-        if self.tau_arm_grid_ms is not None:
-            lockin["tau_arm_grid_ms"] = list(self.tau_arm_grid_ms)
-        if self.duration_grid_ms is not None:
-            lockin["duration_grid_ms"] = list(self.duration_grid_ms)
-        out: dict[str, Any] = {
-            "experiment": self.experiment,
-            "physics": physics,
-            "lockin": lockin,
-            "noise": [spec.to_dict() for spec in self.noise],
-            "mc": {"samples": self.samples, "master_seed": self.master_seed},
-            "toggle": self.toggle,
-            "contrast_integrand": self.integrand,
-            "threshold": self.threshold,
-            "output": {"path": self.output_path, "format": self.output_format},
-        }
-        # sections below are emitted whenever they carry information, so
-        # that parse(to_dict()) reproduces every field exactly
-        if self.experiment == "verify-bch" or self.g_tau_grid != DEFAULT_BCH_GRID:
-            out["bch"] = {"g_tau_grid": list(self.g_tau_grid)}
-        if (
-            self.experiment == "noise-preview"
-            or self.preview_points != DEFAULT_PREVIEW_POINTS
-        ):
-            out["preview"] = {"n_points": self.preview_points}
-        compare = {key: getattr(self, f"compare_{key}") for key in COMPARE_SECTION}
-        if self.experiment == "oracle-compare" or any(
-            compare[key] != default for key, (default, _) in COMPARE_SECTION.items()
-        ):
-            out["compare"] = {key: list(values) for key, values in compare.items()}
-        return out
+        return _emit(SCHEMA, self)
 
     def canonical_json(self) -> str:
         """Sorted compact JSON of the computation, used for the provenance
@@ -244,245 +430,52 @@ class RunConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
 
-_TOP_KEYS = (
-    "experiment",
-    "physics",
-    "lockin",
-    "noise",
-    "mc",
-    "toggle",
-    "contrast_integrand",
-    "threshold",
-    "output",
-    "bch",
-    "preview",
-    "compare",
-)
-
-
 def parse_config(data: Mapping[str, Any]) -> RunConfig:
     """Validate a parsed JSON document into a RunConfig with defaults filled."""
     if not isinstance(data, Mapping):
         raise ConfigError(f"config root must be an object, got {type(data).__name__}")
-    _unknown_keys("config", data, _TOP_KEYS)
+    # a null lockin or noise reads as one left out
+    data = {k: v for k, v in data.items() if v is not None or k not in ("lockin", "noise")}
+    fields = _walk("config", data, SCHEMA)
 
-    experiment = _require("config", data, "experiment")
-    if experiment not in EXPERIMENTS:
-        close = difflib.get_close_matches(str(experiment), EXPERIMENTS, n=1)
-        hint = f"; did you mean {close[0]!r}?" if close else ""
-        raise ConfigError(f"unknown experiment {experiment!r}{hint}")
-
-    physics = _as_section("physics", _require("config", data, "physics"))
-    _unknown_keys(
-        "physics",
-        physics,
-        ("n_atoms", "n_photons", "g", "tau", "chi_override", "squeeze_duration"),
-    )
-    raw_atoms = _require("physics", physics, "n_atoms")
-    if isinstance(raw_atoms, Sequence) and not isinstance(raw_atoms, (str, bytes)):
+    # cross-key rules
+    experiment = fields["experiment"]
+    if _is_list(data["physics"]["n_atoms"]):
         if experiment != "sensitivity":
-            raise ConfigError(
-                f"physics.n_atoms must be a single integer for {experiment}"
-            )
-        n_atoms = tuple(
-            _as_positive_int("physics", f"n_atoms[{i}]", v)
-            for i, v in enumerate(raw_atoms)
-        )
-        if not n_atoms:
-            raise ConfigError("physics.n_atoms list must be nonempty")
-        if len(set(n_atoms)) < len(n_atoms):
+            raise ConfigError(f"physics.n_atoms must be a single integer for {experiment}")
+        if len(set(fields["n_atoms"])) < len(fields["n_atoms"]):
             # the curves are keyed by atom number, so a repeat would vanish
             raise ConfigError("physics.n_atoms must not repeat")
-    else:
-        n_atoms = (_as_positive_int("physics", "n_atoms", raw_atoms),)
-    n_photons = _as_positive_int("physics", "n_photons", _require("physics", physics, "n_photons"))
-    g = _as_number("physics", "g", _require("physics", physics, "g"))
-    tau = _as_number("physics", "tau", _require("physics", physics, "tau"))
-    squeeze_duration = _as_number(
-        "physics", "squeeze_duration", _require("physics", physics, "squeeze_duration")
-    )
-    if g < 0 or tau < 0 or squeeze_duration < 0:
-        raise ConfigError("physics.g, physics.tau, physics.squeeze_duration must be >= 0")
-    chi_override = physics.get("chi_override")
-    if chi_override is not None:
-        chi = _as_number("physics", "chi_override", chi_override)
-        if chi < 0:
-            raise ConfigError(f"physics.chi_override must be >= 0, got {chi}")
-        chi_is_override = True
-    else:
-        chi = SqueezeParams.from_g_tau(g, tau, n_photons).chi
-        chi_is_override = False
+    chi = fields.pop("chi_override")
+    fields["chi_is_override"] = chi is not None
+    if chi is None:
+        chi = SqueezeParams.from_g_tau(fields["g"], fields["tau"], fields["n_photons"]).chi
+    fields["chi"] = chi
 
     needs_lockin = experiment in ("contrast", "sensitivity", "noise-preview")
-    lockin = data.get("lockin")
-    n_pulses = 7
-    tau_arm_grid = None
-    duration_grid = None
-    if lockin is None:
-        if needs_lockin:
-            raise ConfigError(f"missing required key 'lockin' for {experiment}")
-    else:
-        lockin = _as_section("lockin", lockin)
-        _unknown_keys(
-            "lockin", lockin, ("n_pulses", "tau_arm_grid_ms", "duration_grid_ms")
-        )
-        n_pulses = _as_positive_int(
-            "lockin", "n_pulses", _require("lockin", lockin, "n_pulses")
-        )
-        if "tau_arm_grid_ms" in lockin:
-            tau_arm_grid = expand_grid(
-                "lockin.tau_arm_grid_ms", lockin["tau_arm_grid_ms"]
-            )
-        if "duration_grid_ms" in lockin:
-            duration_grid = expand_grid(
-                "lockin.duration_grid_ms", lockin["duration_grid_ms"]
-            )
-        if any(v <= 0 for v in (tau_arm_grid or ()) + (duration_grid or ())):
-            raise ConfigError("lockin grids must contain positive times (ms)")
+    if needs_lockin and "lockin" not in data:
+        raise ConfigError(f"missing required key 'lockin' for {experiment}")
+    tau_arm_grid, duration_grid = fields["tau_arm_grid_ms"], fields["duration_grid_ms"]
+    if any(v <= 0 for v in (tau_arm_grid or ()) + (duration_grid or ())):
+        raise ConfigError("lockin grids must contain positive times (ms)")
     if experiment == "contrast" and tau_arm_grid is None:
         raise ConfigError("contrast requires lockin.tau_arm_grid_ms")
     if experiment == "sensitivity" and duration_grid is None:
         raise ConfigError("sensitivity requires lockin.duration_grid_ms")
     if experiment == "noise-preview" and tau_arm_grid is None and duration_grid is None:
-        raise ConfigError(
-            "noise-preview requires a lockin grid to set the window length"
-        )
+        raise ConfigError("noise-preview requires a lockin grid to set the window length")
+    if needs_lockin and "noise" not in data:
+        raise ConfigError(f"missing required key 'noise' for {experiment}")
 
-    noise_specs: list[NoiseSpec] = []
-    raw_noise = data.get("noise")
-    if raw_noise is None:
-        if needs_lockin:
-            raise ConfigError(f"missing required key 'noise' for {experiment}")
-        raw_noise = []
-    if not isinstance(raw_noise, Sequence) or isinstance(raw_noise, (str, bytes)):
-        raise ConfigError("noise must be a list of tone objects")
-    for i, tone in enumerate(raw_noise):
-        section = f"noise[{i}]"
-        tone = _as_section(section, tone)
-        _unknown_keys(
-            section, tone, ("units", "amplitude", "freq_hz", "phase", "gyro_hz_per_nt")
-        )
-        units = _require(section, tone, "units")
-        if units not in UNIT_TAGS:
-            # cutoff 0.5 lets single-character case slips ("pt") match
-            close = difflib.get_close_matches(str(units), UNIT_TAGS, n=1, cutoff=0.5)
-            hint = f"; did you mean {close[0]!r}?" if close else ""
-            raise ConfigError(
-                f"{section}.units {units!r} invalid, expected one of {UNIT_TAGS}{hint}"
-            )
-        amplitude = _as_number(section, "amplitude", _require(section, tone, "amplitude"))
-        freq_hz = _as_number(section, "freq_hz", _require(section, tone, "freq_hz"))
-        phase = tone.get("phase")
-        if phase is not None:
-            phase = _as_number(section, "phase", phase)
-        gyro = tone.get("gyro_hz_per_nt", GYRO_HZ_PER_NT)
-        if "gyro_hz_per_nt" in tone:
-            if units != "pT":
-                raise ConfigError(f"{section}.gyro_hz_per_nt only applies to pT tones")
-            gyro = _as_number(section, "gyro_hz_per_nt", gyro)
-        # checked before any unit conversion, so that an error names the
-        # tone, its config key and the value as written
-        if amplitude < 0:
-            raise ConfigError(f"{section}.amplitude must be >= 0, got {tone['amplitude']!r}")
-        if freq_hz <= 0:
-            raise ConfigError(f"{section}.freq_hz must be > 0, got {tone['freq_hz']!r}")
-        if gyro <= 0:
-            raise ConfigError(
-                f"{section}.gyro_hz_per_nt must be > 0, got {tone['gyro_hz_per_nt']!r}"
-            )
-        spec = NoiseSpec(units, amplitude, freq_hz, phase, gyro)
-        try:
-            spec.build()  # what is left: a converted amplitude that overflows
-        except ConfigError as exc:
-            raise ConfigError(f"{section}: {exc}") from exc
-        noise_specs.append(spec)
-
-    mc = _as_section("mc", data.get("mc", {}))
-    _unknown_keys("mc", mc, ("samples", "master_seed"))
-    samples = _as_positive_int("mc", "samples", mc.get("samples", DEFAULT_SAMPLES))
-    master_seed = mc.get("master_seed", DEFAULT_SEED)
-    if isinstance(master_seed, bool) or not isinstance(master_seed, int):
-        raise ConfigError(f"mc.master_seed must be an integer, got {master_seed!r}")
-    if not 0 <= master_seed < MAX_SEED:
-        raise ConfigError(f"mc.master_seed must be in [0, 2^64), got {master_seed}")
-
-    toggle = data.get("toggle", True)
-    if not isinstance(toggle, bool):
-        raise ConfigError(f"toggle must be true or false, got {toggle!r}")
-    integrand = data.get("contrast_integrand", "ramsey")
-    if integrand not in INTEGRANDS:
-        raise ConfigError(
-            f"contrast_integrand {integrand!r} invalid; expected one of {INTEGRANDS}"
-        )
-    threshold = _as_number("config", "threshold", data.get("threshold", 0.9))
-    if not 0.0 < threshold < 1.0:
-        raise ConfigError(f"threshold must be in (0, 1), got {threshold}")
-
-    bch = _as_section("bch", data.get("bch", {}))
-    _unknown_keys("bch", bch, ("g_tau_grid",))
-    if "g_tau_grid" in bch:
-        g_tau_grid = expand_grid("bch.g_tau_grid", bch["g_tau_grid"])
-        if any(v <= 0 for v in g_tau_grid):
-            raise ConfigError("bch.g_tau_grid must contain positive values")
-    else:
-        g_tau_grid = DEFAULT_BCH_GRID
-
-    preview = _as_section("preview", data.get("preview", {}))
-    _unknown_keys("preview", preview, ("n_points",))
-    preview_points = _as_positive_int(
-        "preview", "n_points", preview.get("n_points", DEFAULT_PREVIEW_POINTS)
-    )
-
-    compare = _as_section("compare", data.get("compare", {}))
-    _unknown_keys("compare", compare, tuple(COMPARE_SECTION))
-    for key, values in compare.items():
-        if not isinstance(values, Sequence) or isinstance(values, (str, bytes)):
-            raise ConfigError(f"compare.{key} must be a list, got {values!r}")
-    compare_fields = {
-        f"compare_{key}": tuple(
-            parse("compare", f"{key}[{i}]", v)
-            for i, v in enumerate(compare.get(key, default))
-        )
-        for key, (default, parse) in COMPARE_SECTION.items()
-    }
-    if any(n > 4 for n in compare_fields["compare_n_atoms"]):
+    if not 0 <= fields["master_seed"] < MAX_SEED:
+        raise ConfigError(f"mc.master_seed must be in [0, 2^64), got {fields['master_seed']}")
+    if not 0.0 < fields["threshold"] < 1.0:
+        raise ConfigError(f"threshold must be in (0, 1), got {fields['threshold']}")
+    if any(v <= 0 for v in fields["g_tau_grid"]):
+        raise ConfigError("bch.g_tau_grid must contain positive values")
+    if any(n > 4 for n in fields["compare_n_atoms"]):
         raise ConfigError("compare.n_atoms limited to <= 4 (full-space oracle bound)")
-
-    output = _as_section("output", data.get("output", {}))
-    _unknown_keys("output", output, ("path", "format"))
-    output_path = output.get("path", "-")
-    if not isinstance(output_path, str) or not output_path:
-        raise ConfigError(f"output.path must be a nonempty string, got {output_path!r}")
-    output_format = output.get("format", "csv")
-    if output_format not in FORMATS:
-        raise ConfigError(
-            f"output.format {output_format!r} invalid; expected one of {FORMATS}"
-        )
-
-    return RunConfig(
-        experiment=experiment,
-        n_atoms=n_atoms,
-        n_photons=n_photons,
-        g=g,
-        tau=tau,
-        chi=chi,
-        chi_is_override=chi_is_override,
-        squeeze_duration=squeeze_duration,
-        n_pulses=n_pulses,
-        tau_arm_grid_ms=tau_arm_grid,
-        duration_grid_ms=duration_grid,
-        noise=tuple(noise_specs),
-        samples=samples,
-        master_seed=master_seed,
-        toggle=toggle,
-        integrand=integrand,
-        threshold=threshold,
-        g_tau_grid=g_tau_grid,
-        preview_points=preview_points,
-        output_path=output_path,
-        output_format=output_format,
-        **compare_fields,
-    )
+    return RunConfig(**fields)
 
 
 def load_config(path: str) -> RunConfig:

@@ -405,6 +405,12 @@ def test_compare_section_validation():
     ):
         with pytest.raises(ConfigError):
             parse_config(minimal_contrast(compare=compare))
+    # an empty list would run no case at all, like an empty grid
+    for key in ("n_atoms", "alphas", "betas", "gammas", "orderings"):
+        for experiment in ("contrast", "oracle-compare"):
+            doc = minimal_contrast(experiment=experiment, compare={key: []})
+            with pytest.raises(ConfigError, match=f"^compare.{key} list must be nonempty$"):
+                parse_config(doc)
 
 
 @pytest.mark.parametrize(
@@ -515,25 +521,20 @@ def test_json_output_format(tmp_path):
     assert parsed["config"]["mc"]["master_seed"] == 7
 
 
-def scipy_modules_loaded_by(code):
-    """Every scipy module loaded in a fresh interpreter running code."""
+def run_fresh_interpreter(code):
+    """Run code in a new interpreter that imports this suite's spinlock; its stdout."""
     import os
     import subprocess
     import sys
 
     import spinlock
 
-    # A fresh interpreter, because this suite has long since imported scipy.
     # The child must import the same spinlock as this suite, however it was
     # put on the path (PYTHONPATH=src, an editable install, another cwd).
     package_root = os.path.dirname(os.path.dirname(spinlock.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (package_root, env.get("PYTHONPATH")) if p
-    )
-    code += (
-        "; import sys; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code],
@@ -543,6 +544,44 @@ def scipy_modules_loaded_by(code):
     )
     assert result.returncode == 0, result.stderr
     return result.stdout.strip()
+
+
+def scipy_modules_loaded_by(code):
+    """Every scipy module loaded in a fresh interpreter running code."""
+    # a fresh interpreter, because this suite has long since imported scipy
+    return run_fresh_interpreter(
+        code + "; import sys; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+
+
+def test_runs_in_one_process_write_what_separate_runs_write(tmp_path):
+    # build_parser is built once per process and shared by every cli.main call
+    physics = {"n_atoms": 4, "n_photons": 4, "g": 1.0, "tau": 1e-2, "squeeze_duration": 0.0}
+    bch = write_config(tmp_path, {"experiment": "verify-bch", "physics": physics}, "bch.json")
+    preview = write_config(
+        tmp_path,
+        {
+            "experiment": "noise-preview",
+            "physics": physics,
+            "lockin": {"n_pulses": 3, "tau_arm_grid_ms": [2.0]},
+            "noise": [{"units": "pT", "amplitude": 5, "freq_hz": 50, "phase": 0.5}],
+            "preview": {"n_points": 21},
+        },
+        "preview.json",
+    )
+    runs = [
+        ("bch.csv", ["verify-bch", "--config", bch, "--threads", "2"]),
+        ("preview.csv", ["noise-preview", "--config", preview]),
+    ]
+    for name, argv in runs:  # one after the other in this process
+        assert run_cli([*argv, "--output", tmp_path / f"one-{name}"]) == 0
+    for name, argv in runs:  # each in a new interpreter
+        argv = [*argv, "--output", str(tmp_path / f"each-{name}")]
+        run_fresh_interpreter(f"import spinlock.cli; assert spinlock.cli.main({argv!r}) == 0")
+    for name, _ in runs:
+        assert (tmp_path / f"one-{name}").read_bytes() == (tmp_path / f"each-{name}").read_bytes()
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_cli_import_leaves_scipy_unloaded():
