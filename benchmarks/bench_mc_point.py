@@ -1,8 +1,13 @@
 """Wall time and traced peak memory of Monte Carlo fringe-contrast points and curves.
 
-    python3 benchmarks/bench_mc_point.py --label change
+    python3 benchmarks/bench_mc_point.py --label "$(git rev-parse --short HEAD)"
 
-Measures the checkout this file sits in (its ``src/``).  For samples in
+Measures the checkout this file sits in (its ``src/``).  It first times the
+kernel's trig on one block of phases (4096 samples x 9 tones, drawn from
+[-pi, 3pi) like theta + phi): ns per element, best of a few calls, of
+``np.sin``, ``np.cos`` and the kernel's ``_sin`` and ``_cos``, next to the
+SIMD extensions numpy found on the host (set ``NPY_DISABLE_CPU_FEATURES`` to
+time a narrower dispatch).  For samples in
 {2e3, 1e5, 2e6}, random tones Q in {3, 9} and both integrands it runs one
 ``fringe_contrast_mc`` call on one thread and records the best wall time
 over a few repeats (tracemalloc off) and the tracemalloc peak of one more
@@ -10,14 +15,16 @@ call.  It then does the same for the two shipped curves: the 301-point
 ``configs/contrast_squeezed.json`` contrast curve and the 3 x 49-point
 ``configs/sensitivity.json`` sensitivity curves, on one thread.  The rows
 are printed and stored under ``--label`` in ``BENCH_mc_stream.json`` at
-the repository root, next to the rows of other labels already there; to
-compare two commits, run each checkout's copy of this script with its own
-label and the same ``--output``.
+the repository root, next to the rows of other labels already there.  A
+label is the commit whose program a row measured, so a later run never
+overwrites it; to compare two commits, run each checkout's copy of this
+script with its own commit as label and the same ``--output``.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -32,6 +39,36 @@ RANDOM_TONES = (3, 9)
 REPEATS = {2_000: 7, 100_000: 5, 2_000_000: 2}
 CURVES = ("contrast_squeezed.json", "sensitivity.json")
 CURVE_REPEATS = 9  # best-of; a curve takes about 0.1 s
+TRIG_SHAPE = (4096, 9)  # one streamed block at 9 random tones
+TRIG_REPEATS = 50  # best-of; a call takes about 1 ms
+
+
+def measure_trig() -> dict:
+    import numpy as np
+    from spinlock import kernels
+
+    x = np.random.default_rng(0).uniform(-math.pi, 3 * math.pi, TRIG_SHAPE)
+    out = np.empty_like(x)
+    ns = {}
+    for name, fn in (
+        ("np.sin", np.sin),
+        ("np.cos", np.cos),
+        ("kernels._sin", kernels._sin),
+        ("kernels._cos", kernels._cos),
+    ):
+        fn(x, out=out)  # first-call set-up
+        walls = []
+        for _ in range(TRIG_REPEATS):
+            start = time.perf_counter()
+            fn(x, out=out)
+            walls.append(time.perf_counter() - start)
+        ns[name] = min(walls) / x.size * 1e9
+    return {
+        "shape": list(TRIG_SHAPE),
+        "repeats": TRIG_REPEATS,
+        "simd_found": np.show_config(mode="dicts")["SIMD Extensions"]["found"],
+        "ns_per_element": ns,
+    }
 
 
 def measure(samples: int, n_tones: int, integrand: str) -> dict:
@@ -131,6 +168,10 @@ def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     import numpy as np
 
+    trig = measure_trig()
+    print(f"ns per element, SIMD found {' '.join(trig['simd_found'])}:")
+    for name, ns in trig["ns_per_element"].items():
+        print(f"{name:>13} {ns:>6.2f}")
     measure(SAMPLES[0], RANDOM_TONES[0], "ramsey")  # first-call set-up stays out of the rows
     rows = []
     print(f"{'samples':>9} {'Q':>2} {'integrand':>9} {'wall_s':>9} {'peak_MB':>9}")
@@ -155,6 +196,7 @@ def main() -> int:
         "host": f"{platform.processor() or platform.machine()}, {os.cpu_count()} cores",
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "trig": trig,
         "points": rows,
         "curves": curves,
     }

@@ -38,6 +38,10 @@ EXPERIMENTS = (
 FORMATS = ("csv", "json")
 UNIT_TAGS = ("pT", "Hz", "Hz2-slow")
 GRID_EPS = 1e-9
+# the most points a {start, stop, step} grid may expand to; the largest
+# shipped grid has 301, and a larger count is a typo that would otherwise
+# build a tuple until memory runs out
+MAX_GRID_POINTS = 1_000_000
 REQUIRED = object()  # the default of a key that must be given
 
 
@@ -158,8 +162,13 @@ def expand_grid(section: str, spec: Any) -> tuple[float, ...]:
         start, stop, step = _walk(section, spec, RANGE).values()
         if step <= 0 or stop < start:
             raise ConfigError(f"{section}: need step > 0 and stop >= start")
-        count = int(math.floor((stop - start) / step + GRID_EPS)) + 1
-        values = tuple(start + i * step for i in range(count))
+        span = (stop - start) / step + GRID_EPS
+        if not span < MAX_GRID_POINTS:  # also catches an infinite span
+            raise ConfigError(
+                f"{section}: {{start, stop, step}} expands to more than "
+                f"{MAX_GRID_POINTS} points"
+            )
+        values = tuple(start + i * step for i in range(math.floor(span) + 1))
     elif _is_list(spec):
         values = tuple(_as_number(section, f"[{i}]", v) for i, v in enumerate(spec))
     else:

@@ -9,10 +9,22 @@ one sine instead of a sine and a cosine:
         R = hypot(c, s),  psi = atan2(s, c),
 
 with c = cos_fac and s = sin_fac (and c sin(beta) + s cos(beta) =
-R sin(beta + psi)).  Per sample that is Q + 1 trig calls for the ramsey
-integrand and Q + 3 for eq23, Q being the number of random tones.  The
-folded form agrees with the two-term expressions to rounding; results are
-byte-reproducible for a given numpy build.
+R sin(beta + psi)).  Per sample that is Q + 1 trig evaluations for the
+ramsey integrand and Q + 3 for eq23, Q being the number of random tones.
+The folded form agrees with the two-term expressions to rounding.
+
+Each sine and cosine but one comes from a single tangent, t = tan(x/2):
+sin x = 2t / (1 + t^2) and cos x = (1 - t^2) / (1 + t^2) (_sin, _cos).
+numpy 2.4 dispatches float64 tan to SIMD loops but sends sin and cos to
+scalar libm: on a 2-core AVX-512 host a block of 4096 x 9 phases takes
+3-5 ns per element through the half-angle forms against 18-26 ns through
+np.sin (benchmarks/bench_mc_point.py).  They agree with np.sin and np.cos
+to 2.22e-16 absolute over random arguments in [-pi, 3pi], [-50, 50] and
+[1e3, 1e8].  So a ramsey sample costs Q + 1 tangents and an eq23
+sample Q + 2 tangents and one np.cos, for eq23's fringe slope.  On a host
+whose numpy dispatches AVX2 at most, tan is no faster than libm and the
+half-angle forms take 7-14% longer than np.sin.  Results are
+byte-reproducible for a given numpy build and SIMD dispatch.
 
 The kernel is two stages.  tone_sum is the random-phase part, the sum of
 r_k sin(theta_k + phi_k) over the Q tones; readout turns it into fringe
@@ -42,7 +54,7 @@ def tone_sum(
     # step the deep_mc benchmark's peak RSS (2 threads) had a median of 85 MB
     # over 5 runs, against 72 MB over 13 runs in place, at the same speed
     shifted = theta + np.arctan2(b, a)[..., None, :]
-    np.sin(shifted, out=shifted)
+    _sin(shifted, out=shifted)
     if out is None:
         out = np.empty(theta.shape[:-1])
     np.matmul(shifted, np.hypot(a, b)[..., None], out=out[..., None])
@@ -74,17 +86,46 @@ def readout(
     phase = np.add(tones, beta0 + math.atan2(sin_fac, cos_fac), out=out)
     amplitude = math.hypot(cos_fac, sin_fac)
     if not eq23:
-        np.cos(phase, out=phase)
+        _cos(phase, out=phase)
         phase *= amplitude / cos_fac
         return phase
-    projection = np.sin(phase)
+    projection = _sin(phase)
     projection *= sin_gamma * amplitude
     radicand = np.square(projection, out=projection)
     np.subtract(inv_n, radicand, out=radicand)
     np.maximum(radicand, 0.0, out=radicand)
     np.sqrt(radicand, out=radicand)
+    # the slope keeps np.cos, which is never exactly 0 for a finite
+    # argument; the half-angle 1 - t^2 is 0 wherever tan rounds to +-1
     np.cos(phase, out=phase)
     phase *= amplitude
     np.divide(radicand, phase, out=phase)
-    return np.cos(phase, out=phase)
+    return _cos(phase, out=phase)
 
+
+def _tan_half(x: np.ndarray, out: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """t = tan(x/2) into out (which may be x; a new array if None), and t^2.
+
+    Every step is elementwise and np.tan's SIMD loops give an element the
+    same bits at any offset, length or stride, so a value does not depend on
+    the block or chunk it is computed in.
+    """
+    t = np.multiply(x, 0.5, out=out)
+    np.tan(t, out=t)
+    return t, np.square(t)
+
+
+def _sin(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sin(x) = 2t / (1 + t^2), t = tan(x/2), into out; t^2 is the one temporary."""
+    t, square = _tan_half(x, out)
+    square += 1.0
+    t *= 2.0
+    return np.divide(t, square, out=t)
+
+
+def _cos(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """cos(x) = (1 - t^2) / (1 + t^2), t = tan(x/2), into out; t^2 is the one temporary."""
+    t, square = _tan_half(x, out)
+    np.subtract(1.0, square, out=t)
+    square += 1.0
+    return np.divide(t, square, out=t)

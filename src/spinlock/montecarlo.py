@@ -184,11 +184,15 @@ def _chunk_values(
         for c, bitgen in enumerate(streams):
             _draw(bitgen, block[c])
         kernels.tone_sum(block, a, b, out=sums[:, start:stop])
-    # free the phases before the readout's and reduction's full-row temporaries
+    # free the phases before the reduction's full-row temporary
     del theta, block
     for j, fringe in enumerate(fringes):
-        out = sums if j == len(fringes) - 1 else None
-        yield kernels.readout(sums, beta0[:, None], *fringe, out=out)
+        values = sums if j == len(fringes) - 1 else np.empty_like(sums)
+        # block by block too, so the readout's temporaries stay block-sized
+        for start in range(0, samples, _BLOCK_SAMPLES):
+            cols = slice(start, start + _BLOCK_SAMPLES)
+            kernels.readout(sums[:, cols], beta0[:, None], *fringe, out=values[:, cols])
+        yield values
 
 
 def _reduce(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from spinlock import cli
-from spinlock.config import EXPERIMENTS, expand_grid, load_config, parse_config
+from spinlock.config import (
+    EXPERIMENTS,
+    MAX_GRID_POINTS,
+    expand_grid,
+    load_config,
+    parse_config,
+)
 from spinlock.errors import ConfigError, SpinlockError
 
 
@@ -86,6 +92,28 @@ def test_grid_expansion():
         expand_grid("grid", [3.0, 2.0])
     with pytest.raises(ConfigError):
         expand_grid("grid", [])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    (
+        {"start": 0, "stop": 1e300, "step": 1e-300},  # the count overflows a float
+        {"start": 1, "stop": 1e15, "step": 1},  # finite, but no memory holds it
+        {"start": 0, "stop": MAX_GRID_POINTS, "step": 1},  # one point past the cap
+    ),
+)
+def test_grid_count_is_bounded_before_expansion(spec):
+    with pytest.raises(ConfigError, match=r"^lockin\.tau_arm_grid_ms: .* more than"):
+        expand_grid("lockin.tau_arm_grid_ms", spec)
+    doc = minimal_contrast()
+    doc["lockin"]["tau_arm_grid_ms"] = spec
+    with pytest.raises(ConfigError, match=r"^lockin\.tau_arm_grid_ms: "):
+        parse_config(doc)
+
+
+def test_grid_at_the_point_cap_expands():
+    spec = {"start": 1, "stop": MAX_GRID_POINTS, "step": 1}
+    assert len(expand_grid("grid", spec)) == MAX_GRID_POINTS
 
 
 def test_atom_list_only_for_sensitivity():

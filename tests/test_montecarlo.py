@@ -152,6 +152,58 @@ def test_kernel_without_random_tones_or_amplitude():
             assert np.all(values == values[0])
 
 
+HALF_ANGLE_TRIG = ((kernels._sin, np.sin), (kernels._cos, np.cos))
+
+
+def _trig_arguments():
+    rng = np.random.default_rng(8)
+    edges = [0.0, -0.0, math.pi / 2, math.pi, 5 * math.pi / 4, 9 * math.pi / 4, 1e8]
+    edges += [np.nextafter(x, math.inf) for x in edges] + [np.nextafter(x, 0) for x in edges]
+    return np.concatenate([
+        edges,
+        np.negative(edges),
+        rng.uniform(-math.pi, 3 * math.pi, 100_000),
+        rng.uniform(-50, 50, 100_000),
+        rng.uniform(1e3, 1e8, 100_000),
+        -rng.uniform(1e3, 1e8, 100_000),
+    ])
+
+
+@pytest.mark.parametrize("half_angle, reference", HALF_ANGLE_TRIG)
+def test_half_angle_trig_matches_numpy(half_angle, reference):
+    x = _trig_arguments()
+    before = x.copy()
+    got = half_angle(x)
+    assert np.array_equal(x, before)
+    assert np.abs(got - reference(x)).max() <= 4.5e-16
+    signed_zeros = half_angle(np.array([0.0, -0.0]))
+    assert np.array_equal(np.signbit(signed_zeros), np.signbit(reference([0.0, -0.0])))
+
+
+@pytest.mark.parametrize("half_angle", (kernels._sin, kernels._cos))
+def test_half_angle_trig_bits_do_not_depend_on_layout(half_angle):
+    # the curve chunks a point's samples and a thread pool schedules the
+    # chunks, so an element's value must not depend on where it sits in an
+    # array: SIMD loops run a vector body and a scalar or masked tail
+    x = _trig_arguments()[:8192]
+    want = half_angle(x)
+    for offset in range(17):
+        for length in (*range(1, 34), 4097):
+            part = x[offset : offset + length]
+            assert np.array_equal(half_angle(part), want[offset : offset + length])
+            out = np.full(length, np.nan)
+            assert half_angle(part, out=out) is out
+            assert np.array_equal(out, want[offset : offset + length])
+            aliased = x.copy()[offset : offset + length]
+            assert half_angle(aliased, out=aliased) is aliased
+            assert np.array_equal(aliased, want[offset : offset + length])
+    for stride in range(2, 8):
+        assert np.array_equal(half_angle(x[::stride]), want[::stride])
+        out = np.full(x.size, np.nan)[::stride]
+        half_angle(x[::stride], out=out)
+        assert np.array_equal(out, want[::stride])
+
+
 def _tones(n_random, n_pinned=2):
     random = [NoiseComponent(3.0 + k, 37.0 + 13.0 * k) for k in range(n_random)]
     pinned = [NoiseComponent(2.0, 60.0 + 7.0 * k, phase=0.4 + k) for k in range(n_pinned)]
