@@ -7,7 +7,9 @@ kernel's trig on one block of phases (4096 samples x 9 tones, drawn from
 [-pi, 3pi) like theta + phi): ns per element, best of a few calls, of
 ``np.sin``, ``np.cos`` and the kernel's ``_sin`` and ``_cos``, next to the
 SIMD extensions numpy found on the host (set ``NPY_DISABLE_CPU_FEATURES`` to
-time a narrower dispatch).  For samples in
+time a narrower dispatch), and ns per tone-sample of ``montecarlo._draw``
+filling one block of 4096 samples x 3 and x 9 tones from a point's stream,
+best of a few hundred calls.  For samples in
 {2e3, 1e5, 2e6}, random tones Q in {3, 9} and both integrands it runs one
 ``fringe_contrast_mc`` call on one thread and records the best wall time
 over a few repeats (tracemalloc off) and the tracemalloc peak of one more
@@ -41,6 +43,8 @@ CURVES = ("contrast_squeezed.json", "sensitivity.json")
 CURVE_REPEATS = 9  # best-of; a curve takes about 0.1 s
 TRIG_SHAPE = (4096, 9)  # one streamed block at 9 random tones
 TRIG_REPEATS = 50  # best-of; a call takes about 1 ms
+DRAW_SHAPES = ((4096, 3), (4096, 9))  # one streamed block at the shipped tone counts
+DRAW_REPEATS = 200  # best-of; a call takes about 0.1 ms
 
 
 def measure_trig() -> dict:
@@ -69,6 +73,24 @@ def measure_trig() -> dict:
         "simd_found": np.show_config(mode="dicts")["SIMD Extensions"]["found"],
         "ns_per_element": ns,
     }
+
+
+def measure_draw() -> dict:
+    import numpy as np
+    from spinlock import montecarlo
+
+    ns = {}
+    for shape in DRAW_SHAPES:
+        stream = montecarlo._stream(7, 0)
+        block = np.empty(shape)
+        montecarlo._draw(stream, block)  # first-call set-up
+        walls = []
+        for _ in range(DRAW_REPEATS):
+            start = time.perf_counter()
+            montecarlo._draw(stream, block)
+            walls.append(time.perf_counter() - start)
+        ns["x".join(map(str, shape))] = min(walls) / block.size * 1e9
+    return {"repeats": DRAW_REPEATS, "ns_per_tone_sample": ns}
 
 
 def measure(samples: int, n_tones: int, integrand: str) -> dict:
@@ -172,6 +194,10 @@ def main() -> int:
     print(f"ns per element, SIMD found {' '.join(trig['simd_found'])}:")
     for name, ns in trig["ns_per_element"].items():
         print(f"{name:>13} {ns:>6.2f}")
+    draw = measure_draw()
+    print("ns per tone-sample of montecarlo._draw:")
+    for shape, ns in draw["ns_per_tone_sample"].items():
+        print(f"{shape:>13} {ns:>6.2f}")
     measure(SAMPLES[0], RANDOM_TONES[0], "ramsey")  # first-call set-up stays out of the rows
     rows = []
     print(f"{'samples':>9} {'Q':>2} {'integrand':>9} {'wall_s':>9} {'peak_MB':>9}")
@@ -197,6 +223,7 @@ def main() -> int:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "trig": trig,
+        "draw": draw,
         "points": rows,
         "curves": curves,
     }

@@ -13,26 +13,33 @@ R sin(beta + psi)).  Per sample that is Q + 1 trig evaluations for the
 ramsey integrand and Q + 3 for eq23, Q being the number of random tones.
 The folded form agrees with the two-term expressions to rounding.
 
-Each sine and cosine but one comes from a single tangent, t = tan(x/2):
-sin x = 2t / (1 + t^2) and cos x = (1 - t^2) / (1 + t^2) (_sin, _cos).
-numpy 2.4 dispatches float64 tan to SIMD loops but sends sin and cos to
-scalar libm: on a 2-core AVX-512 host a block of 4096 x 9 phases takes
-3-5 ns per element through the half-angle forms against 18-26 ns through
-np.sin (benchmarks/bench_mc_point.py).  They agree with np.sin and np.cos
-to 2.22e-16 absolute over random arguments in [-pi, 3pi], [-50, 50] and
-[1e3, 1e8].  So a ramsey sample costs Q + 1 tangents and an eq23
+Each sine and cosine but one comes from a single tangent.  With
+t = tan(h), sin(2h) / 2 = t / (1 + t^2) (_half_sin), so sin x =
+2t / (1 + t^2) and cos x = (1 - t^2) / (1 + t^2) at t = tan(x/2) (_sin,
+_cos).  numpy 2.4 dispatches float64 tan to SIMD loops but sends sin and
+cos to scalar libm: on a 2-core AVX-512 host a block of 4096 x 9 phases
+takes 3-5 ns per element through the half-angle forms against 18-26 ns
+through np.sin (benchmarks/bench_mc_point.py).  They agree with np.sin and
+np.cos to 2.22e-16 absolute over random arguments in [-pi, 3pi], [-50, 50]
+and [1e3, 1e8].  So a ramsey sample costs Q + 1 tangents and an eq23
 sample Q + 2 tangents and one np.cos, for eq23's fringe slope.  On a host
 whose numpy dispatches AVX2 at most, tan is no faster than libm and the
 half-angle forms take 7-14% longer than np.sin.  Results are
 byte-reproducible for a given numpy build and SIMD dispatch.
 
+tone_sum takes half phases theta/2, as the sampler draws them, and adds
+phi_k/2: the tangent's argument is then (theta + phi_k)/2 with no halving
+pass, and the weights 2 r_k carry the sine's factor 2 with no doubling
+pass.  Both are power-of-two rescalings, exact in floating point, so each
+term has the bits of r_k _sin(theta + phi_k).
+
 The kernel is two stages.  tone_sum is the random-phase part, the sum of
 r_k sin(theta_k + phi_k) over the Q tones; readout turns it into fringe
 values for one atom number.  Both take a leading chunk axis, so one call
-serves C points at once: theta (C, S, Q) with a, b of shape (C, Q), and
-an offset broadcastable to (C, S).  Every step is elementwise or one
-matrix-vector product per point, so a point's values carry the same bits
-in a chunk as on their own.
+serves C points at once: half phases (C, S, Q) with a, b of shape (C, Q),
+and an offset broadcastable to (C, S).  Every step is elementwise or a
+per-sample sum over the tones in a fixed order, so a sample's value
+carries the same bits wherever it sits in a block or a chunk.
 """
 from __future__ import annotations
 
@@ -42,23 +49,24 @@ import numpy as np
 
 
 def tone_sum(
-    theta: np.ndarray, a: np.ndarray, b: np.ndarray, *, out: np.ndarray | None = None
+    half_theta: np.ndarray, a: np.ndarray, b: np.ndarray, *, out: np.ndarray | None = None
 ) -> np.ndarray:
     """sin(theta) . a + cos(theta) . b per sample, in amplitude-phase form.
 
-    theta has shape (..., S, Q) and a, b shape (..., Q); the sums, shape
-    (..., S), go into out when given, else into a new array.  theta is not
-    modified.
+    half_theta holds the half phases theta/2, shape (..., S, Q), and a, b
+    have shape (..., Q); the sums, shape (..., S), go into out when given,
+    else into a new array.  half_theta is not modified.
     """
     # every step after this one works in place: with a fresh temporary per
     # step the deep_mc benchmark's peak RSS (2 threads) had a median of 85 MB
     # over 5 runs, against 72 MB over 13 runs in place, at the same speed
-    shifted = theta + np.arctan2(b, a)[..., None, :]
-    _sin(shifted, out=shifted)
-    if out is None:
-        out = np.empty(theta.shape[:-1])
-    np.matmul(shifted, np.hypot(a, b)[..., None], out=out[..., None])
-    return out
+    shifted = half_theta + (0.5 * np.arctan2(b, a))[..., None, :]
+    _half_sin(shifted, out=shifted)
+    # einsum sums each sample's tones in one order wherever the sample sits;
+    # np.matmul would send a one-row block to a dot kernel and others to BLAS
+    # gemv, which groups rows, so a row's bits would depend on where the
+    # block boundaries fall (Q >= 3)
+    return np.einsum("...sq,...q->...s", shifted, 2.0 * np.hypot(a, b), out=out)
 
 
 def readout(
@@ -103,29 +111,33 @@ def readout(
     return _cos(phase, out=phase)
 
 
-def _tan_half(x: np.ndarray, out: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """t = tan(x/2) into out (which may be x; a new array if None), and t^2.
+def _half_sin(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """sin(2h) / 2 = t / (1 + t^2), t = tan(h), into out (which may be h; a
+    new array if None); t^2 is the one temporary.
 
     Every step is elementwise and np.tan's SIMD loops give an element the
     same bits at any offset, length or stride, so a value does not depend on
     the block or chunk it is computed in.
     """
-    t = np.multiply(x, 0.5, out=out)
-    np.tan(t, out=t)
-    return t, np.square(t)
+    t = np.tan(h, out=out)
+    square = np.square(t)
+    square += 1.0
+    return np.divide(t, square, out=t)
 
 
 def _sin(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """sin(x) = 2t / (1 + t^2), t = tan(x/2), into out; t^2 is the one temporary."""
-    t, square = _tan_half(x, out)
-    square += 1.0
-    t *= 2.0
-    return np.divide(t, square, out=t)
+    """sin(x) = 2 t / (1 + t^2), t = tan(x/2), into out."""
+    half = np.multiply(x, 0.5, out=out)
+    _half_sin(half, out=half)
+    half *= 2.0
+    return half
 
 
 def _cos(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """cos(x) = (1 - t^2) / (1 + t^2), t = tan(x/2), into out; t^2 is the one temporary."""
-    t, square = _tan_half(x, out)
+    t = np.multiply(x, 0.5, out=out)
+    np.tan(t, out=t)
+    square = np.square(t)
     np.subtract(1.0, square, out=t)
     square += 1.0
     return np.divide(t, square, out=t)

@@ -2,10 +2,11 @@
 
 Reproducibility contract: every result is a pure function of (config,
 master_seed), independent of worker count, evaluation order, chunking and
-block size.  Tone phases come from counter-based Philox streams keyed by
-(master_seed, point_index); each sample owns a fixed, precomputed slice of
-the counter sequence, so any scheduling of the work reproduces identical
-draws, and each point's reduction sums its own index-ordered row.
+block size.  Each point has its own PCG64 stream keyed by
+(master_seed, point_index), read in order: sample j of a point with Q
+random tones takes the stream's uniforms jQ ... jQ+Q-1, so any scheduling
+of the work reproduces identical draws, and each point's reduction sums
+its own index-ordered row.
 
 A curve is evaluated in chunks of whole points, up to _BLOCK_SAMPLES
 samples per chunk, or one point when a point alone is larger.  The phase
@@ -35,8 +36,6 @@ from .noise import NoiseComponent
 
 INTEGRANDS = ("ramsey", "eq23")
 _TWO_PI = 2.0 * math.pi
-_DOUBLE_SCALE = 2.0**-53
-_RAWS_PER_BLOCK = 4  # Philox-4x64 emits four 64-bit words per counter step
 # samples per streamed block, and per chunk of points: the smallest block at
 # full speed.  For 100,000-sample, 12-tone eq23 points on 2 threads (2-core
 # Xeon, 2 MB L2 per core) 1024 took 14% longer than 4096, while 8192-32768
@@ -94,27 +93,19 @@ class CurvePoint:
             raise ConfigError(f"stderr must be >= 0, got {self.stderr!r}")
 
 
-def _counter_blocks_per_sample(n_tones: int) -> int:
-    return max(1, -(-n_tones // _RAWS_PER_BLOCK))
+def _stream(master_seed: int, point_index: int) -> np.random.Generator:
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence((master_seed, point_index)))
+    )
 
 
-def _stream(master_seed: int, point_index: int) -> np.random.Philox:
-    return np.random.Philox(seed=np.random.SeedSequence((master_seed, point_index)))
-
-
-def _draw(bitgen: np.random.Philox, theta: np.ndarray) -> np.ndarray:
-    """Fill theta, shape (count, n_tones), from bitgen's next count samples."""
-    count, n_tones = theta.shape
-    words = _counter_blocks_per_sample(n_tones) * _RAWS_PER_BLOCK
-    raw = bitgen.random_raw(count * words)
-    # top 53 bits of each word -> double in [0, 1), scaled to [0, 2pi); the
-    # shift runs on the contiguous buffer and words below 2^53 convert
-    # exactly, so this equals (raw >> 11) * (2pi * 2^-53) bit for bit.  Read
-    # as int64 (the same values) they convert about 20% faster than as uint64
-    raw >>= np.uint64(11)
-    shifted = raw.view(np.int64).reshape(count, words)[:, :n_tones]
-    np.multiply(shifted, _TWO_PI * _DOUBLE_SCALE, out=theta)
-    return theta
+def _draw(gen: np.random.Generator, half_theta: np.ndarray) -> np.ndarray:
+    """Fill half_theta, a C-contiguous (count, n_tones) array, with the half
+    phases theta/2 in [0, pi) of gen's next count samples: its next
+    count * n_tones uniforms in order, times pi."""
+    gen.random(out=half_theta)
+    half_theta *= math.pi
+    return half_theta
 
 
 def _split_fixed(
@@ -176,16 +167,16 @@ def _chunk_values(
     """
     beta0, a, b = terms
     sums = np.empty((len(indices), samples))
-    theta = np.empty((len(indices), min(samples, _BLOCK_SAMPLES), a.shape[-1]))
+    half_theta = np.empty((len(indices), min(samples, _BLOCK_SAMPLES), a.shape[-1]))
     streams = [_stream(master_seed, i) for i in indices]
     for start in range(0, samples, _BLOCK_SAMPLES):
         stop = min(start + _BLOCK_SAMPLES, samples)
-        block = theta[:, : stop - start]
-        for c, bitgen in enumerate(streams):
-            _draw(bitgen, block[c])
+        block = half_theta[:, : stop - start]
+        for c, gen in enumerate(streams):
+            _draw(gen, block[c])
         kernels.tone_sum(block, a, b, out=sums[:, start:stop])
-    # free the phases before the reduction's full-row temporary
-    del theta, block
+    # free the phases before the other fringes' rows are allocated
+    del half_theta, block
     for j, fringe in enumerate(fringes):
         values = sums if j == len(fringes) - 1 else np.empty_like(sums)
         # block by block too, so the readout's temporaries stay block-sized
@@ -201,7 +192,8 @@ def _reduce(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     The one row mean serves the estimate and the deviations, in the
     operation order of np.mean and np.std(ddof=1), so both are the same bits
-    as those calls.
+    as those calls.  The reduction owns values: it overwrites them with the
+    squared deviations instead of holding a second (C, S) array.
     """
     samples = values.shape[1]
     estimates = np.add.reduce(values, axis=1) / samples
@@ -210,7 +202,7 @@ def _reduce(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # a constant row (all phases pinned, or no noise at all) has zero
         # spread; the std would report ~1e-16 from the rounding of the mean
         spread = np.ptp(values, axis=1) != 0.0
-        deviations = values - estimates[:, None]
+        deviations = np.subtract(values, estimates[:, None], out=values)
         np.square(deviations, out=deviations)
         std = np.sqrt(np.add.reduce(deviations, axis=1) / (samples - 1))
         stderrs[spread] = std[spread] / math.sqrt(samples)

@@ -56,14 +56,15 @@ def test_sampling_is_chunk_stable():
 
 
 def test_sampling_range_and_independence():
+    # the draws are half phases theta/2
     (draws,) = _reads(1, 0, 2000, n_tones=3)
     assert draws.min() >= 0.0
-    assert draws.max() < 2 * math.pi
+    assert draws.max() < math.pi
     (other_point,) = _reads(1, 1, 2000, n_tones=3)
     assert not np.array_equal(draws, other_point)
     (other_seed,) = _reads(2, 0, 2000, n_tones=3)
     assert not np.array_equal(draws, other_seed)
-    # n_tones wider than one counter block still chunk-stable
+    # chunk-stable at the widest shipped tone count too
     _, wide = _reads(1, 0, 2, 4, n_tones=9)
     (bulk,) = _reads(1, 0, 6, n_tones=9)
     assert np.array_equal(wide, bulk[2:])
@@ -74,14 +75,13 @@ def test_sampling_with_zero_tones():
     assert draws.shape == (10, 0)
 
 
-def test_sampling_matches_shifted_raw_words_bit_for_bit():
-    # the documented draw: top 53 bits of each Philox word times 2pi 2^-53
+def test_sampling_matches_pcg64_uniforms_bit_for_bit():
+    # the documented draw: sample j takes uniforms jQ ... jQ+Q-1 of the
+    # point's PCG64 stream, in order, times pi
     for n_tones, start in ((0, 0), (1, 0), (3, 5), (4, 0), (5, 2), (9, 11)):
-        blocks = max(1, -(-n_tones // 4))
-        bitgen = np.random.Philox(seed=np.random.SeedSequence((99, 4)))
-        bitgen.advance(start * blocks)
-        raw = bitgen.random_raw(257 * blocks * 4).reshape(257, blocks * 4)[:, :n_tones]
-        expected = (raw >> np.uint64(11)) * (2 * math.pi * 2.0**-53)
+        gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((99, 4))))
+        gen.random(start * n_tones)
+        expected = gen.random(257 * n_tones).reshape(257, n_tones) * math.pi
         _, draws = _reads(99, 4, start, 257, n_tones=n_tones)
         assert draws.dtype == np.float64 and draws.shape == expected.shape
         assert draws.tobytes() == expected.tobytes()
@@ -99,15 +99,17 @@ def two_term_contrast(theta, a, b, beta0, cos_fac, sin_fac, inv_n, sin_gamma, eq
 
 
 def assert_kernel_matches_reference(theta, a, b, beta0, *fringe, tol=1e-12):
-    """tone_sum then readout, composed through out= as the pipeline runs them,
-    against the two-term reference; returns the values."""
-    before = theta.copy()
-    values = kernels.readout(kernels.tone_sum(theta, a, b), beta0, *fringe)
+    """tone_sum of the half phases then readout, composed through out= as
+    the pipeline runs them, against the two-term reference; returns the
+    values."""
+    half_theta = theta / 2
+    before = half_theta.copy()
+    values = kernels.readout(kernels.tone_sum(half_theta, a, b), beta0, *fringe)
     out = np.full(theta.shape[0], np.nan)
-    assert kernels.tone_sum(theta, a, b, out=out) is out
+    assert kernels.tone_sum(half_theta, a, b, out=out) is out
     assert kernels.readout(out, beta0, *fringe, out=out) is out
     assert np.array_equal(out, values)
-    assert np.array_equal(theta, before)  # the draws are not touched
+    assert np.array_equal(half_theta, before)  # the draws are not touched
     assert values.shape == (theta.shape[0],)
     assert np.abs(values - two_term_contrast(theta, a, b, beta0, *fringe)).max() <= tol
     return values
@@ -152,6 +154,37 @@ def test_kernel_without_random_tones_or_amplitude():
             assert np.all(values == values[0])
 
 
+def test_half_phase_terms_are_full_phase_sines_bit_for_bit():
+    # tone_sum halves the phase in the draw and doubles the weights instead
+    # of the sine: both are exact power-of-two rescalings
+    rng = np.random.default_rng(11)
+    uniforms = rng.random((20_000, 9))
+    a, b = rng.normal(size=(2, 9))
+    phi, r = np.arctan2(b, a), np.hypot(a, b)
+    full = kernels._sin(uniforms * (2 * math.pi) + phi) * r
+    half = kernels._half_sin(uniforms * math.pi + 0.5 * phi) * (2.0 * r)
+    assert half.tobytes() == full.tobytes()
+
+
+@pytest.mark.parametrize("n_random", (1, 3, 8, 9, 12, 16))
+def test_tone_sum_bits_do_not_depend_on_block_boundaries(n_random):
+    # a point streams its samples through blocks, so a sample's tone sum must
+    # not depend on where the block boundaries fall (np.matmul, whose BLAS
+    # gemv groups rows, fails this at 3 tones and more)
+    samples = 4097
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        half_theta = rng.uniform(0, math.pi, (samples, n_random))
+        a, b = rng.normal(size=(2, n_random))
+        want = kernels.tone_sum(half_theta, a, b)
+        for split in (1, 7, 1001, 4095, 4096):
+            blocks = [
+                kernels.tone_sum(half_theta[lo : lo + split], a, b)
+                for lo in range(0, samples, split)
+            ]
+            assert np.concatenate(blocks).tobytes() == want.tobytes(), (seed, split)
+
+
 HALF_ANGLE_TRIG = ((kernels._sin, np.sin), (kernels._cos, np.cos))
 
 
@@ -180,7 +213,7 @@ def test_half_angle_trig_matches_numpy(half_angle, reference):
     assert np.array_equal(np.signbit(signed_zeros), np.signbit(reference([0.0, -0.0])))
 
 
-@pytest.mark.parametrize("half_angle", (kernels._sin, kernels._cos))
+@pytest.mark.parametrize("half_angle", (kernels._half_sin, kernels._sin, kernels._cos))
 def test_half_angle_trig_bits_do_not_depend_on_layout(half_angle):
     # the curve chunks a point's samples and a thread pool schedules the
     # chunks, so an element's value must not depend on where it sits in an
@@ -259,13 +292,16 @@ def test_point_memory_is_values_plus_one_block(default_mc, integrand):
     cfg = dataclasses.replace(default_mc, samples=samples)
     components = _tones(9, n_pinned=0)
     sched = LockInSchedule(7, 5e-3)
+    mc.fringe_contrast_mc(components, sched, default_mc)  # first-call set-up
     tracemalloc.start()
     try:
         mc.fringe_contrast_mc(components, sched, cfg, integrand=integrand)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * samples + 4 * 2**20
+    # one block: the (4096, 9) phases and the tone sum's two temporaries of
+    # that size (0.84 MiB), plus a few block-sized readout rows
+    assert peak <= 8 * samples + 2**20
 
 
 def test_no_noise_gives_unit_contrast(default_mc):
@@ -544,13 +580,13 @@ def test_reduce_is_numpy_mean_and_std_bit_for_bit():
     for values in (random_rows, constant_rows, rng.normal(size=(4, 2)), np.vstack(
         [random_rows[:, :40], constant_rows]
     )):
-        estimates, stderrs = mc._reduce(values)
+        estimates, stderrs = mc._reduce(values.copy())  # it consumes its input
         samples = values.shape[1]
         assert estimates.tobytes() == np.mean(values, axis=1).tobytes()
         want = np.std(values, axis=1, ddof=1) / math.sqrt(samples)
         want[np.ptp(values, axis=1) == 0.0] = 0.0
         assert stderrs.tobytes() == want.tobytes()
     single = rng.normal(size=(6, 1))
-    estimates, stderrs = mc._reduce(single)
+    estimates, stderrs = mc._reduce(single.copy())
     assert estimates.tobytes() == np.mean(single, axis=1).tobytes()
     assert not stderrs.any()
