@@ -9,13 +9,22 @@ kernel's trig on one block of phases (4096 samples x 9 tones, drawn from
 SIMD extensions numpy found on the host (set ``NPY_DISABLE_CPU_FEATURES`` to
 time a narrower dispatch), and ns per tone-sample of ``montecarlo._draw``
 filling one block of 4096 samples x 3 and x 9 tones from a point's stream,
-best of a few hundred calls.  For samples in
+best of a few hundred calls, and us per ``montecarlo._stream`` set-up (a
+point's SeedSequence and PCG64), best of a few repeats of a few thousand
+points.  For samples in
 {2e3, 1e5, 2e6}, random tones Q in {3, 9} and both integrands it runs one
 ``fringe_contrast_mc`` call on one thread and records the best wall time
 over a few repeats (tracemalloc off) and the tracemalloc peak of one more
 call.  It then does the same for the two shipped curves: the 301-point
 ``configs/contrast_squeezed.json`` contrast curve and the 3 x 49-point
-``configs/sensitivity.json`` sensitivity curves, on one thread.  The rows
+``configs/sensitivity.json`` sensitivity curves, on one thread, and for a
+chunked curve of 64 points of 2000 samples with 3 random tones it records
+the best wall time, ns per tone-sample and the minor page faults
+(``ru_minflt``) of one call after a warm-up.  Last it runs the benchmark's
+``sweep`` pass (``perfbench/workloads.py``: both shipped contrast curves,
+the sensitivity curves and the noise preview through ``spinlock.cli.main``,
+one thread) a few times after a warm-up, and records the median wall time
+and the minor page faults of each pass.  The rows
 are printed and stored under ``--label`` in ``BENCH_mc_stream.json`` at
 the repository root, next to the rows of other labels already there.  A
 label is the commit whose program a row measured, so a later run never
@@ -29,7 +38,10 @@ import json
 import math
 import os
 import platform
+import resource
+import statistics
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -45,6 +57,14 @@ TRIG_SHAPE = (4096, 9)  # one streamed block at 9 random tones
 TRIG_REPEATS = 50  # best-of; a call takes about 1 ms
 DRAW_SHAPES = ((4096, 3), (4096, 9))  # one streamed block at the shipped tone counts
 DRAW_REPEATS = 200  # best-of; a call takes about 0.1 ms
+STREAM_POINTS = 2000  # stream set-ups per repeat; one takes about 10 us
+STREAM_REPEATS = 5  # best-of
+CHUNKED = dict(points=64, samples=2000, random_tones=3)  # 8 chunks of 8 points
+CHUNKED_REPEATS = 15  # best-of; a curve takes about 5 ms
+SWEEP_PASSES = 10  # a pass takes about 0.1 s
+# passes before those: in a fresh process the heap still grows by a few pages
+# in some of the first ten or so passes, at this commit and its parent
+SWEEP_WARMUP = 15
 
 
 def measure_trig() -> dict:
@@ -91,6 +111,83 @@ def measure_draw() -> dict:
             walls.append(time.perf_counter() - start)
         ns["x".join(map(str, shape))] = min(walls) / block.size * 1e9
     return {"repeats": DRAW_REPEATS, "ns_per_tone_sample": ns}
+
+
+def measure_stream() -> dict:
+    from spinlock import montecarlo
+
+    montecarlo._stream(7, 0)  # first-call set-up
+    walls = []
+    for _ in range(STREAM_REPEATS):
+        start = time.perf_counter()
+        for i in range(STREAM_POINTS):
+            montecarlo._stream(7, i)
+        walls.append(time.perf_counter() - start)
+    return {
+        "points": STREAM_POINTS,
+        "repeats": STREAM_REPEATS,
+        "us_per_stream": min(walls) / STREAM_POINTS * 1e6,
+    }
+
+
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def measure_chunked_curve() -> dict:
+    from spinlock.montecarlo import McConfig, contrast_curve
+    from spinlock.noise import NoiseComponent
+
+    tones = [NoiseComponent(3.0 + k, 37.0 + 13.0 * k) for k in range(CHUNKED["random_tones"])]
+    mc = McConfig(
+        samples=CHUNKED["samples"], master_seed=7, n_atoms=50, chi=625.0,
+        squeeze_duration=1.6e-5,
+    )
+    grid = [1e-3 + 8e-5 * i for i in range(CHUNKED["points"])]
+
+    def curve():
+        return contrast_curve(tones, 7, grid, mc)
+
+    curve()  # first-call set-up
+    faults = minor_faults()
+    curve()
+    faults = minor_faults() - faults
+    walls = []
+    for _ in range(CHUNKED_REPEATS):
+        start = time.perf_counter()
+        curve()
+        walls.append(time.perf_counter() - start)
+    tone_samples = CHUNKED["points"] * CHUNKED["samples"] * CHUNKED["random_tones"]
+    return {
+        **CHUNKED,
+        "wall_s": min(walls),
+        "repeats": len(walls),
+        "ns_per_tone_sample": min(walls) / tone_samples * 1e9,
+        "minor_faults": faults,
+    }
+
+
+def measure_sweep_pass() -> dict:
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workloads
+
+    with tempfile.TemporaryDirectory() as run_dir:
+        sweep = workloads.Sweep(Path(run_dir), 7)
+        sweep.build_inputs()
+        for _ in range(SWEEP_WARMUP):  # first calls, and the heap settling
+            sweep.run_pass()
+        walls, faults = [], []
+        for _ in range(SWEEP_PASSES):
+            before = minor_faults()
+            start = time.perf_counter()
+            sweep.run_pass()
+            walls.append(time.perf_counter() - start)
+            faults.append(minor_faults() - before)
+    return {
+        "passes": SWEEP_PASSES,
+        "median_s": statistics.median(walls),
+        "minor_faults_per_pass": faults,
+    }
 
 
 def measure(samples: int, n_tones: int, integrand: str) -> dict:
@@ -198,6 +295,8 @@ def main() -> int:
     print("ns per tone-sample of montecarlo._draw:")
     for shape, ns in draw["ns_per_tone_sample"].items():
         print(f"{shape:>13} {ns:>6.2f}")
+    stream = measure_stream()
+    print(f"us per montecarlo._stream set-up: {stream['us_per_stream']:.2f}")
     measure(SAMPLES[0], RANDOM_TONES[0], "ramsey")  # first-call set-up stays out of the rows
     rows = []
     print(f"{'samples':>9} {'Q':>2} {'integrand':>9} {'wall_s':>9} {'peak_MB':>9}")
@@ -216,6 +315,17 @@ def main() -> int:
         row = measure_curve(config)
         curves.append(row)
         print(f"{config:>24} {row['points']:>6} {row['wall_s']:>9.4f} {row['peak_mb']:>9.2f}")
+    chunked = measure_chunked_curve()
+    print(
+        f"chunked curve, {chunked['points']} x {chunked['samples']} samples: "
+        f"{chunked['wall_s'] * 1e3:.2f} ms, {chunked['ns_per_tone_sample']:.2f} ns per "
+        f"tone-sample, {chunked['minor_faults']} minor faults"
+    )
+    sweep = measure_sweep_pass()
+    print(
+        f"sweep pass: median {sweep['median_s']:.4f} s, minor faults per pass "
+        f"{sweep['minor_faults_per_pass']}"
+    )
     report = json.loads(args.output.read_text()) if args.output.exists() else {}
     report.setdefault("description", __doc__.splitlines()[0])
     report.setdefault("runs", {})[args.label] = {
@@ -224,8 +334,11 @@ def main() -> int:
         "numpy": np.__version__,
         "trig": trig,
         "draw": draw,
+        "stream": stream,
         "points": rows,
         "curves": curves,
+        "chunked_curve": chunked,
+        "sweep_pass": sweep,
     }
     args.output.write_text(json.dumps(report, indent=1) + "\n")
     return 0

@@ -64,7 +64,7 @@ from .squeezing import (
     u4_sequence,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "CollectiveOps",

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import __version__, analytic, squeezing
+from . import __version__, analytic, montecarlo, squeezing
 from .config import EXPERIMENTS, RunConfig, load_config
 from .errors import EmptyRangeError, SpinlockError
 from .lockin import LockInSchedule
@@ -41,10 +41,20 @@ CSV_COLUMNS = {
     ),
     "noise-preview": ("t_s", "noise_hz"),
 }
+# one printf template per row, a conversion per column of CSV_COLUMNS: %.17g
+# for floats (the text of format(x, ".17g")), %d for counts, %s for labels
+ROW_TEMPLATES = {
+    "contrast": "%.17g,%.17g,%.17g,%d,%.17g\n",
+    "sensitivity": "%.17g,%.17g,%.17g,%d\n",
+    "verify-bch": "%.17g,%.17g\n",
+    "oracle-compare": "%d,%.17g,%.17g,%.17g,%s,%s,%.17g,%.17g,%.17g\n",
+    "noise-preview": "%.17g,%.17g\n",
+}
 
 
 def _fmt(value) -> str:
-    if type(value) is float:  # most cells: tested before the isinstance checks
+    """One comment value as text; rows go through ROW_TEMPLATES."""
+    if type(value) is float:  # the common case: tested before the isinstance checks
         return format(value, ".17g")
     if isinstance(value, bool):
         return str(value)
@@ -178,10 +188,8 @@ def run_noise_preview(cfg: RunConfig, threads: int):
         tau_arm = cfg.duration_grid_ms[0] * 1e-3 / (cfg.n_pulses + 1)
     schedule = LockInSchedule(n_pulses=cfg.n_pulses, tau_arm=tau_arm)
     components = cfg.components()
-    rng = np.random.Generator(
-        np.random.Philox(seed=np.random.SeedSequence((cfg.master_seed, 0)))
-    )
-    theta = resolve_phases(components, rng)
+    # the generator of the Monte Carlo's point 0
+    theta = resolve_phases(components, montecarlo._stream(cfg.master_seed, 0))
     times = np.linspace(0.0, schedule.total_duration, cfg.preview_points)
     if components:
         values = synth_noise(components, theta, times)
@@ -216,7 +224,8 @@ def write_csv(stream, cfg: RunConfig, rows, extra_comments: Sequence[str]) -> No
     for line in header_lines(cfg, extra_comments):
         stream.write(f"# {line}\n")
     stream.write(",".join(CSV_COLUMNS[cfg.experiment]) + "\n")
-    stream.write("".join(",".join(map(_fmt, row)) + "\n" for row in rows))
+    template = ROW_TEMPLATES[cfg.experiment]
+    stream.write("".join([template % row for row in rows]))
 
 
 def write_json(stream, cfg: RunConfig, rows, extra_comments: Sequence[str]) -> None:

@@ -27,19 +27,28 @@ whose numpy dispatches AVX2 at most, tan is no faster than libm and the
 half-angle forms take 7-14% longer than np.sin.  Results are
 byte-reproducible for a given numpy build and SIMD dispatch.
 
-tone_sum takes half phases theta/2, as the sampler draws them, and adds
-phi_k/2: the tangent's argument is then (theta + phi_k)/2 with no halving
-pass, and the weights 2 r_k carry the sine's factor 2 with no doubling
-pass.  Both are power-of-two rescalings, exact in floating point, so each
-term has the bits of r_k _sin(theta + phi_k).
+tone_sum drops the tone phases phi_k.  Each random theta_k is uniform on
+the circle and independent of the others, so theta_k + phi_k mod 2 pi is
+uniform too, and sum_k r_k sin(theta_k + phi_k) has the law of
+sum_k r_k sin(theta_k) (the Jacobi-Anger expansion, Abramowitz & Stegun
+9.1.42-45: E[e^{i n beta}] depends on the r_k alone).  Every estimate and
+stderr keeps its distribution; only the weights 2 r_k enter.  tone_sum
+takes half phases theta/2, as the sampler draws them: the tangent's
+argument is then theta/2 with no halving pass, and the weights 2 r_k carry
+the sine's factor 2 with no doubling pass.  Both are power-of-two
+rescalings, exact in floating point, so each term has the bits of
+r_k _sin(theta).
 
 The kernel is two stages.  tone_sum is the random-phase part, the sum of
-r_k sin(theta_k + phi_k) over the Q tones; readout turns it into fringe
-values for one atom number.  Both take a leading chunk axis, so one call
-serves C points at once: half phases (C, S, Q) with a, b of shape (C, Q),
-and an offset broadcastable to (C, S).  Every step is elementwise or a
-per-sample sum over the tones in a fixed order, so a sample's value
-carries the same bits wherever it sits in a block or a chunk.
+r_k sin(theta_k) over the Q tones; readout turns it into fringe values for
+one atom number.  Both take a leading chunk axis, so one call serves C
+points at once: half phases (C, S, Q) with weights of shape (C, Q), and an
+offset broadcastable to (C, S).  Every step is elementwise or a per-sample
+sum over the tones in a fixed order, so a sample's value carries the same
+bits wherever it sits in a block or a chunk.  Given out= and scratch=
+buffers, neither stage allocates an array of the block's size: tone_sum
+takes its tangents in place in the half phases it is given (it consumes
+them), and every t^2 goes into the caller's scratch.
 """
 from __future__ import annotations
 
@@ -49,24 +58,27 @@ import numpy as np
 
 
 def tone_sum(
-    half_theta: np.ndarray, a: np.ndarray, b: np.ndarray, *, out: np.ndarray | None = None
+    half_theta: np.ndarray,
+    weights: np.ndarray,
+    *,
+    out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
-    """sin(theta) . a + cos(theta) . b per sample, in amplitude-phase form.
+    """sum_k r_k sin(theta_k) per sample, from the half phases theta/2.
 
-    half_theta holds the half phases theta/2, shape (..., S, Q), and a, b
-    have shape (..., Q); the sums, shape (..., S), go into out when given,
-    else into a new array.  half_theta is not modified.
+    half_theta has shape (..., S, Q) and weights, the 2 r_k, shape (..., Q);
+    the sums, shape (..., S), go into out when given, else into a new array.
+    half_theta is consumed: it is overwritten with the sin(theta_k) / 2.
+    scratch, when given, holds t^2 and has half_theta's shape.  A sum's last
+    bits depend on the weights' memory layout (np.einsum picks its loop by
+    the operands' strides), so the pipeline keeps them in C order.
     """
-    # every step after this one works in place: with a fresh temporary per
-    # step the deep_mc benchmark's peak RSS (2 threads) had a median of 85 MB
-    # over 5 runs, against 72 MB over 13 runs in place, at the same speed
-    shifted = half_theta + (0.5 * np.arctan2(b, a))[..., None, :]
-    _half_sin(shifted, out=shifted)
+    _half_sin(half_theta, out=half_theta, scratch=scratch)
     # einsum sums each sample's tones in one order wherever the sample sits;
     # np.matmul would send a one-row block to a dot kernel and others to BLAS
     # gemv, which groups rows, so a row's bits would depend on where the
     # block boundaries fall (Q >= 3)
-    return np.einsum("...sq,...q->...s", shifted, 2.0 * np.hypot(a, b), out=out)
+    return np.einsum("...sq,...q->...s", half_theta, weights, out=out)
 
 
 def readout(
@@ -79,6 +91,7 @@ def readout(
     eq23: bool,
     *,
     out: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-sample fringe values at beta = beta0 + tones.
 
@@ -86,18 +99,29 @@ def readout(
     (cos_fac cos(beta) - sin_fac sin(beta)) / cos_fac; in eq23 mode it is
     cos(delta_phi) with the phase-resolution formula evaluated at beta,
     radicand clamped at zero (sin_gamma is ~0 for integer-pi drive, so the
-    clamp only absorbs rounding).  beta0 is a float or an array that
-    broadcasts against tones (one offset per point of a chunk).  The values
-    go into out when given (it may be tones itself), else into a new array.
+    clamp only absorbs rounding).  beta0 is a float, or an array of one
+    offset per row of tones (one per point of a chunk).  The values go into
+    out when given (it may be tones itself), else into a new array.
+    scratch, when given, has shape (2, *tones.shape) and holds the
+    temporaries (ramsey uses scratch[0] only).
     """
+    square, projection = (None, None) if scratch is None else scratch
     # phase = beta + psi, so the readout is a single cosine (and sine)
-    phase = np.add(tones, beta0 + math.atan2(sin_fac, cos_fac), out=out)
+    offset = beta0 + math.atan2(sin_fac, cos_fac)
+    if np.ndim(offset) == 0:
+        phase = np.add(tones, offset, out=out)
+    else:
+        # row by row: a broadcast add has numpy's iterator allocate its
+        # 64 KB buffers on every call
+        phase = np.empty_like(tones) if out is None else out
+        for row, sums, shift in zip(phase, tones, offset.tolist()):
+            np.add(sums, shift, out=row)
     amplitude = math.hypot(cos_fac, sin_fac)
     if not eq23:
-        _cos(phase, out=phase)
+        _cos(phase, out=phase, scratch=square)
         phase *= amplitude / cos_fac
         return phase
-    projection = _sin(phase)
+    projection = _sin(phase, out=projection, scratch=square)
     projection *= sin_gamma * amplitude
     radicand = np.square(projection, out=projection)
     np.subtract(inv_n, radicand, out=radicand)
@@ -108,36 +132,42 @@ def readout(
     np.cos(phase, out=phase)
     phase *= amplitude
     np.divide(radicand, phase, out=phase)
-    return _cos(phase, out=phase)
+    return _cos(phase, out=phase, scratch=square)
 
 
-def _half_sin(h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _half_sin(
+    h: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
     """sin(2h) / 2 = t / (1 + t^2), t = tan(h), into out (which may be h; a
-    new array if None); t^2 is the one temporary.
+    new array if None); t^2 goes into scratch (a new array if None).
 
     Every step is elementwise and np.tan's SIMD loops give an element the
     same bits at any offset, length or stride, so a value does not depend on
     the block or chunk it is computed in.
     """
     t = np.tan(h, out=out)
-    square = np.square(t)
+    square = np.square(t, out=scratch)
     square += 1.0
     return np.divide(t, square, out=t)
 
 
-def _sin(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """sin(x) = 2 t / (1 + t^2), t = tan(x/2), into out."""
+def _sin(
+    x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """sin(x) = 2 t / (1 + t^2), t = tan(x/2), into out; t^2 into scratch."""
     half = np.multiply(x, 0.5, out=out)
-    _half_sin(half, out=half)
+    _half_sin(half, out=half, scratch=scratch)
     half *= 2.0
     return half
 
 
-def _cos(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """cos(x) = (1 - t^2) / (1 + t^2), t = tan(x/2), into out; t^2 is the one temporary."""
+def _cos(
+    x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """cos(x) = (1 - t^2) / (1 + t^2), t = tan(x/2), into out; t^2 into scratch."""
     t = np.multiply(x, 0.5, out=out)
     np.tan(t, out=t)
-    square = np.square(t)
+    square = np.square(t, out=scratch)
     np.subtract(1.0, square, out=t)
     square += 1.0
     return np.divide(t, square, out=t)

@@ -8,20 +8,25 @@ random tones takes the stream's uniforms jQ ... jQ+Q-1, so any scheduling
 of the work reproduces identical draws, and each point's reduction sums
 its own index-ordered row.
 
-A curve is evaluated in chunks of whole points, up to _BLOCK_SAMPLES
+A curve is evaluated in chunks of whole points, up to _CHUNK_SAMPLES
 samples per chunk, or one point when a point alone is larger.  The phase
 kernel runs once for the whole grid; per chunk, each point's phases are
 drawn from its own stream into one (C, S, Q) buffer, and the tone sum,
 the readout and the mean/std reduction each run once over all C points.
-A point larger than a chunk streams through blocks of _BLOCK_SAMPLES
-instead, so it holds 8 bytes per sample plus one block.  Sensitivity
-curves share the draws and tone sums across atom numbers: a duration's
-stream is keyed by its grid index alone, so only the readout runs once
-per atom number.  fringe_contrast_mc evaluates a chunk of one point.
+A point longer than _BLOCK_SAMPLES streams through blocks of that size,
+so it holds 8 bytes per sample plus two blocks, its draws and a scratch.  Each worker reuses one
+_Workspace for all its chunks: the draw buffer (the kernel takes its
+tangents in it), a scratch buffer of the same size and the rows of sums
+and values, so the hot loop allocates nothing in steady state.
+Sensitivity curves share the draws and tone sums across atom numbers: a
+duration's stream is keyed by its grid index alone, so only the readout
+runs once per atom number.  fringe_contrast_mc evaluates a chunk of one
+point.
 """
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -36,10 +41,16 @@ from .noise import NoiseComponent
 
 INTEGRANDS = ("ramsey", "eq23")
 _TWO_PI = 2.0 * math.pi
-# samples per streamed block, and per chunk of points: the smallest block at
-# full speed.  For 100,000-sample, 12-tone eq23 points on 2 threads (2-core
-# Xeon, 2 MB L2 per core) 1024 took 14% longer than 4096, while 8192-32768
-# were within noise of it; a block's buffers are then about 1 MB
+# samples per chunk of short points: numpy calls over 4000-12,000 elements
+# spend much of their time in call overhead, and 16,384 samples (8 points of
+# 2000) run the 2000-sample curves faster than 8192, as fast as 32,768, and
+# with the buffers reused take no page fault
+_CHUNK_SAMPLES = 16384
+# samples per streamed block of a long point: the smallest block at full
+# speed.  For 100,000-sample, 12-tone eq23 points on 2 threads (2-core Xeon,
+# 2 MB L2 per core) 1024 took 14% longer than 4096.  A 16,384-sample block
+# ran the deep_mc benchmark 5-14% faster, but its peak RSS read 45.5 MB
+# against 42.1 MB, so long points keep the smaller block: two constants
 _BLOCK_SAMPLES = 4096
 MAX_SEED = 2**64
 
@@ -110,11 +121,14 @@ def _draw(gen: np.random.Generator, half_theta: np.ndarray) -> np.ndarray:
 
 def _split_fixed(
     components: Sequence[NoiseComponent], a: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fold pinned-phase tones into a constant offset; keep random ones.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fold pinned-phase tones into a constant offset; keep the random
+    ones' weights 2 r_k = 2 hypot(a_k, b_k).
 
     a and b have shape (..., Q), one row per schedule; the offsets have
-    shape (...,) and the random tones' columns shape (..., Q_random).
+    shape (...,) and the weights shape (..., Q_random).  A random tone's
+    phase phi_k = atan2(b_k, a_k) is dropped: theta_k + phi_k is as uniform
+    as theta_k, so no estimate's law depends on it (see kernels).
     """
     beta0 = np.zeros(a.shape[:-1])
     free: list[int] = []
@@ -124,7 +138,11 @@ def _split_fixed(
         else:
             beta0 += a[..., k] * math.sin(comp.phase) + b[..., k] * math.cos(comp.phase)
     idx = np.array(free, dtype=int)
-    return beta0, np.ascontiguousarray(a[..., idx]), np.ascontiguousarray(b[..., idx])
+    # C order, like any one row of it: np.einsum picks its summation loop by
+    # the operands' strides, so a point's tone sum would change its last bits
+    # between a chunk of the grid and a grid of one
+    weights = np.ascontiguousarray(2.0 * np.hypot(a[..., idx], b[..., idx]))
+    return beta0, weights
 
 
 def _fringe(mc: McConfig, integrand: str, n_pulses: int) -> tuple:
@@ -149,40 +167,79 @@ def _fringe(mc: McConfig, integrand: str, n_pulses: int) -> tuple:
     return cos_fac, sin_fac, 1.0 / mc.n_atoms, math.sin(gamma), integrand == "eq23"
 
 
+class _Workspace:
+    """One worker's buffers, reused from block to block and chunk to chunk.
+
+    They serve chunks of up to `points` points of `samples` samples with
+    n_tones random tones: the draws (points, block, n_tones), which the
+    kernel consumes in place; a flat scratch buffer, holding t^2 for the
+    tone sum or the readout's two temporaries; the tone sums; and, for
+    more than one fringe, a row of values per point.  All are views of one
+    allocation: glibc serves a freed block that large again from its heap
+    without trimming it, so a run's later curves take no page faults.
+    """
+
+    def __init__(self, points: int, samples: int, n_tones: int, fringes: int):
+        block = min(samples, _BLOCK_SAMPLES)
+        sizes = [
+            points * block * n_tones,
+            max(n_tones, 2) * points * block,
+            points * samples,
+            points * samples if fringes > 1 else 0,
+        ]
+        draws, self.scratch, sums, values = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
+        self.draws = draws.reshape(points, block, n_tones)
+        self.sums = sums.reshape(points, samples)
+        self.values = values.reshape(points, samples) if fringes > 1 else self.sums
+
+
 def _chunk_values(
     master_seed: int,
     indices: Sequence[int],
     samples: int,
-    terms: tuple[np.ndarray, np.ndarray, np.ndarray],
+    terms: tuple[np.ndarray, np.ndarray],
     fringes: Sequence[tuple],
+    work: _Workspace,
 ):
     """Yield the (C, samples) fringe values of a chunk of C points, once per
-    entry of fringes (one atom number each).
+    entry of fringes (one atom number each), in rows of work.
 
     Point c draws from the stream keyed by indices[c] and has offset
-    beta0[c] and random-tone coefficients a[c], b[c], where
-    (beta0, a, b) = terms.  The draws and the tone sums run once, block by
-    block, over the whole chunk; only the readout runs per fringe, and the
-    last one writes over the tone sums.
+    beta0[c] and random-tone weights[c], where (beta0, weights) = terms.
+    The draws and the tone sums run once, block by block, over the whole
+    chunk; only the readout runs per fringe, and the last one writes over
+    the tone sums.  A yielded array is overwritten by the next one.
     """
-    beta0, a, b = terms
-    sums = np.empty((len(indices), samples))
-    half_theta = np.empty((len(indices), min(samples, _BLOCK_SAMPLES), a.shape[-1]))
+    beta0, weights = terms
+    points = len(indices)
+    draws = work.draws[:points]
+    block = draws.shape[1]
+    tone_scratch = work.scratch[: draws.size].reshape(draws.shape)
+    readout_scratch = work.scratch[: 2 * points * block].reshape(2, points, block)
+    sums = work.sums[:points]
     streams = [_stream(master_seed, i) for i in indices]
-    for start in range(0, samples, _BLOCK_SAMPLES):
-        stop = min(start + _BLOCK_SAMPLES, samples)
-        block = half_theta[:, : stop - start]
+    for start in range(0, samples, block):
+        width = min(block, samples - start)
         for c, gen in enumerate(streams):
-            _draw(gen, block[c])
-        kernels.tone_sum(block, a, b, out=sums[:, start:stop])
-    # free the phases before the other fringes' rows are allocated
-    del half_theta, block
+            _draw(gen, draws[c, :width])
+        kernels.tone_sum(
+            draws[:, :width],
+            weights,
+            out=sums[:, start : start + width],
+            scratch=tone_scratch[:, :width],
+        )
     for j, fringe in enumerate(fringes):
-        values = sums if j == len(fringes) - 1 else np.empty_like(sums)
-        # block by block too, so the readout's temporaries stay block-sized
-        for start in range(0, samples, _BLOCK_SAMPLES):
-            cols = slice(start, start + _BLOCK_SAMPLES)
-            kernels.readout(sums[:, cols], beta0[:, None], *fringe, out=values[:, cols])
+        values = sums if j == len(fringes) - 1 else work.values[:points]
+        for start in range(0, samples, block):
+            width = min(block, samples - start)
+            cols = slice(start, start + width)
+            kernels.readout(
+                sums[:, cols],
+                beta0,
+                *fringe,
+                out=values[:, cols],
+                scratch=readout_scratch[..., :width],
+            )
         yield values
 
 
@@ -202,9 +259,12 @@ def _reduce(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # a constant row (all phases pinned, or no noise at all) has zero
         # spread; the std would report ~1e-16 from the rounding of the mean
         spread = np.ptp(values, axis=1) != 0.0
-        deviations = np.subtract(values, estimates[:, None], out=values)
-        np.square(deviations, out=deviations)
-        std = np.sqrt(np.add.reduce(deviations, axis=1) / (samples - 1))
+        # row by row, like readout's offsets: a broadcast subtract has
+        # numpy's iterator allocate 64 KB of buffers on every call
+        for row, mean in zip(values, estimates.tolist()):
+            np.subtract(row, mean, out=row)
+        np.square(values, out=values)
+        std = np.sqrt(np.add.reduce(values, axis=1) / (samples - 1))
         stderrs[spread] = std[spread] / math.sqrt(samples)
     return estimates, stderrs
 
@@ -220,8 +280,10 @@ def _point_values(
     """One point's per-sample fringe values: a chunk of one."""
     fringe = _fringe(mc, integrand, schedule.n_pulses)
     a, b = phase_kernel_grid(components, schedule.n_pulses, [schedule.tau_arm], toggle)
-    terms = _split_fixed(components, a, b)
-    return next(_chunk_values(mc.master_seed, [point_index], mc.samples, terms, [fringe]))[0]
+    beta0, weights = _split_fixed(components, a, b)
+    work = _Workspace(1, mc.samples, weights.shape[-1], 1)
+    terms = (beta0, weights)
+    return next(_chunk_values(mc.master_seed, [point_index], mc.samples, terms, [fringe], work))[0]
 
 
 def _run_indexed(tasks, threads: int):
@@ -251,24 +313,29 @@ def _evaluate(
     times, for each McConfig of mcs (they differ only in n_atoms).
 
     Point p draws from the stream keyed by point_index=p.  The grid goes in
-    chunks of whole points, up to _BLOCK_SAMPLES samples per chunk or one
-    point; the chunks are the thread pool's tasks.
+    chunks of whole points, up to _CHUNK_SAMPLES samples per chunk or one
+    point; the chunks are the thread pool's tasks, and each thread keeps
+    one workspace for all the chunks it runs.
     """
     fringes = [_fringe(mc, integrand, n_pulses) for mc in mcs]
     a, b = phase_kernel_grid(components, n_pulses, tau_arms, toggle)
     terms = _split_fixed(components, a, b)
     samples, master_seed = mcs[0].samples, mcs[0].master_seed
-    per_chunk = max(1, _BLOCK_SAMPLES // samples)
+    per_chunk = max(1, _CHUNK_SAMPLES // samples)
+    points = len(tau_arms)
+    local = threading.local()
 
     def make_task(lo: int, hi: int):
         def task():
+            if not hasattr(local, "work"):
+                n_tones = terms[1].shape[-1]
+                local.work = _Workspace(min(per_chunk, points), samples, n_tones, len(fringes))
             chunk = tuple(t[lo:hi] for t in terms)
-            values = _chunk_values(master_seed, range(lo, hi), samples, chunk, fringes)
+            values = _chunk_values(master_seed, range(lo, hi), samples, chunk, fringes, local.work)
             return [_reduce(v) for v in values]
 
         return task
 
-    points = len(tau_arms)
     tasks = [
         make_task(lo, min(lo + per_chunk, points)) for lo in range(0, points, per_chunk)
     ]

@@ -537,6 +537,30 @@ def test_noise_preview_cli_zero_noise(tmp_path):
     assert all(float(r.split(",")[1]) == 0.0 for r in rows)
 
 
+def test_noise_preview_phases_come_from_point_zero_stream():
+    # one bit generator: a random tone's preview phase is the next uniform of
+    # the Monte Carlo's point-0 PCG64 stream, times 2 pi; a pinned one keeps
+    # its phase and draws nothing
+    doc = minimal_contrast(experiment="noise-preview")
+    doc["mc"] = {"master_seed": 77}
+    doc["noise"] = [
+        {"units": "Hz", "amplitude": 3.0, "freq_hz": 50.0},
+        {"units": "Hz", "amplitude": 2.0, "freq_hz": 70.0, "phase": 0.4},
+        {"units": "Hz", "amplitude": 1.0, "freq_hz": 110.0},
+    ]
+    doc["preview"] = {"n_points": 9}
+    cfg = parse_config(doc)
+    rows, _ = cli.run_noise_preview(cfg, 1)
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence((77, 0))))
+    theta = [gen.uniform(0.0, 2.0 * np.pi), 0.4, gen.uniform(0.0, 2.0 * np.pi)]
+    times = np.array([t for t, _ in rows])
+    want = sum(
+        tone.amplitude_hz * np.cos(phase + 2.0 * np.pi * tone.freq_hz * times)
+        for tone, phase in zip(cfg.components(), theta)
+    )
+    assert [v for _, v in rows] == want.tolist()
+
+
 def test_json_output_format(tmp_path):
     doc = minimal_contrast()
     doc["output"] = {"path": "-", "format": "json"}
@@ -664,3 +688,31 @@ def test_csv_cells_keep_their_text():
     ]
     for value in values:
         assert cli._fmt(value) == old_fmt(value), repr(value)
+
+
+def test_row_templates_give_each_cell_its_text():
+    # a row is one printf call; each conversion must give the text the cell
+    # formatter gives, on every shipped config's rows and on edge values
+    edge = {
+        "%.17g": (0.1, 1 / 3, 1e300, 5e-324, -0.0, 7.0, math.nan, math.inf, -math.inf,
+                  np.float64(2.5), np.float64(-0.0), np.float64(math.nan)),
+        "%d": (0, 7, 10_000, np.int64(3)),
+        "%s": ("single", "reversed", "dphi"),
+    }
+    config_dir = Path(__file__).resolve().parent.parent / "configs"
+    seen = set()
+    for path in sorted(config_dir.glob("*.json")):
+        cfg = load_config(str(path))
+        rows, _ = cli.RUNNERS[cfg.experiment](cfg, 1)
+        template = cli.ROW_TEMPLATES[cfg.experiment]
+        conversions = template.rstrip("\n").split(",")
+        assert len(conversions) == len(cli.CSV_COLUMNS[cfg.experiment])
+        assert rows
+        for row in rows:
+            assert template % row == ",".join(map(old_fmt, row)) + "\n", row
+        for column, conversion in enumerate(conversions):
+            for value in edge[conversion]:
+                row = rows[0][:column] + (value,) + rows[0][column + 1 :]
+                assert template % row == ",".join(map(old_fmt, row)) + "\n", row
+        seen.add(cfg.experiment)
+    assert seen == set(cli.ROW_TEMPLATES) == set(cli.CSV_COLUMNS)

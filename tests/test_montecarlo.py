@@ -99,19 +99,28 @@ def two_term_contrast(theta, a, b, beta0, cos_fac, sin_fac, inv_n, sin_gamma, eq
 
 
 def assert_kernel_matches_reference(theta, a, b, beta0, *fringe, tol=1e-12):
-    """tone_sum of the half phases then readout, composed through out= as
-    the pipeline runs them, against the two-term reference; returns the
-    values."""
+    """tone_sum of the half phases then readout, composed through out= and
+    scratch= as the pipeline runs them, against the two-term reference;
+    returns the values.
+
+    The kernel drops the tone phases phi_k = atan2(b_k, a_k): at phases
+    theta it gives the two-term values at theta - phi, since
+    a_k sin(theta - phi_k) + b_k cos(theta - phi_k) = r_k sin(theta).
+    """
+    weights = 2.0 * np.hypot(a, b)
     half_theta = theta / 2
-    before = half_theta.copy()
-    values = kernels.readout(kernels.tone_sum(half_theta, a, b), beta0, *fringe)
+    values = kernels.readout(kernels.tone_sum(half_theta.copy(), weights), beta0, *fringe)
     out = np.full(theta.shape[0], np.nan)
-    assert kernels.tone_sum(half_theta, a, b, out=out) is out
-    assert kernels.readout(out, beta0, *fringe, out=out) is out
+    consumed = half_theta.copy()
+    scratch = np.full(theta.shape, np.nan)
+    assert kernels.tone_sum(consumed, weights, out=out, scratch=scratch) is out
+    assert kernels.readout(
+        out, beta0, *fringe, out=out, scratch=np.full((2, *out.shape), np.nan)
+    ) is out
     assert np.array_equal(out, values)
-    assert np.array_equal(half_theta, before)  # the draws are not touched
     assert values.shape == (theta.shape[0],)
-    assert np.abs(values - two_term_contrast(theta, a, b, beta0, *fringe)).max() <= tol
+    shifted = theta - np.arctan2(b, a)
+    assert np.abs(values - two_term_contrast(shifted, a, b, beta0, *fringe)).max() <= tol
     return values
 
 
@@ -175,14 +184,57 @@ def test_tone_sum_bits_do_not_depend_on_block_boundaries(n_random):
     for seed in range(8):
         rng = np.random.default_rng(seed)
         half_theta = rng.uniform(0, math.pi, (samples, n_random))
-        a, b = rng.normal(size=(2, n_random))
-        want = kernels.tone_sum(half_theta, a, b)
+        weights = 2.0 * np.hypot(*rng.normal(size=(2, n_random)))
+        # tone_sum consumes its half phases, so every call gets a copy
+        want = kernels.tone_sum(half_theta.copy(), weights)
         for split in (1, 7, 1001, 4095, 4096):
             blocks = [
-                kernels.tone_sum(half_theta[lo : lo + split], a, b)
+                kernels.tone_sum(half_theta[lo : lo + split].copy(), weights)
                 for lo in range(0, samples, split)
             ]
             assert np.concatenate(blocks).tobytes() == want.tobytes(), (seed, split)
+
+
+@pytest.mark.parametrize("eq23", (False, True))
+@pytest.mark.parametrize("points, samples, n_random", ((8, 2000, 3), (1, 4096, 9), (3, 700, 1)))
+def test_hot_loop_allocates_nothing_with_caller_buffers(eq23, points, samples, n_random):
+    # the hot loop's steady state: tone_sum takes its tangents in the draws
+    # and t^2 in the scratch, readout its temporaries in the scratch, and
+    # the reduction works in the values
+    rng = np.random.default_rng(21)
+    draws = rng.uniform(0, math.pi, (points, samples, n_random))
+    weights = 2.0 * np.hypot(*rng.normal(size=(2, points, n_random)))
+    beta0 = rng.normal(size=points)
+    fringe = (-0.7, 0.2, 0.02, 0.9, eq23)
+    sums = np.empty((points, samples))
+    scratch = np.empty(max(n_random, 2) * points * samples)
+    tone_scratch = scratch[: draws.size].reshape(draws.shape)
+    readout_scratch = scratch[: 2 * sums.size].reshape(2, *sums.shape)
+    block = draws.nbytes
+
+    def peak(run):
+        half_theta = draws.copy()
+        run(half_theta)  # first-call set-up
+        half_theta = draws.copy()
+        tracemalloc.start()
+        try:
+            run(half_theta)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def with_buffers(half_theta):
+        kernels.tone_sum(half_theta, weights, out=sums, scratch=tone_scratch)
+        kernels.readout(sums, beta0, *fringe, out=sums, scratch=readout_scratch)
+        mc._reduce(sums)
+
+    def without(half_theta):
+        kernels.readout(kernels.tone_sum(half_theta, weights), beta0, *fringe)
+
+    assert peak(with_buffers) <= 4096
+    # the same calls without the buffers allocate what the buffers hold, so
+    # the trace sees numpy's arrays
+    assert peak(without) >= min(block, sums.nbytes)
 
 
 HALF_ANGLE_TRIG = ((kernels._sin, np.sin), (kernels._cos, np.cos))
@@ -249,9 +301,9 @@ def _one_shot_values(components, schedule, cfg, integrand, point_index):
     from spinlock.lockin import phase_kernel_grid
 
     (a,), (b,) = phase_kernel_grid(components, schedule.n_pulses, [schedule.tau_arm], True)
-    beta0, a_free, b_free = mc._split_fixed(components, a, b)
-    (theta,) = _reads(cfg.master_seed, point_index, cfg.samples, n_tones=a_free.size)
-    tones = kernels.tone_sum(theta, a_free, b_free)
+    beta0, weights = mc._split_fixed(components, a, b)
+    (theta,) = _reads(cfg.master_seed, point_index, cfg.samples, n_tones=weights.size)
+    tones = kernels.tone_sum(theta, weights)
     return kernels.readout(
         tones,
         beta0,
@@ -299,8 +351,8 @@ def test_point_memory_is_values_plus_one_block(default_mc, integrand):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one block: the (4096, 9) phases and the tone sum's two temporaries of
-    # that size (0.84 MiB), plus a few block-sized readout rows
+    # one block: the (4096, 9) phases and the scratch of that size
+    # (0.56 MiB), which also holds the readout's temporaries
     assert peak <= 8 * samples + 2**20
 
 
@@ -491,8 +543,9 @@ def test_sensitivity_atom_scaling(three_tone_noise, default_mc):
 
 
 def _chunk_sample_counts():
-    # with the 7-point grids below a curve never fills its last chunk
-    # (4096, 3 or 1 points per chunk)
+    # with the 7-point grids below a curve never fills its last chunk (16384,
+    # 12, 4, 3 or 1 points per chunk), and at 4097 samples a chunk of 3
+    # points streams a last block of one sample
     block = mc._BLOCK_SAMPLES
     return (1, block // 3, block - 1, block, block + 1, 2 * block + 17)
 
@@ -545,6 +598,71 @@ def test_sensitivity_curve_chunks_never_change_a_bit(default_mc, integrand, n_ra
             )
             assert list(curves) == list(atoms)
             assert curves == want, (samples, threads)
+
+
+@pytest.mark.parametrize("integrand", mc.INTEGRANDS)
+def test_curve_straddling_a_chunk_boundary_equals_its_points(default_mc, integrand):
+    # 9 points of 2000 samples fill one 8-point chunk and start another
+    samples = 2000
+    per_chunk = mc._CHUNK_SAMPLES // samples
+    cfg = dataclasses.replace(default_mc, samples=samples)
+    components = _tones(3)
+    grid = [1e-3 + 8e-5 * i for i in range(per_chunk + 1)]
+    points = [
+        mc.fringe_contrast_mc(
+            components, LockInSchedule(7, tau), cfg, integrand=integrand,
+            point_index=i, x_value=tau * 1e3,
+        )
+        for i, tau in enumerate(grid)
+    ]
+    atoms = (50, 300)
+    durations = [8 * tau for tau in grid]
+    want = {
+        n: [
+            mc.sensitivity_point(
+                mc.fringe_contrast_mc(
+                    components, LockInSchedule(7, t / 8), mc_n, integrand=integrand,
+                    point_index=i, x_value=t * 1e3,
+                ),
+                mc_n, 7, t / 8,
+            )
+            for i, t in enumerate(durations)
+        ]
+        for n, mc_n in ((n, dataclasses.replace(cfg, n_atoms=n)) for n in atoms)
+    }
+    for threads in (1, 2):
+        curve = mc.contrast_curve(components, 7, grid, cfg, integrand=integrand, threads=threads)
+        assert curve == points, threads
+        curves = mc.sensitivity_curve(
+            components, atoms, durations, 7, cfg, integrand=integrand, threads=threads
+        )
+        assert curves == want, threads
+
+
+def test_tone_phases_do_not_move_the_ramsey_law(default_mc):
+    # the kernel drops phi_k = atan2(b_k, a_k): with theta_k uniform,
+    # theta_k + phi_k is uniform too, so E[cos(beta0 + psi + sum_k r_k
+    # sin(theta_k + phi_k))] = prod_k J0(r_k) cos(beta0 + psi) at any phi
+    from scipy.special import j0
+
+    samples = 20_000
+    r = np.array([0.8, 1.3, 2.0])
+    beta0 = np.array([0.3])
+    components = [NoiseComponent(1.0, 10.0 + k) for k in range(r.size)]
+    fringe = mc._fringe(default_mc, "ramsey", 7)
+    cos_fac, sin_fac = fringe[:2]
+    amplitude, psi = math.hypot(cos_fac, sin_fac), math.atan2(sin_fac, cos_fac)
+    noiseless = amplitude * math.cos(beta0[0] + psi) / cos_fac
+    want = float(np.prod(j0(r))) * noiseless
+    for index, phi in enumerate(([0.0, 0.0, 0.0], [0.7, -2.0, 3.1], [1e3, -37.5, 1e6])):
+        a, b = r * np.cos(phi), r * np.sin(phi)
+        _, weights = mc._split_fixed(components, a[None], b[None])
+        work = mc._Workspace(1, samples, r.size, 1)
+        values = next(mc._chunk_values(5, [index], samples, (beta0, weights), [fringe], work))
+        (estimate,), (stderr,) = mc._reduce(values)
+        assert abs(estimate - want) <= 4 * stderr, phi
+        # not vacuous: the noise moves the mean by hundreds of stderrs
+        assert abs(noiseless - want) >= 100 * stderr
 
 
 def test_sensitivity_curve_rejects_repeated_atom_numbers(three_tone_noise, default_mc):
