@@ -20,13 +20,10 @@ from .dicke import (
     PulseStep,
     TridiagonalOperator,
     build_collective_ops,
-    column_moments,
     css_state,
     evolve_unitary,
-    expect,
     full_space_oracle,
     schedule_expectations,
-    variance,
     x_css,
 )
 from .errors import (
@@ -64,7 +61,7 @@ from .squeezing import (
     u4_sequence,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.3.1"
 
 __all__ = [
     "CollectiveOps",
@@ -91,12 +88,10 @@ __all__ = [
     "bch_error",
     "build_collective_ops",
     "build_stokes_ops",
-    "column_moments",
     "contrast_curve",
     "css_state",
     "effective_unitary",
     "evolve_unitary",
-    "expect",
     "expect_jx",
     "expect_jz",
     "fringe_contrast_mc",
@@ -111,7 +106,6 @@ __all__ = [
     "synth_noise",
     "toggling_function",
     "u4_sequence",
-    "variance",
     "x_css",
     "__version__",
 ]

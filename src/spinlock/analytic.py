@@ -131,46 +131,57 @@ def _formula_entries(phases: PhaseTriple, n_atoms: int) -> dict[str, float]:
     }
 
 
-def _grid_states(
+def _grid_moments(
     ops: dicke.CollectiveOps,
     css: np.ndarray,
     ordering: str,
     alphas: np.ndarray,
     betas: np.ndarray,
     gammas: np.ndarray,
-) -> np.ndarray:
-    """x-CSS amplitudes after every (alpha, beta, gamma) cycle of one ordering,
-    shape (dim, len(alphas), len(betas), len(gammas)).
+) -> tuple[np.ndarray, np.ndarray]:
+    """<J> and M of the x-CSS after every (alpha, beta, gamma) cycle of one
+    ordering, shapes (A, B, G, 3) and (A, B, G, 3, 3).
 
+    States are propagated only up to the cycle's last Jz^2 twist; any
+    rotation after it acts on the moments (``dicke._rotate_moments``).
     "product" applies squeeze, then signal, then drive (the physical
-    sequence): every (alpha, beta) column gets its exact twist and shift
-    phases, and the columns are rotated as one block per gamma.  "reversed"
-    applies them backwards: the CSS is rotated once per gamma, then phased.
-    "single" exponentiates the summed generator alpha*Jz^2 + beta*Jz +
-    gamma*Jx in one step, which differs at every point: the bands of all
-    points form one stack, propagated in a single Chebyshev pass.
+    sequence): only the twist touches the state, once per alpha, and the
+    shift and drive act on its moments as R_x(gamma) R_z(beta).  "reversed"
+    applies them backwards, ending on the twist: the CSS is rotated under
+    every gamma in one pass, then phased.  "single" exponentiates the summed
+    generator alpha*Jz^2 + beta*Jz + gamma*Jx in one step, which differs at
+    every point: the bands of all points form one stack, propagated in a
+    single Chebyshev pass.
     """
     dim = css.size
-    shape = (dim, alphas.size, betas.size, gammas.size)
+    grid = (alphas.size, betas.size, gammas.size)
+    rotation = np.eye(3)
     if ordering == "product":
-        twisted = dicke._propagate(ops.jz2, alphas, css)  # (A, dim)
-        shifted = dicke._propagate(ops.jz, betas, twisted.T)  # (B, dim, A)
-        block = shifted.transpose(1, 2, 0).reshape(dim, -1)  # columns (alpha, beta)
-        rotated = [dicke._propagate(ops.jx, gamma, block) for gamma in gammas]
-        return np.stack(rotated, axis=-1).reshape(shape)
-    if ordering == "reversed":
-        rotated = np.stack([dicke._propagate(ops.jx, gamma, css) for gamma in gammas], axis=-1)
+        states = dicke._propagate(ops.jz2, alphas, css).T  # (dim, A)
+        rotation = dicke._rotation_matrix("jx", gammas) @ dicke._rotation_matrix(
+            "jz", betas[:, None]
+        )  # (B, G, 3, 3)
+        lead = (alphas.size, 1, 1)
+    elif ordering == "reversed":
+        rotated = dicke._propagate(ops.jx, gammas, css).T  # (dim, G)
         shifted = dicke._propagate(ops.jz, betas, rotated)  # (B, dim, G)
         twisted = dicke._propagate(ops.jz2, alphas, shifted.transpose(1, 0, 2))
-        return twisted.transpose(1, 0, 2, 3)
-    # weights (A, 1, 1, 1), (1, B, 1, 1), (1, 1, G, 1) against each band
-    weights = [w[..., None] for w in np.ix_(alphas, betas, gammas)]
-    terms = tuple(zip(weights, (ops.jz2, ops.jz, ops.jx)))
-    combined = TridiagonalOperator(
-        sum(weight * op.diag for weight, op in terms).reshape(-1, dim),
-        sum(weight * op.upper for weight, op in terms).reshape(-1, dim - 1),
+        states = twisted.transpose(1, 0, 2, 3).reshape(dim, -1)  # columns (alpha, beta, gamma)
+        lead = grid
+    else:
+        # weights (A, 1, 1, 1), (1, B, 1, 1), (1, 1, G, 1) against each band
+        weights = [w[..., None] for w in np.ix_(alphas, betas, gammas)]
+        terms = tuple(zip(weights, (ops.jz2, ops.jz, ops.jx)))
+        combined = TridiagonalOperator(
+            sum(weight * op.diag for weight, op in terms).reshape(-1, dim),
+            sum(weight * op.upper for weight, op in terms).reshape(-1, dim - 1),
+        )
+        states = dicke._propagate(combined, 1.0, css).T
+        lead = grid
+    mean, second = dicke._spin_moments(states)
+    return dicke._rotate_moments(
+        rotation, mean.reshape(lead + (3,)), second.reshape(lead + (3, 3))
     )
-    return dicke._propagate(combined, 1.0, css).T.reshape(shape)
 
 
 def oracle_grid(
@@ -192,9 +203,9 @@ def oracle_grid(
     never asserted away: for alpha != 0 the printed formulas are known to
     deviate.
 
-    The operators and the x-CSS are built once, each ordering's states come
-    from ``_grid_states`` with shared rotations, and <Jx>, <Jz> and Var(Jz)
-    are taken for all states at once.
+    The operators and the x-CSS are built once, and each ordering's moments
+    come from ``_grid_moments`` in one batch: <Jx>, <Jz> and
+    Var(Jz) = M_zz - <Jz>^2 for every point at once.
     """
     for ordering in orderings:
         if ordering not in ORDERINGS:
@@ -205,11 +216,12 @@ def oracle_grid(
         return []
     css = dicke.x_css(n_atoms).amplitudes
     grid = [np.array(values, dtype=float) for values in (alphas, betas, gammas)]
-    states = {o: _grid_states(ops, css, o, *grid) for o in set(orderings)}
-    # columns in (alpha, beta, gamma, ordering) order
-    columns = np.stack([states[o] for o in orderings], axis=-1).reshape(css.size, -1)
-    jx_oracle, _ = dicke.column_moments(columns, ops.jx)
-    jz_oracle, var_jz = dicke.column_moments(columns, ops.jz)
+    moments = {o: _grid_moments(ops, css, o, *grid) for o in set(orderings)}
+    # one row per (alpha, beta, gamma, ordering), in that order
+    mean = np.stack([moments[o][0] for o in orderings], axis=-2).reshape(-1, 3)
+    jzz = np.stack([moments[o][1][..., 2, 2] for o in orderings], axis=-1).reshape(-1)
+    jx_oracle, jz_oracle = mean[:, 0], mean[:, 2]
+    var_jz = dicke._clamped_variance(jzz - jz_oracle * jz_oracle)
     reports = []
     for k, phases in enumerate(points):
         formula = _formula_entries(phases, n_atoms)

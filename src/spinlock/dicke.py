@@ -40,7 +40,6 @@ from .errors import (
 
 HERMITIAN_TOL = 1e-12
 NORM_TOL = 1e-12
-IMAG_TOL = 1e-10
 VARIANCE_FLOOR = -1e-10
 MAX_ATOMS = 10_000
 
@@ -316,7 +315,8 @@ def _propagate(
     angles = np.asarray(angle, dtype=float)
     diag, upper = generator.diag, generator.upper
     stack = diag.shape[:-1]  # () for one generator, (P,) for a stack
-    vec = np.broadcast_to(vec, stack + vec.shape)
+    if stack:  # broadcast_to costs more than a diagonal step on one generator
+        vec = np.broadcast_to(vec, stack + vec.shape)
     # per-row factors broadcast over the angles in front and the columns behind
     columns = (1,) * (vec.ndim - diag.ndim)
     if not angles.any() or not upper.any():
@@ -386,15 +386,6 @@ def evolve_unitary(
     return DickeState(n_atoms=state.n_atoms, amplitudes=amps)
 
 
-def _real_part(value):
-    """Real part of one expectation or an array of them; an imaginary part of
-    1e-10 or more is an error, not rounding."""
-    imag = np.max(np.abs(np.imag(value)))
-    if imag >= IMAG_TOL:
-        raise NumericsError(f"expectation has imaginary part {imag:.3e} beyond 1e-10")
-    return np.real(value)
-
-
 def _clamped_variance(var):
     """One variance or an array of them, rounding-level negatives set to zero."""
     if np.any(var <= VARIANCE_FLOOR):
@@ -402,41 +393,6 @@ def _clamped_variance(var):
             f"variance {np.min(var):.3e} below -1e-10: not mere rounding"
         )
     return np.where(var < 0, 0.0, var)
-
-
-def expect(state: DickeState, op: TridiagonalOperator) -> float:
-    """⟨psi|op|psi⟩ for a Hermitian op; the (tiny) imaginary part is discarded."""
-    _check_operator(op, state.n_atoms, "expect() operator")
-    return float(_real_part(np.vdot(state.amplitudes, op.matvec(state.amplitudes))))
-
-
-def variance(state: DickeState, op: TridiagonalOperator) -> float:
-    """⟨op^2⟩ - ⟨op⟩^2, clamping rounding-level negatives to zero."""
-    _check_operator(op, state.n_atoms, "variance() operator")
-    vec = op.matvec(state.amplitudes)
-    second = np.vdot(vec, vec).real  # ⟨psi|op^2|psi⟩ with op hermitian
-    first = np.vdot(state.amplitudes, vec).real
-    return float(_clamped_variance(second - first * first))
-
-
-def column_moments(
-    amps: np.ndarray, op: TridiagonalOperator
-) -> tuple[np.ndarray, np.ndarray]:
-    """⟨op⟩ and Var(op) of every column of a (dim, k) block of amplitudes.
-
-    The block form of ``expect`` and ``variance``, with their checks; since
-    the columns are not ``DickeState``s, each must also be normalised to
-    within 1e-12.
-    """
-    if amps.ndim != 2 or op.diag.shape != amps.shape[:1]:
-        raise DimensionMismatchError(f"need a ({op.dim}, k) block, got shape {amps.shape}")
-    norms = np.linalg.norm(amps, axis=0)
-    if np.any(np.abs(norms - 1.0) >= NORM_TOL):
-        raise NumericsError(f"column norms {norms!r} deviate from 1 beyond 1e-12")
-    vec = op.matvec(amps)
-    first = _real_part(np.einsum("ij,ij->j", amps.conj(), vec))
-    second = np.einsum("ij,ij->j", vec.conj(), vec).real
-    return first, _clamped_variance(second - first * first)
 
 
 def apply_schedule(
@@ -451,39 +407,73 @@ def apply_schedule(
 def _spin_moments(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First and symmetrised second moments of J for amplitudes in the m basis.
 
-    Returns <J> = (<Jx>, <Jy>, <Jz>) and M_ab = <{J_a, J_b}>/2, shape (3, 3).
-    Everything is read from the diagonal of the density matrix and its first
-    two off-diagonals in O(dim): <J+> = <Jx> + i<Jy> and <{J+, Jz}> =
-    <{Jx, Jz}> + i<{Jy, Jz}> from the first, <J+^2> = <Jx^2 - Jy^2> +
-    i<{Jx, Jy}> from the second, and <Jx^2 + Jy^2> = j(j+1) - <Jz^2> from
-    the Casimir.
+    ``amps`` is one state (dim,) or a block of columns (dim, k).  Returns
+    <J> = (<Jx>, <Jy>, <Jz>) and M_ab = <{J_a, J_b}>/2, shapes (3,) and
+    (3, 3), or (k, 3) and (k, 3, 3) for a block.  Everything is read from
+    the diagonal of the density matrix and its first two off-diagonals in
+    O(dim) per column: <J+> = <Jx> + i<Jy> and <{J+, Jz}> = <{Jx, Jz}> +
+    i<{Jy, Jz}> from the first, <J+^2> = <Jx^2 - Jy^2> + i<{Jx, Jy}> from
+    the second, and <Jx^2 + Jy^2> = j(j+1) - <Jz^2> from the Casimir.  A
+    column of a block gets the bits of its own 1-D call.  Since the columns
+    need not be ``DickeState``s, each must be normalised to within 1e-12.
     """
-    m, ladder = _m_and_ladder(amps.size)
-    pop = (amps.conj() * amps).real
-    near = amps[:-1].conj() * amps[1:] * ladder  # <m|J+|m-1> a_m^* a_(m-1)
-    plus = near.sum()
-    plus_z = (near * (m[:-1] + m[1:])).sum()
-    plus2 = (amps[:-2].conj() * amps[2:] * (ladder[:-1] * ladder[1:])).sum()
-    jz = (pop * m).sum()
-    jz2 = (pop * (m * m)).sum()
-    j = (amps.size - 1) / 2
-    transverse = j * (j + 1) * pop.sum() - jz2  # <Jx^2 + Jy^2>
+    if amps.ndim not in (1, 2):
+        raise DimensionMismatchError(f"need a (dim,) state or (dim, k) block, got {amps.shape}")
+    # one contiguous row per column: each sum below then runs over a row
+    # exactly as it does over a single state
+    rows = np.ascontiguousarray(amps.T)
+    m, ladder = _m_and_ladder(amps.shape[0])
+    pop = (rows.conj() * rows).real
+    norm2 = pop.sum(axis=-1)
+    norms = np.sqrt(norm2)
+    if (np.abs(norms - 1.0) >= NORM_TOL).any():
+        raise NumericsError(f"state norms {norms!r} deviate from 1 beyond 1e-12")
+    near = rows[..., :-1].conj() * rows[..., 1:] * ladder  # <m|J+|m-1> a_m^* a_(m-1)
+    plus = near.sum(axis=-1)
+    plus_z = (near * (m[:-1] + m[1:])).sum(axis=-1)
+    plus2 = (rows[..., :-2].conj() * rows[..., 2:] * (ladder[:-1] * ladder[1:])).sum(axis=-1)
+    jz = (pop * m).sum(axis=-1)
+    jz2 = (pop * (m * m)).sum(axis=-1)
+    j = (m.size - 1) / 2
+    transverse = j * (j + 1) * norm2 - jz2  # <Jx^2 + Jy^2>
     xx, yy = (transverse + plus2.real) / 2, (transverse - plus2.real) / 2
     xy, xz, yz = plus2.imag / 2, plus_z.real / 2, plus_z.imag / 2
-    mean = np.array([plus.real, plus.imag, jz])
-    second = np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, jz2]])
+    # the column axis comes out first under .T; M is symmetric, so
+    # transposing each 3 x 3 block with it changes nothing
+    mean = np.array([plus.real, plus.imag, jz]).T
+    second = np.array([[xx, xy, xz], [xy, yy, yz], [xz, yz, jz2]]).T
     return mean, second
 
 
-def _rotation_matrix(generator: str, angle: float) -> np.ndarray:
-    """SO(3) matrix R with U^dag J_a U = sum_b R_ab J_b for U = exp(-i angle J_n)."""
+def _rotation_matrix(generator: str, angle: float | np.ndarray) -> np.ndarray:
+    """SO(3) matrix R with U^dag J_a U = sum_b R_ab J_b for U = exp(-i angle J_n).
+
+    An array of angles gives one matrix per angle, shape angle.shape + (3, 3).
+    """
+    angle = np.asarray(angle, dtype=float)
     axis = "xyz".index(generator[1])
     first, second = (axis + 1) % 3, (axis + 2) % 3  # cyclic: the right-hand sense
-    c, s = math.cos(angle), math.sin(angle)
-    out = np.eye(3)
-    out[first, first] = out[second, second] = c
-    out[first, second], out[second, first] = -s, s
+    c, s = np.cos(angle), np.sin(angle)
+    out = np.zeros(angle.shape + (3, 3))
+    out[..., axis, axis] = 1.0
+    out[..., first, first] = out[..., second, second] = c
+    out[..., first, second], out[..., second, first] = -s, s
     return out
+
+
+def _rotate_moments(
+    rotation: np.ndarray, mean: np.ndarray, second: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """R<J> and R M R^T: the moments after the rotations R stands for.
+
+    ``rotation`` is one SO(3) matrix (3, 3) or a stack (..., 3, 3); ``mean``
+    (..., 3) and ``second`` (..., 3, 3) come from ``_spin_moments``.  The
+    leading axes broadcast as in np.matmul, so a stack of S rotations meets
+    k states as (S, 3, 3) against (k, 1, 3) and (k, 1, 3, 3).
+    """
+    mean = (rotation @ mean[..., None])[..., 0]
+    second = rotation @ second @ rotation.swapaxes(-1, -2)
+    return mean, second
 
 
 def schedule_expectations(n_atoms: int, schedule: PulseSchedule) -> dict[str, float]:
@@ -492,8 +482,8 @@ def schedule_expectations(n_atoms: int, schedule: PulseSchedule) -> dict[str, fl
     Only the steps up to and including the last Jz^2 twist act on the state.
     The rotations after it act on the moments instead: in the Heisenberg
     picture each maps J to R J with R in SO(3), so their product R gives
-    <J> -> R<J> and the second moments M -> R M R^T, read from the twisted
-    state by ``_spin_moments`` in O(N).
+    <J> -> R<J> and the second moments M -> R M R^T (``_rotate_moments``),
+    read from the twisted state by ``_spin_moments`` in O(N).
     """
     ops = build_collective_ops(n_atoms)
     twists = [k for k, step in enumerate(schedule) if step.generator == "jz2"]
@@ -502,10 +492,8 @@ def schedule_expectations(n_atoms: int, schedule: PulseSchedule) -> dict[str, fl
     rotation = np.eye(3)
     for step in schedule[split:]:
         rotation = _rotation_matrix(step.generator, step.angle) @ rotation
-    mean, second = _spin_moments(state.amplitudes)
-    mean = rotation @ mean
-    jz2 = rotation[2] @ second @ rotation[2]
-    return {"jx": float(mean[0]), "jy": float(mean[1]), "jz": float(mean[2]), "jz2": float(jz2)}
+    mean, second = _rotate_moments(rotation, *_spin_moments(state.amplitudes))
+    return dict(zip(GENERATOR_NAMES, [*mean.tolist(), float(second[2, 2])]))
 
 
 @functools.lru_cache(maxsize=4)  # n_atoms <= 4

@@ -20,14 +20,13 @@ tangents in it), a scratch buffer of the same size and the rows of sums
 and values, so the hot loop allocates nothing in steady state.
 Sensitivity curves share the draws and tone sums across atom numbers: a
 duration's stream is keyed by its grid index alone, so only the readout
-runs once per atom number.  fringe_contrast_mc evaluates a chunk of one
-point.
+runs once per atom number.  fringe_contrast_mc evaluates a grid of one
+point, keyed by its point_index.
 """
 from __future__ import annotations
 
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -162,6 +161,13 @@ def _fringe(mc: McConfig, integrand: str, n_pulses: int) -> tuple:
             f"twisting angle alpha={mc.alpha!r}: cos^(N-1)={cos_fac:.3e} is too small "
             f"against sin^(N-1)={sin_fac:.3e} to normalize the ramsey fringe"
         )
+    # eq23 divides by the slope amplitude hypot(cos_fac, sin_fac), which
+    # underflows to 0 at large N and twist (N = 5000, alpha = pi/4)
+    if integrand == "eq23" and math.hypot(cos_fac, sin_fac) <= analytic.DENOMINATOR_TOL:
+        raise NumericsError(
+            f"N={mc.n_atoms}, alpha={mc.alpha!r}: cos^(N-1)={cos_fac:.3e} and "
+            f"sin^(N-1)={sin_fac:.3e} leave no eq23 fringe slope to divide by"
+        )
     # the bracketing drive is the N pi pulses acting about x
     gamma = n_pulses * math.pi
     return cos_fac, sin_fac, 1.0 / mc.n_atoms, math.sin(gamma), integrand == "eq23"
@@ -269,23 +275,6 @@ def _reduce(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return estimates, stderrs
 
 
-def _point_values(
-    components: Sequence[NoiseComponent],
-    schedule: LockInSchedule,
-    mc: McConfig,
-    integrand: str,
-    toggle: bool,
-    point_index: int,
-) -> np.ndarray:
-    """One point's per-sample fringe values: a chunk of one."""
-    fringe = _fringe(mc, integrand, schedule.n_pulses)
-    a, b = phase_kernel_grid(components, schedule.n_pulses, [schedule.tau_arm], toggle)
-    beta0, weights = _split_fixed(components, a, b)
-    work = _Workspace(1, mc.samples, weights.shape[-1], 1)
-    terms = (beta0, weights)
-    return next(_chunk_values(mc.master_seed, [point_index], mc.samples, terms, [fringe], work))[0]
-
-
 def _run_indexed(tasks, threads: int):
     """Evaluate index-keyed closures into a list, any scheduling, fixed order."""
     results = [None] * len(tasks)
@@ -293,6 +282,9 @@ def _run_indexed(tasks, threads: int):
         for i, task in enumerate(tasks):
             results[i] = task()
         return results
+    # imported here: a one-thread run never loads concurrent.futures
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         futures = {pool.submit(task): i for i, task in enumerate(tasks)}
         for future, i in futures.items():
@@ -308,14 +300,15 @@ def _evaluate(
     integrand: str,
     toggle: bool,
     threads: int,
+    first_index: int = 0,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Contrast estimates and stderrs, shape (P,) each, on a grid of P arm
     times, for each McConfig of mcs (they differ only in n_atoms).
 
-    Point p draws from the stream keyed by point_index=p.  The grid goes in
-    chunks of whole points, up to _CHUNK_SAMPLES samples per chunk or one
-    point; the chunks are the thread pool's tasks, and each thread keeps
-    one workspace for all the chunks it runs.
+    Point p draws from the stream keyed by point_index=first_index + p.
+    The grid goes in chunks of whole points, up to _CHUNK_SAMPLES samples
+    per chunk or one point; the chunks are the thread pool's tasks, and
+    each thread keeps one workspace for all the chunks it runs.
     """
     fringes = [_fringe(mc, integrand, n_pulses) for mc in mcs]
     a, b = phase_kernel_grid(components, n_pulses, tau_arms, toggle)
@@ -331,7 +324,8 @@ def _evaluate(
                 n_tones = terms[1].shape[-1]
                 local.work = _Workspace(min(per_chunk, points), samples, n_tones, len(fringes))
             chunk = tuple(t[lo:hi] for t in terms)
-            values = _chunk_values(master_seed, range(lo, hi), samples, chunk, fringes, local.work)
+            keys = range(first_index + lo, first_index + hi)
+            values = _chunk_values(master_seed, keys, samples, chunk, fringes, local.work)
             return [_reduce(v) for v in values]
 
         return task
@@ -360,11 +354,13 @@ def fringe_contrast_mc(
 
     The estimate is the mean of per-sample fringe values over iid uniform
     tone phases; stderr is sample-std/sqrt(samples) (0 for a single
-    sample).  Deterministic given (mc, point_index).  The point is a chunk
+    sample).  Deterministic given (mc, point_index).  The point is a grid
     of one, so it has the same bits as inside any curve.
     """
-    values = _point_values(components, schedule, mc, integrand, toggle, point_index)
-    (estimate,), (stderr,) = _reduce(values[None])
+    [((estimate,), (stderr,))] = _evaluate(
+        components, schedule.n_pulses, [schedule.tau_arm], [mc], integrand, toggle, 1,
+        first_index=point_index,
+    )
     x = schedule.tau_arm * 1e3 if x_value is None else x_value
     return CurvePoint(x=x, estimate=float(estimate), stderr=float(stderr))
 

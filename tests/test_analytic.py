@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 from pathlib import Path
@@ -152,9 +153,13 @@ def pointwise_oracle(phases, n, ordering):
         if ordering == "reversed":
             steps.reverse()
         state = dicke.apply_schedule(state, ops, steps)
-    jx = dicke.expect(state, ops.jx)
-    dphi = math.sqrt(dicke.variance(state, ops.jz)) / jx if jx != 0 else math.inf
-    return {"jx": jx, "jz": dicke.expect(state, ops.jz), "dphi": dphi}
+    # read through the dense spin matrices, not the moments readout
+    jx_dense, _, jz_dense = dicke.spin_matrices(n + 1)
+    amps = state.amplitudes
+    jx, jz = (np.vdot(amps, op @ amps).real for op in (jx_dense, jz_dense))
+    variance = max(np.vdot(jz_dense @ amps, jz_dense @ amps).real - jz * jz, 0.0)
+    dphi = math.sqrt(variance) / jx if jx != 0 else math.inf
+    return {"jx": jx, "jz": jz, "dphi": dphi}
 
 
 @pytest.mark.parametrize(
@@ -197,6 +202,33 @@ def test_single_ordering_grid_matches_per_point_propagation():
             for q in ("jx", "jz", "dphi"):
                 got = report[q]["oracle"]
                 assert abs(got - want[q]) <= 1e-14 * max(1.0, abs(want[q])), (n, phases, q)
+
+
+def test_product_ordering_moments_match_drive_propagated_on_the_state():
+    # the product ordering twists the state and rotates its moments by
+    # R_x(gamma) R_z(beta); the reference propagates shift and drive on the
+    # state and reads it through the dense spin matrices
+    alphas, betas, gammas = (0.0, 0.01, -0.3), (0.0, 0.8, -0.4), (0.0, 0.5, -1.2, 3.0)
+    grid = [np.array(values) for values in (alphas, betas, gammas)]
+    for n in (1, 2, 4, 50, 200):
+        ops = dicke.build_collective_ops(n)
+        css = dicke.x_css(n).amplitudes
+        mean, second = analytic._grid_moments(ops, css, "product", *grid)
+        assert mean.shape == (3, 3, 4, 3) and second.shape == (3, 3, 4, 3, 3)
+        dense = dicke.spin_matrices(n + 1)
+        sym = [[(a @ b + b @ a) / 2 for b in dense] for a in dense]
+        for (i, alpha), (j, beta), (k, gamma) in itertools.product(
+            enumerate(alphas), enumerate(betas), enumerate(gammas)
+        ):
+            amps = dicke._propagate(ops.jz2, alpha, css)
+            amps = dicke._propagate(ops.jx, gamma, dicke._propagate(ops.jz, beta, amps))
+            for p in range(3):
+                want = np.vdot(amps, dense[p] @ amps).real
+                assert abs(mean[i, j, k, p] - want) <= 1e-13 * max(1.0, n / 2), (n, i, j, k, p)
+                for q in range(3):
+                    want = np.vdot(amps, sym[p][q] @ amps).real
+                    got = second[i, j, k, p, q]
+                    assert abs(got - want) <= 1e-13 * max(1.0, n * n / 4), (n, i, j, k, p, q)
 
 
 def test_oracle_grid_validation():

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -364,6 +365,19 @@ def test_cli_rejects_mismatched_subcommand(tmp_path, capsys):
     assert "experiment" in capsys.readouterr().err
 
 
+def test_eq23_fringe_underflow_is_an_error_line_not_a_warning(tmp_path, capsys):
+    # cos^(N-1) and sin^(N-1) both underflow at N = 5000, alpha = pi/4; the
+    # run used to warn and then fail on a NaN stderr
+    doc = minimal_contrast(contrast_integrand="eq23")
+    doc["physics"]["n_atoms"] = 5000
+    doc["physics"]["chi_override"] = math.pi / 4 / doc["physics"]["squeeze_duration"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["contrast", "--config", write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: N=5000, alpha=0.785") and err.count("\n") == 1, err
+
+
 def test_cli_rejects_bad_config(tmp_path, capsys):
     cfg_path = write_config(tmp_path, {"experiment": "contrast"})
     assert run_cli(["contrast", "--config", cfg_path]) == 2
@@ -638,6 +652,9 @@ def test_runs_in_one_process_write_what_separate_runs_write(tmp_path):
 
 def test_cli_import_leaves_scipy_unloaded():
     assert scipy_modules_loaded_by("import spinlock.cli") == "[]"
+    # nor the thread pool, which only a run with threads > 1 imports
+    code = "import spinlock.cli, sys; print('concurrent.futures' in sys.modules)"
+    assert run_fresh_interpreter(code) == "False"
 
 
 def test_every_subcommand_leaves_scipy_unloaded(tmp_path):

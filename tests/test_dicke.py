@@ -68,17 +68,11 @@ def test_css_moments_against_bloch_vector():
         theta = float(rng.uniform(0, np.pi))
         phi = float(rng.uniform(0, 2 * np.pi))
         state = dicke.css_state(n, theta, phi)
-        ops = dicke.build_collective_ops(n)
+        (jx, jy, jz), _ = dicke._spin_moments(state.amplitudes)
         half_n = n / 2
-        assert dicke.expect(state, ops.jz) == pytest.approx(
-            half_n * np.cos(theta), abs=1e-10
-        )
-        assert dicke.expect(state, ops.jx) == pytest.approx(
-            half_n * np.sin(theta) * np.cos(phi), abs=1e-10
-        )
-        assert dicke.expect(state, ops.jy) == pytest.approx(
-            half_n * np.sin(theta) * np.sin(phi), abs=1e-10
-        )
+        assert jz == pytest.approx(half_n * np.cos(theta), abs=1e-10)
+        assert jx == pytest.approx(half_n * np.sin(theta) * np.cos(phi), abs=1e-10)
+        assert jy == pytest.approx(half_n * np.sin(theta) * np.sin(phi), abs=1e-10)
 
 
 def test_css_is_normalized_at_huge_atom_number():
@@ -98,12 +92,11 @@ def test_css_binomial_weights_at_10000_atoms():
 
 
 def test_x_css_moments():
-    state = dicke.x_css(50)
-    ops = dicke.build_collective_ops(50)
-    assert dicke.expect(state, ops.jx) == pytest.approx(25.0, abs=1e-12)
-    assert dicke.expect(state, ops.jz) == pytest.approx(0.0, abs=1e-12)
-    assert dicke.expect(state, ops.jz2) == pytest.approx(12.5, abs=1e-12)
-    assert dicke.variance(state, ops.jz) == pytest.approx(12.5, abs=1e-12)
+    mean, second = dicke._spin_moments(dicke.x_css(50).amplitudes)
+    assert mean[0] == pytest.approx(25.0, abs=1e-12)
+    assert mean[2] == pytest.approx(0.0, abs=1e-12)
+    assert second[2, 2] == pytest.approx(12.5, abs=1e-12)
+    assert second[2, 2] - mean[2] ** 2 == pytest.approx(12.5, abs=1e-12)
 
 
 def test_state_norm_is_enforced():
@@ -118,12 +111,9 @@ def test_rotation_about_z_precesses_x_polarization():
     state = dicke.x_css(3)
     ops = dicke.build_collective_ops(3)
     rotated = dicke.evolve_unitary(state, ops.jz, 0.3)
-    assert dicke.expect(rotated, ops.jx) == pytest.approx(
-        1.5 * np.cos(0.3), abs=1e-12
-    )
-    assert dicke.expect(rotated, ops.jy) == pytest.approx(
-        1.5 * np.sin(0.3), abs=1e-12
-    )
+    (jx, jy, _), _ = dicke._spin_moments(rotated.amplitudes)
+    assert jx == pytest.approx(1.5 * np.cos(0.3), abs=1e-12)
+    assert jy == pytest.approx(1.5 * np.sin(0.3), abs=1e-12)
 
 
 def test_evolution_preserves_norm():
@@ -191,26 +181,66 @@ def test_multi_angle_propagation_matches_single_angle_calls():
             assert np.array_equal(one[0], want[1])
 
 
-def test_column_moments_match_expect_and_variance():
+def random_block(rng, n, k):
+    """k random normalised columns of amplitudes for n atoms, shape (n + 1, k)."""
+    amps = rng.normal(size=(n + 1, k)) + 1j * rng.normal(size=(n + 1, k))
+    return amps / np.linalg.norm(amps, axis=0)
+
+
+def test_block_moments_match_dense_operators_and_single_columns():
+    # every column of a block against the dense spin matrices, and against
+    # its own 1-D call, bit for bit
     rng = np.random.default_rng(8)
-    n = 9
-    ops = dicke.build_collective_ops(n)
-    amps = rng.normal(size=(n + 1, 4)) + 1j * rng.normal(size=(n + 1, 4))
-    amps /= np.linalg.norm(amps, axis=0)
-    for name in dicke.GENERATOR_NAMES:
-        op = ops.by_name(name)
-        means, variances = dicke.column_moments(amps, op)
-        for column, mean, var in zip(amps.T, means, variances):
-            state = DickeState(n, column)
-            assert mean == pytest.approx(dicke.expect(state, op), rel=1e-14, abs=1e-14)
-            assert var == pytest.approx(dicke.variance(state, op), rel=1e-13, abs=1e-13)
-    eigen = np.zeros((n + 1, 1), dtype=complex)
-    eigen[0] = 1.0
-    assert dicke.column_moments(eigen, ops.jz)[1][0] == 0.0
+    for n in (1, 2, 9, 40, 200):
+        dense = dicke.spin_matrices(n + 1)
+        sym = [[(a @ b + b @ a) / 2 for b in dense] for a in dense]
+        amps = random_block(rng, n, 5)
+        mean, second = dicke._spin_moments(amps)
+        assert mean.shape == (5, 3) and second.shape == (5, 3, 3)
+        for c, column in enumerate(amps.T):
+            for a in range(3):
+                want = np.vdot(column, dense[a] @ column).real
+                assert abs(mean[c, a] - want) <= 1e-13 * max(1.0, n / 2), (n, c, a)
+                for b in range(3):
+                    want = np.vdot(column, sym[a][b] @ column).real
+                    assert abs(second[c, a, b] - want) <= 1e-13 * max(1.0, n * n / 4), (n, a, b)
+            one_mean, one_second = dicke._spin_moments(column)
+            assert np.array_equal(mean[c], one_mean) and np.array_equal(second[c], one_second)
+
+
+def test_stacked_rotation_of_moments_matches_column_by_column():
+    rng = np.random.default_rng(9)
+    mean, second = dicke._spin_moments(random_block(rng, 12, 4))
+    angles = rng.uniform(-3, 3, size=(3, 6))
+    # a stack of products R_z R_y R_x, one per column of angles
+    rotation = (
+        dicke._rotation_matrix("jz", angles[2])
+        @ dicke._rotation_matrix("jy", angles[1])
+        @ dicke._rotation_matrix("jx", angles[0])
+    )
+    assert rotation.shape == (6, 3, 3)
+    for generator, row in zip(("jx", "jy", "jz"), angles):
+        stacked = dicke._rotation_matrix(generator, row)
+        for r, angle in zip(stacked, row):
+            assert np.array_equal(r, dicke._rotation_matrix(generator, float(angle)))
+    got_mean, got_second = dicke._rotate_moments(rotation, mean[:, None], second[:, None])
+    assert got_mean.shape == (4, 6, 3) and got_second.shape == (4, 6, 3, 3)
+    for c in range(4):
+        for s, r in enumerate(rotation):
+            assert np.abs(got_mean[c, s] - r @ mean[c]).max() <= 1e-13
+            assert np.abs(got_second[c, s] - r @ second[c] @ r.T).max() <= 1e-12
+
+
+def test_unnormalised_or_misshapen_amplitudes_are_rejected():
+    rng = np.random.default_rng(10)
+    amps = random_block(rng, 6, 3)
+    amps[:, 1] *= 1 + 1e-9
     with pytest.raises(NumericsError):
-        dicke.column_moments(2 * amps, ops.jx)
+        dicke._spin_moments(amps)
+    with pytest.raises(NumericsError):
+        dicke._spin_moments(2 * amps[:, 0])
     with pytest.raises(DimensionMismatchError):
-        dicke.column_moments(amps[:-1], ops.jx)
+        dicke._spin_moments(amps[..., None])
 
 
 def test_pulse_step_rejects_non_finite_angle():
@@ -253,17 +283,22 @@ def test_twist_then_rotate_at_documented_limit():
     state = dicke.apply_schedule(dicke.x_css(n), ops, schedule)
     assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
     jx, jz2 = twisted_rotated_moments(n, 0.01, 0.3)
-    assert dicke.expect(state, ops.jx) == pytest.approx(jx, rel=1e-9)
-    assert dicke.expect(state, ops.jz2) == pytest.approx(jz2, rel=1e-9)
-    assert abs(dicke.expect(state, ops.jy)) < 1e-9
-    assert abs(dicke.expect(state, ops.jz)) < 1e-9
+    mean, second = dicke._spin_moments(state.amplitudes)
+    assert mean[0] == pytest.approx(jx, rel=1e-9)
+    assert second[2, 2] == pytest.approx(jz2, rel=1e-9)
+    assert abs(mean[1]) < 1e-9
+    assert abs(mean[2]) < 1e-9
 
 
 def propagated_expectations(n, schedule):
-    """Every step of the schedule run on the state, then the four expectations."""
+    """Every step of the schedule run on the state, then the four expectations,
+    each <psi|G|psi> through G's own bands (not the moments readout)."""
     ops = dicke.build_collective_ops(n)
-    state = dicke.apply_schedule(dicke.x_css(n), ops, schedule)
-    return {name: dicke.expect(state, ops.by_name(name)) for name in dicke.GENERATOR_NAMES}
+    amps = dicke.apply_schedule(dicke.x_css(n), ops, schedule).amplitudes
+    return {
+        name: np.vdot(amps, ops.by_name(name).matvec(amps)).real
+        for name in dicke.GENERATOR_NAMES
+    }
 
 
 def test_schedule_expectations_match_propagated_state():
@@ -327,9 +362,10 @@ def test_tridiagonal_operator_validation():
 
 
 def test_variance_nonnegative_on_eigenstate():
-    state = dicke.css_state(6, 0.0, 0.0)
-    ops = dicke.build_collective_ops(6)
-    assert dicke.variance(state, ops.jz) == 0.0
+    mean, second = dicke._spin_moments(dicke.css_state(6, 0.0, 0.0).amplitudes)
+    assert dicke._clamped_variance(second[2, 2] - mean[2] ** 2) == 0.0
+    with pytest.raises(NumericsError):
+        dicke._clamped_variance(-1e-9)
 
 
 def test_schedule_application_matches_manual_chain():
@@ -500,8 +536,6 @@ def test_operator_stack_rows_act_as_their_operators():
         TridiagonalOperator(np.zeros((2, 3)), np.zeros((3, 2)))
     with pytest.raises(DimensionMismatchError):
         dicke.evolve_unitary(dicke.x_css(5), stack, 0.1)
-    with pytest.raises(DimensionMismatchError):
-        dicke.column_moments(np.eye(6, dtype=complex), stack)
 
 
 def test_full_space_oracle_rejects_large_systems():

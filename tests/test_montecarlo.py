@@ -316,6 +316,18 @@ def _one_shot_values(components, schedule, cfg, integrand, point_index):
     )
 
 
+def _streamed_values(components, schedule, cfg, integrand, point_index):
+    """A point's per-sample values as a curve streams them: a chunk of one point."""
+    from spinlock.lockin import phase_kernel_grid
+
+    fringe = mc._fringe(cfg, integrand, schedule.n_pulses)
+    a, b = phase_kernel_grid(components, schedule.n_pulses, [schedule.tau_arm], True)
+    terms = mc._split_fixed(components, a, b)
+    work = mc._Workspace(1, cfg.samples, terms[1].shape[-1], 1)
+    chunks = mc._chunk_values(cfg.master_seed, [point_index], cfg.samples, terms, [fringe], work)
+    return next(chunks)[0]
+
+
 @pytest.mark.parametrize("integrand", mc.INTEGRANDS)
 @pytest.mark.parametrize("n_random", (0, 3, 4, 5, 9))
 def test_block_streaming_equals_one_shot_bit_for_bit(default_mc, integrand, n_random):
@@ -325,8 +337,7 @@ def test_block_streaming_equals_one_shot_bit_for_bit(default_mc, integrand, n_ra
     for samples in (1, block - 1, block, block + 1, 2 * block + 17):
         cfg = dataclasses.replace(default_mc, samples=samples)
         want = _one_shot_values(components, sched, cfg, integrand, 3)
-        got = mc._point_values(components, sched, cfg, integrand, True, 3)
-        assert np.array_equal(got, want)
+        assert np.array_equal(_streamed_values(components, sched, cfg, integrand, 3), want)
         point = mc.fringe_contrast_mc(
             components, sched, cfg, integrand=integrand, point_index=3
         )
@@ -424,6 +435,20 @@ def test_ramsey_rejects_twist_that_swamps_the_normalization(three_tone_noise, de
     point = mc.fringe_contrast_mc(three_tone_noise, sched, default_mc)
     assert default_mc.alpha == pytest.approx(0.01)
     assert -1.0 <= point.estimate <= 1.0
+
+
+def test_eq23_rejects_fringe_factors_that_underflow(three_tone_noise, default_mc):
+    # at N = 5000 and alpha = pi/4 both cos^(N-1) and sin^(N-1) underflow to
+    # 0, and the eq23 slope was 0/0: RuntimeWarnings, then a NaN stderr
+    cfg = dataclasses.replace(default_mc, n_atoms=5000, chi=math.pi / 4, squeeze_duration=1.0)
+    with pytest.raises(NumericsError, match=r"^N=5000, alpha=0\.7853981633974483: "):
+        mc.contrast_curve(three_tone_noise, 7, [5e-3], cfg, integrand="eq23")
+    with pytest.raises(NumericsError, match="N=5000"):
+        mc.fringe_contrast_mc(three_tone_noise, LockInSchedule(7, 5e-3), cfg, integrand="eq23")
+    # not vacuous: the same N under the shipped twist keeps its fringe
+    shipped = dataclasses.replace(default_mc, n_atoms=5000)
+    (point,) = mc.contrast_curve(three_tone_noise, 7, [5e-3], shipped, integrand="eq23")
+    assert -1.0 <= point.estimate <= 1.0 and point.stderr > 0
 
 
 def test_integrand_modes_differ(three_tone_noise, default_mc):
