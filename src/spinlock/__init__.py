@@ -15,13 +15,11 @@ from .analytic import (
 )
 from .dicke import (
     CollectiveOps,
-    DickeState,
     PhaseTriple,
     PulseStep,
     TridiagonalOperator,
     build_collective_ops,
     css_state,
-    evolve_unitary,
     full_space_oracle,
     schedule_expectations,
     x_css,
@@ -67,7 +65,6 @@ __all__ = [
     "CollectiveOps",
     "ConfigError",
     "CurvePoint",
-    "DickeState",
     "DimensionMismatchError",
     "EmptyRangeError",
     "FringeNodeError",
@@ -91,7 +88,6 @@ __all__ = [
     "contrast_curve",
     "css_state",
     "effective_unitary",
-    "evolve_unitary",
     "expect_jx",
     "expect_jz",
     "fringe_contrast_mc",

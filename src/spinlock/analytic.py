@@ -142,46 +142,30 @@ def _grid_moments(
     """<J> and M of the x-CSS after every (alpha, beta, gamma) cycle of one
     ordering, shapes (A, B, G, 3) and (A, B, G, 3, 3).
 
-    States are propagated only up to the cycle's last Jz^2 twist; any
-    rotation after it acts on the moments (``dicke._rotate_moments``).
     "product" applies squeeze, then signal, then drive (the physical
-    sequence): only the twist touches the state, once per alpha, and the
-    shift and drive act on its moments as R_x(gamma) R_z(beta).  "reversed"
-    applies them backwards, ending on the twist: the CSS is rotated under
-    every gamma in one pass, then phased.  "single" exponentiates the summed
-    generator alpha*Jz^2 + beta*Jz + gamma*Jx in one step, which differs at
-    every point: the bands of all points form one stack, propagated in a
-    single Chebyshev pass.
+    sequence), and "reversed" applies them backwards, ending on the twist;
+    both run as one array-angle schedule through ``dicke._schedule_moments``.
+    "single" exponentiates the summed generator alpha*Jz^2 + beta*Jz +
+    gamma*Jx in one step, which differs at every point: the bands of all
+    points form one stack, propagated in a single Chebyshev pass.
     """
+    steps = [("jz2", alphas), ("jz", betas), ("jx", gammas)]
+    if ordering == "product":
+        return dicke._schedule_moments(css, steps)
+    if ordering == "reversed":
+        mean, second = dicke._schedule_moments(css, steps[::-1])  # axes (G, B, A)
+        return mean.transpose(2, 1, 0, 3), second.transpose(2, 1, 0, 3, 4)
     dim = css.size
     grid = (alphas.size, betas.size, gammas.size)
-    rotation = np.eye(3)
-    if ordering == "product":
-        states = dicke._propagate(ops.jz2, alphas, css).T  # (dim, A)
-        rotation = dicke._rotation_matrix("jx", gammas) @ dicke._rotation_matrix(
-            "jz", betas[:, None]
-        )  # (B, G, 3, 3)
-        lead = (alphas.size, 1, 1)
-    elif ordering == "reversed":
-        rotated = dicke._propagate(ops.jx, gammas, css).T  # (dim, G)
-        shifted = dicke._propagate(ops.jz, betas, rotated)  # (B, dim, G)
-        twisted = dicke._propagate(ops.jz2, alphas, shifted.transpose(1, 0, 2))
-        states = twisted.transpose(1, 0, 2, 3).reshape(dim, -1)  # columns (alpha, beta, gamma)
-        lead = grid
-    else:
-        # weights (A, 1, 1, 1), (1, B, 1, 1), (1, 1, G, 1) against each band
-        weights = [w[..., None] for w in np.ix_(alphas, betas, gammas)]
-        terms = tuple(zip(weights, (ops.jz2, ops.jz, ops.jx)))
-        combined = TridiagonalOperator(
-            sum(weight * op.diag for weight, op in terms).reshape(-1, dim),
-            sum(weight * op.upper for weight, op in terms).reshape(-1, dim - 1),
-        )
-        states = dicke._propagate(combined, 1.0, css).T
-        lead = grid
-    mean, second = dicke._spin_moments(states)
-    return dicke._rotate_moments(
-        rotation, mean.reshape(lead + (3,)), second.reshape(lead + (3, 3))
+    # weights (A, 1, 1, 1), (1, B, 1, 1), (1, 1, G, 1) against each band
+    weights = [w[..., None] for w in np.ix_(alphas, betas, gammas)]
+    terms = tuple(zip(weights, (ops.jz2, ops.jz, ops.jx)))
+    combined = TridiagonalOperator(
+        sum(weight * op.diag for weight, op in terms).reshape(-1, dim),
+        sum(weight * op.upper for weight, op in terms).reshape(-1, dim - 1),
     )
+    mean, second = dicke._spin_moments(dicke._propagate(combined, 1.0, css).T)
+    return mean.reshape(grid + (3,)), second.reshape(grid + (3, 3))
 
 
 def oracle_grid(
@@ -214,7 +198,7 @@ def oracle_grid(
     ops = dicke.build_collective_ops(n_atoms)
     if not points or not orderings:
         return []
-    css = dicke.x_css(n_atoms).amplitudes
+    css = dicke.x_css(n_atoms)
     grid = [np.array(values, dtype=float) for values in (alphas, betas, gammas)]
     moments = {o: _grid_moments(ops, css, o, *grid) for o in set(orderings)}
     # one row per (alpha, beta, gamma, ordering), in that order

@@ -228,6 +228,13 @@ def write_csv(stream, cfg: RunConfig, rows, extra_comments: Sequence[str]) -> No
     stream.write("".join([template % row for row in rows]))
 
 
+def _json_cell(value):
+    """A row cell for JSON, which has no NaN or infinity: those become null."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def write_json(stream, cfg: RunConfig, rows, extra_comments: Sequence[str]) -> None:
     doc = {
         "spinlock": __version__,
@@ -237,9 +244,9 @@ def write_json(stream, cfg: RunConfig, rows, extra_comments: Sequence[str]) -> N
         "config": cfg.to_dict(),
         "notes": list(extra_comments),
         "columns": list(CSV_COLUMNS[cfg.experiment]),
-        "rows": [list(row) for row in rows],
+        "rows": [[_json_cell(value) for value in row] for row in rows],
     }
-    json.dump(doc, stream, indent=2)
+    json.dump(doc, stream, indent=2, allow_nan=False)
     stream.write("\n")
 
 

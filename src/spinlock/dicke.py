@@ -11,9 +11,13 @@ that grows with |theta| times the half-width of G's spectrum (N/2 for Jx).
 The expansion is truncated at terms below 1e-16, so evolution is exact up
 to rounding, with no step size to tune, and can serve as ground truth for
 closed-form expressions.
-Rotations that follow a schedule's last twist need no state at all: they
-act on the first and second moments of J as one SO(3) matrix, read from
-the state's populations and first two coherences in O(N).
+A state is its plain array of amplitudes; ``css_state`` returns them
+normalised and read-only.  One evaluator, ``_schedule_moments``, runs a
+pulse schedule on them, each angle a float or an array of angles: the
+steps up to the last twist act on the amplitudes, and the rotations after
+it need no state at all: they act on the first and second moments of J as
+one SO(3) matrix, read from the state's populations and first two
+coherences in O(N).
 ``TridiagonalOperator`` is the package's one operator type: ``squeezing``
 takes its photon Stokes operators from the same spin-N_s/2 bands and
 propagates them with the same rotation.
@@ -99,7 +103,7 @@ class TridiagonalOperator:
         return out
 
     def matvec(self, vec: np.ndarray) -> np.ndarray:
-        """A @ vec in O(dim) for a complex vector (dim,) or block of columns (dim, k).
+        """A @ vec in O(dim) for a complex vector (dim,) or block (dim, *axes).
 
         A stack of P operators takes vectors stacked the same way, (P, dim) or
         (P, dim, k), and applies operator p to entry p.
@@ -114,28 +118,6 @@ class TridiagonalOperator:
         out[head] += upper * vec[tail]
         out[tail] += upper.conj() * vec[head]
         return out
-
-
-@dataclass(frozen=True)
-class DickeState:
-    """Pure state of the symmetric subspace: one complex amplitude per m."""
-
-    n_atoms: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        if self.n_atoms < 1:
-            raise ConfigError(f"n_atoms must be positive, got {self.n_atoms}")
-        amps = np.array(self.amplitudes, dtype=complex)
-        if amps.ndim != 1 or amps.size != self.n_atoms + 1:
-            raise DimensionMismatchError(
-                f"expected {self.n_atoms + 1} amplitudes, got shape {amps.shape}"
-            )
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) >= NORM_TOL:
-            raise NumericsError(f"state norm {norm!r} deviates from 1 beyond 1e-12")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
 
 
 @dataclass(frozen=True)
@@ -211,6 +193,14 @@ def spin_matrices(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return jx, jy, jz
 
 
+def _check_atom_number(n_atoms: int, limit: int) -> None:
+    """ConfigError unless n_atoms is an integer (not a bool) in [1, limit]."""
+    if not isinstance(n_atoms, (int, np.integer)) or isinstance(n_atoms, bool):
+        raise ConfigError(f"n_atoms must be an integer, got {n_atoms!r}")
+    if not 1 <= n_atoms <= limit:
+        raise ConfigError(f"n_atoms={n_atoms} outside [1, {limit}]")
+
+
 def build_collective_ops(n_atoms: int) -> CollectiveOps:
     """Angular-momentum operators for J = n_atoms/2 in the m-descending basis.
 
@@ -221,16 +211,10 @@ def build_collective_ops(n_atoms: int) -> CollectiveOps:
     Raises
     ------
     ConfigError
-        If n_atoms is outside [1, 10_000], the range the closed-form checks
-        cover.
+        If n_atoms is not an integer, or is outside [1, 10_000], the range
+        the closed-form checks cover.
     """
-    if not isinstance(n_atoms, (int, np.integer)) or isinstance(n_atoms, bool):
-        raise ConfigError(f"n_atoms must be an integer, got {n_atoms!r}")
-    if not 1 <= n_atoms <= MAX_ATOMS:
-        raise ConfigError(
-            f"n_atoms={n_atoms} outside [1, {MAX_ATOMS}], the range checked "
-            "against closed forms"
-        )
+    _check_atom_number(n_atoms, MAX_ATOMS)
     m, ladder = _m_and_ladder(n_atoms + 1)
     zeros = np.zeros(n_atoms)
     return CollectiveOps(
@@ -242,8 +226,9 @@ def build_collective_ops(n_atoms: int) -> CollectiveOps:
     )
 
 
-def css_state(n_atoms: int, theta: float, phi: float) -> DickeState:
-    """Coherent spin state |theta, phi⟩ in the Dicke basis.
+def css_state(n_atoms: int, theta: float, phi: float) -> np.ndarray:
+    """Coherent spin state |theta, phi⟩ in the Dicke basis, as its read-only
+    amplitudes (n_atoms + 1,), m descending.
 
     The amplitude at m = J - k is
     sqrt(C(n_atoms, k)) * cos(theta/2)^(n_atoms-k) * (e^{i phi} sin(theta/2))^k.
@@ -252,8 +237,7 @@ def css_state(n_atoms: int, theta: float, phi: float) -> DickeState:
     ensembles neither overflow nor lose digits to big log-factorials; the
     result is then normalized.
     """
-    if not 1 <= n_atoms <= MAX_ATOMS:
-        raise ConfigError(f"n_atoms={n_atoms} outside [1, {MAX_ATOMS}]")
+    _check_atom_number(n_atoms, MAX_ATOMS)
     k = np.arange(n_atoms + 1)
     c = np.cos(theta / 2)
     s = np.sin(theta / 2)
@@ -268,19 +252,13 @@ def css_state(n_atoms: int, theta: float, phi: float) -> DickeState:
     signs = np.sign(c) ** (n_atoms - k) * np.sign(s) ** k if (c < 0 or s < 0) else 1.0
     amps = signs * np.exp(log_w) * np.exp(1j * phi * k)
     amps /= np.linalg.norm(amps)
-    return DickeState(n_atoms=n_atoms, amplitudes=amps)
+    amps.setflags(write=False)
+    return amps
 
 
-def x_css(n_atoms: int) -> DickeState:
+def x_css(n_atoms: int) -> np.ndarray:
     """The x-polarized CSS (theta = pi/2, phi = 0) every sequence starts from."""
     return css_state(n_atoms, np.pi / 2, 0.0)
-
-
-def _check_operator(op: TridiagonalOperator, n_atoms: int, role: str) -> None:
-    if op.diag.shape != (n_atoms + 1,):
-        raise DimensionMismatchError(
-            f"{role} bands {op.diag.shape} != one operator of state dim {n_atoms + 1}"
-        )
 
 
 def _propagate(
@@ -288,7 +266,7 @@ def _propagate(
 ) -> np.ndarray:
     """exp(-i*angle*G) @ vec for a Hermitian tridiagonal G, or for each of a stack.
 
-    ``vec`` is one vector of shape (dim,) or a block of columns (dim, k).
+    ``vec`` is one vector of shape (dim,) or a block (dim, *axes).
     ``angle`` is a float, giving an array shaped like ``vec``, or a 1-D array
     of A angles, giving the A results stacked as (A,) + vec.shape.  A stack
     of P generators (bands (P, dim) and (P, dim - 1)) propagates ``vec`` with
@@ -374,18 +352,6 @@ def _chebyshev_coefficients(x: float | np.ndarray) -> np.ndarray:
     return np.fft.fft(np.exp(-1j * x[..., None] * np.cos(t)))[..., :keep] / (2 * half)
 
 
-def evolve_unitary(
-    state: DickeState, generator: TridiagonalOperator, duration_phase: float
-) -> DickeState:
-    """Apply exp(-i * duration_phase * generator) to a Dicke state.
-
-    Evolution is unitary up to rounding with no step-size tuning.
-    """
-    _check_operator(generator, state.n_atoms, "evolution generator")
-    amps = _propagate(generator, duration_phase, state.amplitudes)
-    return DickeState(n_atoms=state.n_atoms, amplitudes=amps)
-
-
 def _clamped_variance(var):
     """One variance or an array of them, rounding-level negatives set to zero."""
     if np.any(var <= VARIANCE_FLOOR):
@@ -393,15 +359,6 @@ def _clamped_variance(var):
             f"variance {np.min(var):.3e} below -1e-10: not mere rounding"
         )
     return np.where(var < 0, 0.0, var)
-
-
-def apply_schedule(
-    state: DickeState, ops: CollectiveOps, schedule: PulseSchedule
-) -> DickeState:
-    """Run a pulse schedule (ordered rotations/twists) on a Dicke state."""
-    for step in schedule:
-        state = evolve_unitary(state, ops.by_name(step.generator), step.angle)
-    return state
 
 
 def _spin_moments(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -414,8 +371,8 @@ def _spin_moments(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     O(dim) per column: <J+> = <Jx> + i<Jy> and <{J+, Jz}> = <{Jx, Jz}> +
     i<{Jy, Jz}> from the first, <J+^2> = <Jx^2 - Jy^2> + i<{Jx, Jy}> from
     the second, and <Jx^2 + Jy^2> = j(j+1) - <Jz^2> from the Casimir.  A
-    column of a block gets the bits of its own 1-D call.  Since the columns
-    need not be ``DickeState``s, each must be normalised to within 1e-12.
+    column of a block gets the bits of its own 1-D call.  This is where
+    amplitudes are read, so each column must be normalised to within 1e-12.
     """
     if amps.ndim not in (1, 2):
         raise DimensionMismatchError(f"need a (dim,) state or (dim, k) block, got {amps.shape}")
@@ -476,23 +433,45 @@ def _rotate_moments(
     return mean, second
 
 
-def schedule_expectations(n_atoms: int, schedule: PulseSchedule) -> dict[str, float]:
-    """Dicke-basis expectations {Jx, Jy, Jz, Jz^2} of a schedule run on the x-CSS.
+def _schedule_moments(
+    amps: np.ndarray, steps: Sequence[tuple[str, float | np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """<J> and M after a schedule of (generator, angle) steps run on ``amps``.
 
-    Only the steps up to and including the last Jz^2 twist act on the state.
-    The rotations after it act on the moments instead: in the Heisenberg
-    picture each maps J to R J with R in SO(3), so their product R gives
-    <J> -> R<J> and the second moments M -> R M R^T (``_rotate_moments``),
-    read from the twisted state by ``_spin_moments`` in O(N).
+    ``amps`` is one state (dim,), the x-CSS for every caller; each step
+    rebinds it, so no copy of the input outlives the first step here.  Each
+    angle is a float or a 1-D array; an array runs the schedule under each
+    of its angles and adds one result axis, in step order, so the moments
+    come out shaped (*axes, 3) and (*axes, 3, 3).  Only the steps up to and including the last Jz^2
+    twist act on the amplitudes, held as (dim, *axes) with each new angle
+    axis last.  The rotations after it act on the moments instead: in the
+    Heisenberg picture each maps J to R J with R in SO(3), so their product
+    R gives <J> -> R<J> and M -> R M R^T (``_rotate_moments``), one R per
+    combination of their angles, read from the twisted states by
+    ``_spin_moments`` in O(N) each.
     """
-    ops = build_collective_ops(n_atoms)
-    twists = [k for k, step in enumerate(schedule) if step.generator == "jz2"]
+    ops = build_collective_ops(amps.size - 1)
+    twists = [k for k, (generator, _) in enumerate(steps) if generator == "jz2"]
     split = twists[-1] + 1 if twists else 0
-    state = apply_schedule(x_css(n_atoms), ops, schedule[:split])
+    for generator, angle in steps[:split]:
+        amps = _propagate(ops.by_name(generator), angle, amps)
+        if np.ndim(angle):
+            amps = np.moveaxis(amps, 0, -1)
     rotation = np.eye(3)
-    for step in schedule[split:]:
-        rotation = _rotation_matrix(step.generator, step.angle) @ rotation
-    mean, second = _rotate_moments(rotation, *_spin_moments(state.amplitudes))
+    for generator, angle in steps[split:]:
+        if np.ndim(angle):
+            rotation = rotation[..., None, :, :]
+        rotation = _rotation_matrix(generator, angle) @ rotation
+    mean, second = _spin_moments(amps.reshape(amps.shape[0], -1))
+    lead = amps.shape[1:] + (1,) * (rotation.ndim - 2)
+    return _rotate_moments(rotation, mean.reshape(lead + (3,)), second.reshape(lead + (3, 3)))
+
+
+def schedule_expectations(n_atoms: int, schedule: PulseSchedule) -> dict[str, float]:
+    """Dicke-basis expectations {Jx, Jy, Jz, Jz^2} of a schedule run on the x-CSS,
+    through ``_schedule_moments``."""
+    steps = [(step.generator, step.angle) for step in schedule]
+    mean, second = _schedule_moments(x_css(n_atoms), steps)
     return dict(zip(GENERATOR_NAMES, [*mean.tolist(), float(second[2, 2])]))
 
 
@@ -543,8 +522,7 @@ def full_space_oracle(n_atoms: int, schedule: PulseSchedule) -> dict[str, float]
     Only feasible for n_atoms <= 4; used to validate the symmetric-subspace
     code.
     """
-    if not 1 <= n_atoms <= 4:
-        raise ConfigError(f"full-space oracle limited to n_atoms <= 4, got {n_atoms}")
+    _check_atom_number(n_atoms, 4)
     ops, eigen = _pauli_sums(n_atoms)
     full = np.full(2**n_atoms, 2 ** (-n_atoms / 2), dtype=complex)
     for step in schedule:

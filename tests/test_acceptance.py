@@ -120,7 +120,7 @@ def test_criterion_05_bch_cubic_and_twisting():
 
     n_photons = n_atoms = 4
     _, _, jz = dicke.spin_matrices(n_atoms + 1)
-    atom = dicke.css_state(n_atoms, np.pi / 2, 0.0).amplitudes
+    atom = dicke.css_state(n_atoms, np.pi / 2, 0.0)
     photon = squeezing.max_sx_state(n_photons)
     psi0 = np.kron(photon, atom)
     diffs = {}

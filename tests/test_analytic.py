@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spinlock import analytic, dicke
-from spinlock.dicke import PhaseTriple, PulseStep, TridiagonalOperator
+from spinlock.dicke import PhaseTriple, TridiagonalOperator
 from spinlock.errors import ConfigError, FringeNodeError, PhaseDomainError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -135,27 +135,24 @@ def close_or_equal(a, b):
 
 
 def pointwise_oracle(phases, n, ordering):
-    """The per-point reference: one DickeState through the cycle, then its moments."""
+    """The per-point reference: every step of the cycle propagated on the
+    x-CSS amplitudes, then read through dense matrices."""
     ops = dicke.build_collective_ops(n)
-    state = dicke.x_css(n)
+    amps = dicke.x_css(n)
     if ordering == "single":
         terms = ((phases.alpha, ops.jz2), (phases.beta, ops.jz), (phases.gamma, ops.jx))
         combined = TridiagonalOperator(
             sum(w * op.diag for w, op in terms), sum(w * op.upper for w, op in terms)
         )
-        state = dicke.evolve_unitary(state, combined, 1.0)
+        amps = dicke._propagate(combined, 1.0, amps)
     else:
-        steps = [
-            PulseStep("jz2", phases.alpha),
-            PulseStep("jz", phases.beta),
-            PulseStep("jx", phases.gamma),
-        ]
+        steps = [(ops.jz2, phases.alpha), (ops.jz, phases.beta), (ops.jx, phases.gamma)]
         if ordering == "reversed":
             steps.reverse()
-        state = dicke.apply_schedule(state, ops, steps)
+        for generator, angle in steps:
+            amps = dicke._propagate(generator, angle, amps)
     # read through the dense spin matrices, not the moments readout
     jx_dense, _, jz_dense = dicke.spin_matrices(n + 1)
-    amps = state.amplitudes
     jx, jz = (np.vdot(amps, op @ amps).real for op in (jx_dense, jz_dense))
     variance = max(np.vdot(jz_dense @ amps, jz_dense @ amps).real - jz * jz, 0.0)
     dphi = math.sqrt(variance) / jx if jx != 0 else math.inf
@@ -212,7 +209,7 @@ def test_product_ordering_moments_match_drive_propagated_on_the_state():
     grid = [np.array(values) for values in (alphas, betas, gammas)]
     for n in (1, 2, 4, 50, 200):
         ops = dicke.build_collective_ops(n)
-        css = dicke.x_css(n).amplitudes
+        css = dicke.x_css(n)
         mean, second = analytic._grid_moments(ops, css, "product", *grid)
         assert mean.shape == (3, 3, 4, 3) and second.shape == (3, 3, 4, 3, 3)
         dense = dicke.spin_matrices(n + 1)

@@ -16,7 +16,6 @@ from spinlock import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = sorted(ROOT.glob("benchmarks/*.py")) + [ROOT / "perfbench" / "workloads.py"]
-MODULE_NAMES = ("dicke", "squeezing", "analytic", "cli")
 BENCHMARK_CONFIGS = sorted((ROOT / "perfbench" / "configs").glob("*.json"))
 
 
@@ -42,21 +41,34 @@ def dotted_name(node: ast.AST) -> str | None:
     return ".".join([node.id, *reversed(parts)])
 
 
-def spinlock_references(tree: ast.AST) -> set[str]:
-    """Dotted spinlock paths that the module's imports and attribute uses name."""
-    names = set()
+def spinlock_bindings(tree: ast.AST) -> dict[str, str]:
+    """Local name -> dotted spinlock path, for every name the imports bind."""
+    bound = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "spinlock":
-            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
         elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "spinlock":
+                    # "import a.b" binds a; "import a.b as c" binds c to a.b
+                    local = alias.asname or alias.name.split(".")[0]
+                    bound[local] = alias.name if alias.asname else local
+    return bound
+
+
+def spinlock_references(tree: ast.AST) -> set[str]:
+    """Dotted spinlock paths that the module's imports and attribute uses name."""
+    bound = spinlock_bindings(tree)
+    names = set(bound.values())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
             names.update(a.name for a in node.names if a.name.split(".")[0] == "spinlock")
         elif isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
             dotted = dotted_name(node)
-            root = dotted.split(".")[0] if dotted else None
-            if root in MODULE_NAMES:
-                names.add(f"spinlock.{dotted}")
-            elif root == "spinlock":
-                names.add(dotted)
+            root, _, rest = (dotted or "").partition(".")
+            if root in bound:
+                names.add(f"{bound[root]}.{rest}")
     return names
 
 
@@ -78,7 +90,10 @@ def test_walker_flags_a_deleted_name():
         "def f():\n"
         "    from spinlock.montecarlo import McConfig, gone_sampler\n"
         "    from spinlock import dicke\n"
-        "    return dicke.schedule_expectations, dicke.gone_accessor\n"
+        "    from spinlock import kernels, montecarlo as mc\n"
+        "    import spinlock.cli as entry\n"
+        "    return (dicke.schedule_expectations, dicke.gone_accessor, kernels.gone_fn,\n"
+        "            kernels._sin, mc._stream, mc.gone_draw, entry.main, entry.gone_main)\n"
     )
     references = spinlock_references(tree)
     assert references == {
@@ -87,11 +102,24 @@ def test_walker_flags_a_deleted_name():
         "spinlock.dicke",
         "spinlock.dicke.schedule_expectations",
         "spinlock.dicke.gone_accessor",
+        "spinlock.kernels",
+        "spinlock.kernels.gone_fn",
+        "spinlock.kernels._sin",
+        "spinlock.montecarlo",
+        "spinlock.montecarlo._stream",
+        "spinlock.montecarlo.gone_draw",
+        "spinlock.cli",
+        "spinlock.cli.main",
+        "spinlock.cli.gone_main",
     }
     for dotted, exists in (
         ("spinlock.montecarlo.McConfig", True),
         ("spinlock.montecarlo.gone_sampler", False),
         ("spinlock.dicke.gone_accessor", False),
+        ("spinlock.kernels._sin", True),
+        ("spinlock.kernels.gone_fn", False),
+        ("spinlock.montecarlo.gone_draw", False),
+        ("spinlock.cli.gone_main", False),
     ):
         try:
             resolve(dotted)

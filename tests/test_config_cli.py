@@ -587,6 +587,33 @@ def test_json_output_format(tmp_path):
     assert parsed["config"]["mc"]["master_seed"] == 7
 
 
+def test_json_output_writes_undefined_cells_as_null(tmp_path):
+    # at alpha = 0, beta = pi/2 the printed dphi sits on a fringe node: NaN,
+    # which JSON (RFC 8259) cannot hold, so the cell is null
+    doc = json.loads((Path(__file__).parent.parent / "configs" / "oracle_compare.json").read_text())
+    doc["compare"].update(alphas=[0.0], betas=[math.pi / 2])
+    doc["output"] = {"path": "-", "format": "json"}
+    out = tmp_path / "out.json"
+    assert run_cli(["oracle-compare", "--config", write_config(tmp_path, doc), "--output", out]) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    parsed = json.loads(out.read_text(), parse_constant=reject)
+    columns = parsed["columns"]
+    dphi = [row for row in parsed["rows"] if row[columns.index("quantity")] == "dphi"]
+    assert dphi and all(row[columns.index("formula")] is None for row in dphi)
+    assert all(row[columns.index("abs_diff")] is None for row in dphi)
+    assert all(
+        isinstance(value, float) for row in parsed["rows"] for value in row[6:] if value is not None
+    )
+    # CSV keeps the %.17g text of the same cells
+    doc["output"] = {"path": "-", "format": "csv"}
+    csv = tmp_path / "out.csv"
+    assert run_cli(["oracle-compare", "--config", write_config(tmp_path, doc), "--output", csv]) == 0
+    assert ",dphi,nan," in csv.read_text()
+
+
 def run_fresh_interpreter(code):
     """Run code in a new interpreter that imports this suite's spinlock; its stdout."""
     import os

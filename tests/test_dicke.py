@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from spinlock import dicke
-from spinlock.dicke import DickeState, PulseStep, TridiagonalOperator
+from spinlock.dicke import PulseStep, TridiagonalOperator
 from spinlock.errors import (
     ConfigError,
     DimensionMismatchError,
@@ -56,9 +56,33 @@ def test_operator_bounds():
 
 def test_css_simple_cases():
     north = dicke.css_state(2, 0.0, 0.0)
-    assert np.allclose(north.amplitudes, [1.0, 0.0, 0.0], atol=1e-15)
+    assert np.allclose(north, [1.0, 0.0, 0.0], atol=1e-15)
     equator = dicke.css_state(1, np.pi / 2, 0.0)
-    assert np.allclose(equator.amplitudes, [1, 1] / np.sqrt(2), atol=1e-15)
+    assert np.allclose(equator, [1, 1] / np.sqrt(2), atol=1e-15)
+    with pytest.raises(ValueError):  # read-only: no caller can denormalise it
+        equator[0] = 1.0
+
+
+def test_atom_number_must_be_an_integer_in_range():
+    # one check for every entry point that takes an atom number: a float or
+    # a bool is not one, however it compares
+    for n in (2.5, 2.0, True, False, "3", None):
+        for call in (
+            lambda: dicke.css_state(n, np.pi / 2, 0.0),
+            lambda: dicke.build_collective_ops(n),
+            lambda: dicke.full_space_oracle(n, [PulseStep("jx", 0.1)]),
+        ):
+            with pytest.raises(ConfigError, match="integer"):
+                call()
+    for n in (0, -1):
+        with pytest.raises(ConfigError):
+            dicke.css_state(n, 0.0, 0.0)
+        with pytest.raises(ConfigError):
+            dicke.full_space_oracle(n, [])
+    with pytest.raises(ConfigError):
+        dicke.css_state(dicke.MAX_ATOMS + 1, 0.0, 0.0)
+    assert dicke.css_state(np.int64(3), 0.0, 0.0).shape == (4,)
+    assert dicke.full_space_oracle(np.int64(1), [])["jx"] == pytest.approx(0.5)
 
 
 def test_css_moments_against_bloch_vector():
@@ -68,7 +92,7 @@ def test_css_moments_against_bloch_vector():
         theta = float(rng.uniform(0, np.pi))
         phi = float(rng.uniform(0, 2 * np.pi))
         state = dicke.css_state(n, theta, phi)
-        (jx, jy, jz), _ = dicke._spin_moments(state.amplitudes)
+        (jx, jy, jz), _ = dicke._spin_moments(state)
         half_n = n / 2
         assert jz == pytest.approx(half_n * np.cos(theta), abs=1e-10)
         assert jx == pytest.approx(half_n * np.sin(theta) * np.cos(phi), abs=1e-10)
@@ -77,14 +101,14 @@ def test_css_moments_against_bloch_vector():
 
 def test_css_is_normalized_at_huge_atom_number():
     state = dicke.css_state(10_000, 1.234, 0.7)
-    assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_css_binomial_weights_at_10000_atoms():
     # |a_k| / |a_peak| = sqrt(C(N, k) / C(N, N/2)) on the equator, against
     # exact rationals over the bulk of the distribution (down to ~3e-4)
     n, half = 10_000, 5_000
-    amps = np.abs(dicke.css_state(n, np.pi / 2, 0.0).amplitudes)
+    amps = np.abs(dicke.css_state(n, np.pi / 2, 0.0))
     peak = math.comb(n, half)
     for k in range(half - 200, half + 201):
         want = math.sqrt(Fraction(math.comb(n, k), peak))
@@ -92,26 +116,19 @@ def test_css_binomial_weights_at_10000_atoms():
 
 
 def test_x_css_moments():
-    mean, second = dicke._spin_moments(dicke.x_css(50).amplitudes)
+    mean, second = dicke._spin_moments(dicke.x_css(50))
     assert mean[0] == pytest.approx(25.0, abs=1e-12)
     assert mean[2] == pytest.approx(0.0, abs=1e-12)
     assert second[2, 2] == pytest.approx(12.5, abs=1e-12)
     assert second[2, 2] - mean[2] ** 2 == pytest.approx(12.5, abs=1e-12)
 
 
-def test_state_norm_is_enforced():
-    with pytest.raises(NumericsError):
-        DickeState(n_atoms=1, amplitudes=np.array([1.0, 1.0]))
-    with pytest.raises(DimensionMismatchError):
-        DickeState(n_atoms=2, amplitudes=np.array([1.0, 0.0]))
-
-
 def test_rotation_about_z_precesses_x_polarization():
     # exp(-i phi Jz) turns the Bloch vector by +phi about z: x toward +y
     state = dicke.x_css(3)
     ops = dicke.build_collective_ops(3)
-    rotated = dicke.evolve_unitary(state, ops.jz, 0.3)
-    (jx, jy, _), _ = dicke._spin_moments(rotated.amplitudes)
+    rotated = dicke._propagate(ops.jz, 0.3, state)
+    (jx, jy, _), _ = dicke._spin_moments(rotated)
     assert jx == pytest.approx(1.5 * np.cos(0.3), abs=1e-12)
     assert jy == pytest.approx(1.5 * np.sin(0.3), abs=1e-12)
 
@@ -121,17 +138,15 @@ def test_evolution_preserves_norm():
     state = dicke.x_css(20)
     ops = dicke.build_collective_ops(20)
     for name in dicke.GENERATOR_NAMES:
-        state = dicke.evolve_unitary(state, ops.by_name(name), float(rng.uniform(-2, 2)))
-    assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
+        state = dicke._propagate(ops.by_name(name), float(rng.uniform(-2, 2)), state)
+    assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_twisting_only_changes_phases():
     state = dicke.css_state(12, 1.1, 0.3)
     ops = dicke.build_collective_ops(12)
-    twisted = dicke.evolve_unitary(state, ops.jz2, 0.7)
-    assert np.allclose(
-        np.abs(twisted.amplitudes), np.abs(state.amplitudes), atol=1e-13
-    )
+    twisted = dicke._propagate(ops.jz2, 0.7, state)
+    assert np.allclose(np.abs(twisted), np.abs(state), atol=1e-13)
 
 
 def test_evolution_matches_dense_expm():
@@ -142,7 +157,7 @@ def test_evolution_matches_dense_expm():
         jx, jy, jz = dicke.spin_matrices(n + 1)
         ops = dicke.build_collective_ops(n)
         amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
-        state = DickeState(n, amps / np.linalg.norm(amps))
+        state = amps / np.linalg.norm(amps)
         cases = [(ops.by_name(name), dense, 0.7) for name, dense in
                  (("jx", jx), ("jy", jy), ("jz", jz), ("jz2", jz @ jz))]
         for weights in ((0.3, -0.2, 0.9, 0.0), (0.0, 0.4, -0.6, 1.1)):
@@ -153,8 +168,8 @@ def test_evolution_matches_dense_expm():
             )
             cases.append((banded, a * jz @ jz + b * jz + g * jx + d * jy, 1.0))
         for generator, dense, angle in cases:
-            got = dicke.evolve_unitary(state, generator, angle).amplitudes
-            want = scipy.linalg.expm(-1j * angle * dense) @ state.amplitudes
+            got = dicke._propagate(generator, angle, state)
+            want = scipy.linalg.expm(-1j * angle * dense) @ state
             assert np.abs(got - want).max() <= 1e-10, f"n={n}"
 
 
@@ -280,21 +295,30 @@ def test_twist_then_rotate_at_documented_limit():
     n = dicke.MAX_ATOMS
     ops = dicke.build_collective_ops(n)
     schedule = [PulseStep("jz2", 0.01), PulseStep("jx", 0.3)]
-    state = dicke.apply_schedule(dicke.x_css(n), ops, schedule)
-    assert np.linalg.norm(state.amplitudes) == pytest.approx(1.0, abs=1e-12)
+    state = propagated_state(n, schedule)
+    assert np.linalg.norm(state) == pytest.approx(1.0, abs=1e-12)
     jx, jz2 = twisted_rotated_moments(n, 0.01, 0.3)
-    mean, second = dicke._spin_moments(state.amplitudes)
+    mean, second = dicke._spin_moments(state)
     assert mean[0] == pytest.approx(jx, rel=1e-9)
     assert second[2, 2] == pytest.approx(jz2, rel=1e-9)
     assert abs(mean[1]) < 1e-9
     assert abs(mean[2]) < 1e-9
 
 
+def propagated_state(n, schedule):
+    """The x-CSS with every step of the schedule propagated on its amplitudes."""
+    ops = dicke.build_collective_ops(n)
+    amps = dicke.x_css(n)
+    for step in schedule:
+        amps = dicke._propagate(ops.by_name(step.generator), step.angle, amps)
+    return amps
+
+
 def propagated_expectations(n, schedule):
     """Every step of the schedule run on the state, then the four expectations,
     each <psi|G|psi> through G's own bands (not the moments readout)."""
     ops = dicke.build_collective_ops(n)
-    amps = dicke.apply_schedule(dicke.x_css(n), ops, schedule).amplitudes
+    amps = propagated_state(n, schedule)
     return {
         name: np.vdot(amps, ops.by_name(name).matvec(amps)).real
         for name in dicke.GENERATOR_NAMES
@@ -356,26 +380,55 @@ def test_tridiagonal_operator_validation():
         TridiagonalOperator(np.zeros(3), np.zeros(3))
     with pytest.raises(NonHermitianError):
         TridiagonalOperator(np.array([1.0, 1j]), np.zeros(1))
-    state = dicke.x_css(2)
-    with pytest.raises(DimensionMismatchError):
-        dicke.evolve_unitary(state, dicke.build_collective_ops(3).jx, 0.1)
 
 
 def test_variance_nonnegative_on_eigenstate():
-    mean, second = dicke._spin_moments(dicke.css_state(6, 0.0, 0.0).amplitudes)
+    mean, second = dicke._spin_moments(dicke.css_state(6, 0.0, 0.0))
     assert dicke._clamped_variance(second[2, 2] - mean[2] ** 2) == 0.0
     with pytest.raises(NumericsError):
         dicke._clamped_variance(-1e-9)
 
 
 def test_schedule_application_matches_manual_chain():
+    # the evaluator rotates the moments after the twist; the chain propagates
+    # every step on the amplitudes
     schedule = [PulseStep("jz2", 0.05), PulseStep("jz", 0.2), PulseStep("jx", 0.4)]
-    ops = dicke.build_collective_ops(5)
-    manual = dicke.x_css(5)
-    for step in schedule:
-        manual = dicke.evolve_unitary(manual, ops.by_name(step.generator), step.angle)
-    chained = dicke.apply_schedule(dicke.x_css(5), ops, schedule)
-    assert np.allclose(chained.amplitudes, manual.amplitudes, atol=1e-14)
+    steps = [(step.generator, step.angle) for step in schedule]
+    mean, second = dicke._schedule_moments(dicke.x_css(5), steps)
+    assert mean.shape == (3,) and second.shape == (3, 3)
+    want_mean, want_second = dicke._spin_moments(propagated_state(5, schedule))
+    assert np.abs(mean - want_mean).max() <= 1e-14
+    assert np.abs(second - want_second).max() <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 4, 50, 200])
+def test_array_angle_schedules_match_one_call_per_point(n):
+    # each array angle adds a result axis in step order; every point of the
+    # result against a scalar call, for both oracle orderings and a schedule
+    # that twists, rotates the state, twists again and then rotates moments
+    alphas = np.array([0.0, 0.01, -0.3])
+    betas = np.array([0.0, 0.8, -0.4, 2.5])
+    gammas = np.array([0.5, -1.2])
+    schedules = {
+        "product": [("jz2", alphas), ("jz", betas), ("jx", gammas)],
+        "reversed": [("jx", gammas), ("jz", betas), ("jz2", alphas)],
+        "twist-rotate-twist": [
+            ("jz2", alphas), ("jx", gammas), ("jz2", 0.02), ("jy", betas), ("jz", 0.3),
+        ],
+    }
+    css = dicke.x_css(n)
+    for name, steps in schedules.items():
+        mean, second = dicke._schedule_moments(css, steps)
+        axes = tuple(angle.size for _, angle in steps if np.ndim(angle))
+        assert mean.shape == axes + (3,) and second.shape == axes + (3, 3), name
+        arrays = [k for k, (_, angle) in enumerate(steps) if np.ndim(angle)]
+        for index in np.ndindex(axes):
+            point = list(steps)
+            for k, i in zip(arrays, index):
+                point[k] = (steps[k][0], float(steps[k][1][i]))
+            want_mean, want_second = dicke._schedule_moments(css, point)
+            assert np.abs(mean[index] - want_mean).max() <= 1e-13 * n / 2, (name, index)
+            assert np.abs(second[index] - want_second).max() <= 1e-13 * n * n / 4, (name, index)
 
 
 def test_dicke_matches_full_space_oracle_on_random_schedules():
@@ -534,8 +587,6 @@ def test_operator_stack_rows_act_as_their_operators():
     assert np.array_equal(stack.matvec(vecs), want)
     with pytest.raises(DimensionMismatchError):
         TridiagonalOperator(np.zeros((2, 3)), np.zeros((3, 2)))
-    with pytest.raises(DimensionMismatchError):
-        dicke.evolve_unitary(dicke.x_css(5), stack, 0.1)
 
 
 def test_full_space_oracle_rejects_large_systems():
