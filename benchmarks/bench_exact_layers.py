@@ -1,4 +1,4 @@
-"""Wall time and traced peak memory of the exact layers: squeezing, BCH, oracle grids, moments.
+"""Wall time and traced peak memory of the exact layers: BCH, oracle grids, moments.
 
     python3 benchmarks/bench_exact_layers.py --label "$(git rev-parse --short HEAD)"
 
@@ -6,9 +6,6 @@ Measures the checkout this file sits in (its ``src/``), on one BLAS thread.
 It records the best wall time over a few repeats (tracemalloc off) and the
 tracemalloc peak of one more call for:
 
-- ``squeezing.u4_sequence`` at g tau = 1e-2 and (N_s, N) = (4, 4), (10, 20),
-  (50, 50) and (200, 48): joint dimensions 25, 231, 2601 and 9849, the last
-  the corner of ``MAX_JOINT_DIM`` at ``MAX_PHOTONS``;
 - ``squeezing.bch_error`` at (N_s, N) = (10, 20) for the four g tau values of
   ``configs/verify_bch.json``, timed together;
 - the oracle-compare grid of ``configs/oracle_compare.json`` through
@@ -30,6 +27,8 @@ The rows are printed and stored under ``--label`` in
 labels already there. A label is the commit whose program a row measured, so
 a later run never overwrites it; to compare two commits, run each checkout's
 copy of this script with its own commit as label and the same ``--output``.
+Runs of commits before bae147b also hold ``u4_sequence`` rows: the block
+train was a library layer then, and is now the tests' reference.
 """
 from __future__ import annotations
 
@@ -44,11 +43,8 @@ import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-G_TAU = 1e-2
-# (N_s, N, best-of repeats): the last case takes about 1 s
-U4_CASES = ((4, 4, 20), (10, 20, 20), (50, 50, 7), (200, 48, 3))
 BCH_SHAPE = (10, 20)
-# (N_s, N, g tau, best-of repeats): a block check at (200, 48) takes about 1 s
+# (N_s, N, g tau, best-of repeats)
 BCH_LIMIT_CASES = ((200, 48, 1e-2, 3), (200, 10_000, 1e-6, 9))
 SCHEDULE_ATOMS = (250, 2000, 10_000)
 MIXED_GRID = (200, (0.0, 0.0, 0.0, 0.3), (0.0, 0.4), (0.5, 1.0), ("single",))
@@ -70,27 +66,6 @@ def timed(fn, repeats: int) -> tuple[float, float]:
     finally:
         tracemalloc.stop()
     return min(walls), peak / 2**20
-
-
-def u4_rows() -> list[dict]:
-    from spinlock import squeezing
-
-    rows = []
-    for n_photons, n_atoms, repeats in U4_CASES:
-        params = squeezing.SqueezeParams.from_g_tau(1.0, G_TAU, n_photons)
-        wall, peak = timed(lambda: squeezing.u4_sequence(params, n_photons, n_atoms), repeats)
-        rows.append(
-            {
-                "n_photons": n_photons,
-                "n_atoms": n_atoms,
-                "joint_dim": (n_photons + 1) * (n_atoms + 1),
-                "g_tau": G_TAU,
-                "wall_s": wall,
-                "repeats": repeats,
-                "peak_mb": peak,
-            }
-        )
-    return rows
 
 
 def bch_row() -> dict:
@@ -200,19 +175,12 @@ def main() -> int:
     parser.add_argument("--label", required=True, help="key of this run in the output file")
     parser.add_argument("--output", type=Path, default=ROOT / "BENCH_exact_batch.json")
     args = parser.parse_args()
-    # one BLAS thread, as in perfbench: the batched matrix powers are small
+    # one BLAS thread, as in perfbench
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(name, "1")
     sys.path.insert(0, str(ROOT / "src"))
     import numpy as np
 
-    print(f"{'N_s':>4} {'N':>3} {'dim':>5} {'wall_s':>9} {'peak_MB':>9}")
-    u4 = u4_rows()
-    for row in u4:
-        print(
-            f"{row['n_photons']:>4} {row['n_atoms']:>3} {row['joint_dim']:>5} "
-            f"{row['wall_s']:>9.5f} {row['peak_mb']:>9.2f}"
-        )
     bch = bch_row()
     print(f"bch_error x{len(bch['g_tau'])} at {BCH_SHAPE}: {bch['wall_s']:.5f} s, {bch['peak_mb']:.2f} MB")
     oracle = oracle_row()
@@ -246,7 +214,6 @@ def main() -> int:
         "host": f"{platform.processor() or platform.machine()}, {os.cpu_count()} cores",
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "u4_sequence": u4,
         "bch_error": bch,
         "oracle_grid": oracle,
         "full_space_oracle": full,

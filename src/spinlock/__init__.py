@@ -1,17 +1,16 @@
 """Desk-scale simulator for phase-locked collective-spin magnetometry.
 
-Layers: exact Dicke-basis evolution (dicke), joint photon-atom squeezing
-sequence (squeezing), printed closed-form expectations (analytic), tone
-noise and pulse-train phase accumulation (noise, lockin), Monte-Carlo
-sweeps over one numpy kernel (montecarlo, kernels), and a config-driven
-CLI (cli).
+Layers: exact Dicke-basis evolution (dicke), the four-pulse squeezing
+train's reduction error (squeezing), printed closed-form expectations
+(analytic), tone noise and pulse-train phase accumulation (noise, lockin),
+Monte-Carlo sweeps over one numpy kernel (montecarlo, kernels), and a
+config-driven CLI (cli).
 """
 from .analytic import (
     expect_jx,
     expect_jz,
     min_detectable_phase,
     oracle_grid,
-    sql_phase,
 )
 from .dicke import (
     CollectiveOps,
@@ -33,14 +32,8 @@ from .errors import (
     NumericsError,
     PhaseDomainError,
     SpinlockError,
-    WindowError,
 )
-from .lockin import (
-    LockInSchedule,
-    accumulated_beta,
-    phase_kernel_grid,
-    toggling_function,
-)
+from .lockin import LockInSchedule, phase_kernel_grid
 from .montecarlo import (
     CurvePoint,
     McConfig,
@@ -50,14 +43,7 @@ from .montecarlo import (
     sensitivity_curve,
 )
 from .noise import NoiseComponent, synth_noise
-from .squeezing import (
-    SqueezeParams,
-    StokesOps,
-    bch_error,
-    build_stokes_ops,
-    effective_unitary,
-    u4_sequence,
-)
+from .squeezing import SqueezeParams, bch_error
 
 __version__ = "0.3.1"
 
@@ -78,16 +64,11 @@ __all__ = [
     "PulseStep",
     "SpinlockError",
     "SqueezeParams",
-    "StokesOps",
     "TridiagonalOperator",
-    "WindowError",
-    "accumulated_beta",
     "bch_error",
     "build_collective_ops",
-    "build_stokes_ops",
     "contrast_curve",
     "css_state",
-    "effective_unitary",
     "expect_jx",
     "expect_jz",
     "fringe_contrast_mc",
@@ -98,10 +79,7 @@ __all__ = [
     "phase_kernel_grid",
     "schedule_expectations",
     "sensitivity_curve",
-    "sql_phase",
     "synth_noise",
-    "toggling_function",
-    "u4_sequence",
     "x_css",
     "__version__",
 ]

@@ -21,19 +21,12 @@ import numpy as np
 
 from . import dicke
 from .dicke import PhaseTriple, TridiagonalOperator
-from .errors import ConfigError, FringeNodeError, PhaseDomainError
+from .errors import ConfigError, FringeNodeError, PhaseDomainError, _check_integer
 
 DENOMINATOR_TOL = 1e-12
 RADICAND_TOL = -1e-12
 
 ORDERINGS = ("product", "single", "reversed")
-
-
-def _check_n_atoms(n_atoms: int) -> None:
-    if not isinstance(n_atoms, (int, np.integer)) or isinstance(n_atoms, bool):
-        raise ConfigError(f"n_atoms must be an integer, got {n_atoms!r}")
-    if n_atoms < 1:
-        raise ConfigError(f"n_atoms must be >= 1, got {n_atoms}")
 
 
 def cos_factor(alpha: float, n_atoms: int) -> float:
@@ -59,7 +52,7 @@ def sin_factor(alpha: float, n_atoms: int) -> float:
 
 def expect_jx(phases: PhaseTriple, n_atoms: int) -> float:
     """(N/2)[cos^{N-1}(alpha) cos(beta) - sin^{N-1}(alpha) sin(beta)]."""
-    _check_n_atoms(n_atoms)
+    _check_integer("n_atoms", n_atoms, 1)
     half_n = n_atoms / 2
     return half_n * (
         cos_factor(phases.alpha, n_atoms) * math.cos(phases.beta)
@@ -69,7 +62,7 @@ def expect_jx(phases: PhaseTriple, n_atoms: int) -> float:
 
 def expect_jz(phases: PhaseTriple, n_atoms: int) -> float:
     """(N/2)[cos^{N-1}(alpha) sin(beta) + sin^{N-1}(alpha) cos(beta)] sin(gamma)."""
-    _check_n_atoms(n_atoms)
+    _check_integer("n_atoms", n_atoms, 1)
     half_n = n_atoms / 2
     return (
         half_n
@@ -81,12 +74,6 @@ def expect_jz(phases: PhaseTriple, n_atoms: int) -> float:
     )
 
 
-def sql_phase(n_atoms: int) -> float:
-    """Phase resolution 1/sqrt(N) of N uncorrelated atoms."""
-    _check_n_atoms(n_atoms)
-    return 1.0 / math.sqrt(n_atoms)
-
-
 def min_detectable_phase(phases: PhaseTriple, n_atoms: int) -> float:
     """sqrt(1/N - (cos^{N-1}a sinb sing + sin^{N-1}a cosb sing)^2)
     / (cosb cos^{N-1}a - sinb sin^{N-1}a).
@@ -95,7 +82,7 @@ def min_detectable_phase(phases: PhaseTriple, n_atoms: int) -> float:
     FringeNodeError; a radicand below -1e-12 is a domain error, within
     [-1e-12, 0) it is clamped to zero as rounding.
     """
-    _check_n_atoms(n_atoms)
+    _check_integer("n_atoms", n_atoms, 1)
     cos_fac = cos_factor(phases.alpha, n_atoms)
     sin_fac = sin_factor(phases.alpha, n_atoms)
     sin_gamma = math.sin(phases.gamma)

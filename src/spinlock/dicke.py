@@ -18,9 +18,8 @@ steps up to the last twist act on the amplitudes, and the rotations after
 it need no state at all: they act on the first and second moments of J as
 one SO(3) matrix, read from the state's populations and first two
 coherences in O(N).
-``TridiagonalOperator`` is the package's one operator type: ``squeezing``
-takes its photon Stokes operators from the same spin-N_s/2 bands and
-propagates them with the same rotation.
+``TridiagonalOperator`` is the package's one operator type; its bands are
+the whole operator, and no dense matrix of it is built.
 
 Basis convention: amplitudes are indexed by m descending from +J, i.e.
 index 0 is m = +J and index n_atoms is m = -J.  Jz is diagonal in this
@@ -40,6 +39,7 @@ from .errors import (
     DimensionMismatchError,
     NonHermitianError,
     NumericsError,
+    _check_integer,
 )
 
 HERMITIAN_TOL = 1e-12
@@ -86,21 +86,6 @@ class TridiagonalOperator:
         upper.setflags(write=False)
         object.__setattr__(self, "diag", diag)
         object.__setattr__(self, "upper", upper)
-
-    @property
-    def dim(self) -> int:
-        return self.diag.shape[-1]
-
-    @property
-    def entries(self) -> np.ndarray:
-        """The dense complex matrix, (dim, dim) or (P, dim, dim) for a stack,
-        built on each access (O(dim^2))."""
-        k = np.arange(self.dim)
-        out = np.zeros(self.diag.shape + (self.dim,), dtype=complex)
-        out[..., k, k] = self.diag
-        out[..., k[:-1], k[1:]] = self.upper
-        out[..., k[1:], k[:-1]] = self.upper.conj()
-        return out
 
     def matvec(self, vec: np.ndarray) -> np.ndarray:
         """A @ vec in O(dim) for a complex vector (dim,) or block (dim, *axes).
@@ -181,26 +166,6 @@ def _m_and_ladder(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return m, np.sqrt(j * (j + 1) - m[1:] * (m[1:] + 1))
 
 
-def spin_matrices(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense (jx, jy, jz) matrices for the spin-(dim-1)/2 irrep, m descending."""
-    m, ladder = _m_and_ladder(dim)
-    jplus = np.zeros((dim, dim), dtype=complex)
-    jplus[np.arange(dim - 1), np.arange(1, dim)] = ladder
-    jminus = jplus.conj().T
-    jx = (jplus + jminus) / 2
-    jy = (jplus - jminus) / 2j
-    jz = np.diag(m.astype(complex))
-    return jx, jy, jz
-
-
-def _check_atom_number(n_atoms: int, limit: int) -> None:
-    """ConfigError unless n_atoms is an integer (not a bool) in [1, limit]."""
-    if not isinstance(n_atoms, (int, np.integer)) or isinstance(n_atoms, bool):
-        raise ConfigError(f"n_atoms must be an integer, got {n_atoms!r}")
-    if not 1 <= n_atoms <= limit:
-        raise ConfigError(f"n_atoms={n_atoms} outside [1, {limit}]")
-
-
 def build_collective_ops(n_atoms: int) -> CollectiveOps:
     """Angular-momentum operators for J = n_atoms/2 in the m-descending basis.
 
@@ -214,7 +179,7 @@ def build_collective_ops(n_atoms: int) -> CollectiveOps:
         If n_atoms is not an integer, or is outside [1, 10_000], the range
         the closed-form checks cover.
     """
-    _check_atom_number(n_atoms, MAX_ATOMS)
+    _check_integer("n_atoms", n_atoms, 1, MAX_ATOMS)
     m, ladder = _m_and_ladder(n_atoms + 1)
     zeros = np.zeros(n_atoms)
     return CollectiveOps(
@@ -237,7 +202,7 @@ def css_state(n_atoms: int, theta: float, phi: float) -> np.ndarray:
     ensembles neither overflow nor lose digits to big log-factorials; the
     result is then normalized.
     """
-    _check_atom_number(n_atoms, MAX_ATOMS)
+    _check_integer("n_atoms", n_atoms, 1, MAX_ATOMS)
     k = np.arange(n_atoms + 1)
     c = np.cos(theta / 2)
     s = np.sin(theta / 2)
@@ -522,7 +487,7 @@ def full_space_oracle(n_atoms: int, schedule: PulseSchedule) -> dict[str, float]
     Only feasible for n_atoms <= 4; used to validate the symmetric-subspace
     code.
     """
-    _check_atom_number(n_atoms, 4)
+    _check_integer("n_atoms", n_atoms, 1, 4)
     ops, eigen = _pauli_sums(n_atoms)
     full = np.full(2**n_atoms, 2 ** (-n_atoms / 2), dtype=complex)
     for step in schedule:

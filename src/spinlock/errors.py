@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check every
+layer applies to its sizes, counts and seeds."""
+import math
+from numbers import Integral
 
 
 class SpinlockError(Exception):
@@ -31,9 +34,17 @@ class PhaseDomainError(SpinlockError):
     rounding tolerance."""
 
 
-class WindowError(SpinlockError):
-    """Time argument outside the interrogation window of a pulse schedule."""
-
-
 class EmptyRangeError(SpinlockError):
     """No contiguous stretch of a contrast curve clears the threshold."""
+
+
+def _check_integer(name: str, value, low: int, high: float = math.inf) -> None:
+    """ConfigError unless value is an integer, not a bool, in [low, high].
+
+    numpy's integer scalars count as integers; nothing is coerced, so 2.0
+    and True are rejected rather than read as 2 and 1.
+    """
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if not low <= value <= high:
+        raise ConfigError(f"{name}={value} outside [{low}, {high}]")

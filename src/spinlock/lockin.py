@@ -10,14 +10,13 @@ adds coherently across intervals, a tone at f = 1/tau_arm cancels.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, WindowError
-from .noise import NoiseComponent, check_phase_count
+from .errors import ConfigError, _check_integer
+from .noise import NoiseComponent
 
 
 @dataclass(frozen=True)
@@ -32,40 +31,13 @@ class LockInSchedule:
     tau_arm: float
 
     def __post_init__(self):
-        if not isinstance(self.n_pulses, (int, np.integer)) or isinstance(
-            self.n_pulses, bool
-        ):
-            raise ConfigError(f"n_pulses must be an integer, got {self.n_pulses!r}")
-        if self.n_pulses < 1:
-            raise ConfigError(f"n_pulses must be >= 1, got {self.n_pulses}")
+        _check_integer("n_pulses", self.n_pulses, 1)
         if not np.isfinite(self.tau_arm) or self.tau_arm <= 0:
             raise ConfigError(f"tau_arm must be > 0 seconds, got {self.tau_arm!r}")
 
     @property
     def total_duration(self) -> float:
         return (self.n_pulses + 1) * self.tau_arm
-
-    @property
-    def pulse_times(self) -> np.ndarray:
-        """Times of the N pi pulses: m * tau_arm for m = 1..N."""
-        return self.tau_arm * np.arange(1, self.n_pulses + 1, dtype=float)
-
-    @property
-    def boundaries(self) -> np.ndarray:
-        """Interval edges 0, tau_arm, ..., (N+1) tau_arm (N+2 values)."""
-        return self.tau_arm * np.arange(self.n_pulses + 2, dtype=float)
-
-
-def toggling_function(schedule: LockInSchedule, t: float) -> int:
-    """Sign of the field coupling at time t: +1 before the first pi pulse,
-    flipping at each pulse time (the flip counts as already applied at t
-    equal to the pulse time)."""
-    if not 0.0 <= t <= schedule.total_duration:
-        raise WindowError(
-            f"t={t!r} outside interrogation window [0, {schedule.total_duration!r}]"
-        )
-    m = min(int(math.floor(t / schedule.tau_arm)), schedule.n_pulses)
-    return 1 if m % 2 == 0 else -1
 
 
 def interval_signs(schedule: LockInSchedule, toggle: bool = True) -> np.ndarray:
@@ -109,7 +81,7 @@ def phase_kernel_grid(
     x = np.zeros_like(a)  # 2 pi f t at the first edge, t = 0
     cos_prev, sin_prev = np.cos(x), np.sin(x)
     for i, sign in enumerate(signs, start=1):
-        # edge i sits at tau_arm * i, as in LockInSchedule.boundaries
+        # edge i sits at tau_arm * i
         np.multiply((taus * float(i))[:, None], omega, out=x)
         cos_x, sin_x = np.cos(x), np.sin(x)
         a += sign * (cos_x - cos_prev)
@@ -119,22 +91,3 @@ def phase_kernel_grid(
     b *= weight
     return a, b
 
-
-def accumulated_beta(
-    components: Sequence[NoiseComponent],
-    theta: Sequence[float],
-    schedule: LockInSchedule,
-    toggle: bool = True,
-) -> float:
-    """Accumulated phase beta = integral 2 pi N(t) s(t) dt in radians,
-    closed form.  With toggle False, s = 1 and this is the plain definite
-    integral of the noise over the window.
-
-    Exactly linear in each tone amplitude.
-    """
-    check_phase_count(components, theta)
-    if not components:
-        return 0.0
-    (a,), (b,) = phase_kernel_grid(components, schedule.n_pulses, [schedule.tau_arm], toggle)
-    theta_arr = np.asarray(theta, dtype=float)
-    return float(np.dot(np.sin(theta_arr), a) + np.dot(np.cos(theta_arr), b))

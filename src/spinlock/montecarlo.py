@@ -34,7 +34,7 @@ import numpy as np
 
 from . import analytic, kernels
 from .dicke import PhaseTriple
-from .errors import ConfigError, EmptyRangeError, NumericsError
+from .errors import ConfigError, EmptyRangeError, NumericsError, _check_integer
 from .lockin import LockInSchedule, phase_kernel_grid
 from .noise import NoiseComponent
 
@@ -69,17 +69,9 @@ class McConfig:
     squeeze_duration: float
 
     def __post_init__(self):
-        if not isinstance(self.samples, (int, np.integer)) or self.samples < 1:
-            raise ConfigError(f"samples must be a positive integer, got {self.samples!r}")
-        if (
-            not isinstance(self.master_seed, (int, np.integer))
-            or not 0 <= self.master_seed < MAX_SEED
-        ):
-            raise ConfigError(
-                f"master_seed must be an integer in [0, 2^64), got {self.master_seed!r}"
-            )
-        if not isinstance(self.n_atoms, (int, np.integer)) or self.n_atoms < 1:
-            raise ConfigError(f"n_atoms must be a positive integer, got {self.n_atoms!r}")
+        _check_integer("samples", self.samples, 1)
+        _check_integer("master_seed", self.master_seed, 0, MAX_SEED - 1)
+        _check_integer("n_atoms", self.n_atoms, 1)
         for name in ("chi", "squeeze_duration"):
             value = getattr(self, name)
             if not np.isfinite(value) or value < 0:
@@ -354,9 +346,11 @@ def fringe_contrast_mc(
 
     The estimate is the mean of per-sample fringe values over iid uniform
     tone phases; stderr is sample-std/sqrt(samples) (0 for a single
-    sample).  Deterministic given (mc, point_index).  The point is a grid
-    of one, so it has the same bits as inside any curve.
+    sample).  Deterministic given (mc, point_index), a nonnegative
+    integer.  The point is a grid of one, so it has the same bits as inside
+    any curve.
     """
+    _check_integer("point_index", point_index, 0)
     [((estimate,), (stderr,))] = _evaluate(
         components, schedule.n_pulses, [schedule.tau_arm], [mc], integrand, toggle, 1,
         first_index=point_index,
@@ -473,7 +467,7 @@ def sensitivity_curve(
     curves for different N_a differ by physics and not by sampling noise.
     """
     grid = [float(t) for t in duration_grid_s]
-    atoms = [int(n) for n in n_atoms_list]
+    atoms = list(n_atoms_list)
     if not grid:
         raise ConfigError("duration grid must be nonempty")
     if not atoms:

@@ -11,7 +11,7 @@ import math
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from spinlock import cli, dicke, squeezing
+from spinlock import cli, dicke
 from spinlock.analytic import min_detectable_phase
 from spinlock.dicke import (
     PhaseTriple,
@@ -28,9 +28,9 @@ from spinlock.montecarlo import (
     sensitivity_curve,
 )
 from spinlock.lockin import LockInSchedule
-from spinlock.squeezing import SqueezeParams, bch_error, build_stokes_ops
+from spinlock.squeezing import SqueezeParams, bch_error
 
-from blocks import scatter_levels
+from blocks import dense, scatter_levels, spin_matrices, stokes, u4_sequence
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -71,14 +71,11 @@ def test_criterion_03_su2_and_stokes_algebra():
         ops = build_collective_ops(n)
         worst_comm = max(
             worst_comm,
-            commutator_residual(ops.jx.entries, ops.jy.entries, ops.jz.entries),
+            commutator_residual(dense(ops.jx), dense(ops.jy), dense(ops.jz)),
         )
-        stokes = build_stokes_ops(n)
-        worst_comm = max(
-            worst_comm,
-            commutator_residual(stokes.sx.entries, stokes.sy.entries, stokes.sz.entries),
-        )
-        top = np.linalg.eigvalsh(stokes.sx.entries).max()
+        sx, sy, sz = (dense(op) for op in stokes(n))
+        worst_comm = max(worst_comm, commutator_residual(sx, sy, sz))
+        top = np.linalg.eigvalsh(sx).max()
         worst_eig = max(worst_eig, abs(top - n / 2))
     ok = worst_comm < 1e-12 and worst_eig <= 1e-10
     report(
@@ -119,14 +116,14 @@ def test_criterion_05_bch_cubic_and_twisting():
     slope = npoly.polyfit(np.log(grid), np.log(errors), 1)[1]
 
     n_photons = n_atoms = 4
-    _, _, jz = dicke.spin_matrices(n_atoms + 1)
+    _, _, jz = spin_matrices(n_atoms + 1)
     atom = dicke.css_state(n_atoms, np.pi / 2, 0.0)
-    photon = squeezing.max_sx_state(n_photons)
+    photon = np.eye(n_photons + 1)[0]  # the maximum-Sx, all x-polarized state
     psi0 = np.kron(photon, atom)
     diffs = {}
     for g_tau in (5e-3, 1e-2):
         params = SqueezeParams.from_g_tau(1.0, g_tau, n_photons)
-        out = scatter_levels(squeezing.u4_sequence(params, n_photons, n_atoms)) @ psi0
+        out = scatter_levels(u4_sequence(params, n_photons, n_atoms)) @ psi0
         twist = params.chi * 4 * params.tau  # = (g tau)^2 N_s / 2
         target = np.kron(photon, np.exp(-1j * twist * np.diag(jz).real ** 2) * atom)
         overlap = np.vdot(target, out)

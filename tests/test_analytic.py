@@ -10,6 +10,8 @@ from spinlock import analytic, dicke
 from spinlock.dicke import PhaseTriple, TridiagonalOperator
 from spinlock.errors import ConfigError, FringeNodeError, PhaseDomainError
 
+from blocks import spin_matrices
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -63,7 +65,6 @@ def test_sql_times_sqrt_n_is_one():
     for n in range(1, 101):
         product = analytic.min_detectable_phase(PhaseTriple(0, 0, 0), n) * math.sqrt(n)
         assert product == pytest.approx(1.0, abs=1e-12)
-        assert analytic.sql_phase(n) == pytest.approx(1 / math.sqrt(n), abs=1e-15)
 
 
 def test_fringe_node_raises():
@@ -152,7 +153,7 @@ def pointwise_oracle(phases, n, ordering):
         for generator, angle in steps:
             amps = dicke._propagate(generator, angle, amps)
     # read through the dense spin matrices, not the moments readout
-    jx_dense, _, jz_dense = dicke.spin_matrices(n + 1)
+    jx_dense, _, jz_dense = spin_matrices(n + 1)
     jx, jz = (np.vdot(amps, op @ amps).real for op in (jx_dense, jz_dense))
     variance = max(np.vdot(jz_dense @ amps, jz_dense @ amps).real - jz * jz, 0.0)
     dphi = math.sqrt(variance) / jx if jx != 0 else math.inf
@@ -212,7 +213,7 @@ def test_product_ordering_moments_match_drive_propagated_on_the_state():
         css = dicke.x_css(n)
         mean, second = analytic._grid_moments(ops, css, "product", *grid)
         assert mean.shape == (3, 3, 4, 3) and second.shape == (3, 3, 4, 3, 3)
-        dense = dicke.spin_matrices(n + 1)
+        dense = spin_matrices(n + 1)
         sym = [[(a @ b + b @ a) / 2 for b in dense] for a in dense]
         for (i, alpha), (j, beta), (k, gamma) in itertools.product(
             enumerate(alphas), enumerate(betas), enumerate(gammas)
@@ -242,4 +243,4 @@ def test_n_atoms_validation():
     with pytest.raises(ConfigError):
         analytic.expect_jx(PhaseTriple(0, 0, 0), 0)
     with pytest.raises(ConfigError):
-        analytic.sql_phase(-3)
+        analytic.min_detectable_phase(PhaseTriple(0, 0, 0), -3)

