@@ -52,17 +52,9 @@ ROW_TEMPLATES = {
 }
 
 
-def _fmt(value) -> str:
-    """One comment value as text; rows go through ROW_TEMPLATES."""
-    if type(value) is float:  # the common case: tested before the isinstance checks
-        return format(value, ".17g")
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+def _fmt(value: float) -> str:
+    """One comment value, always a float, as text; rows go through ROW_TEMPLATES."""
+    return format(value, ".17g")
 
 
 def _mc_config(cfg: RunConfig, n_atoms: int) -> McConfig:

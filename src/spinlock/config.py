@@ -3,8 +3,8 @@
 A config file fully determines a run (together with the master seed); the
 normalized form is echoed into every output header so results are
 traceable to their exact inputs.  Validation is strict: unknown keys are
-errors (with a nearest-key suggestion), grids must be nonempty and
-strictly increasing.  User-facing units are ms / pT / Hz, matching lab
+errors (with a nearest-key suggestion), grids must be nonempty, positive
+and strictly increasing.  User-facing units are ms / pT / Hz, matching lab
 conventions; conversion to SI happens at run time, never in the config.
 
 Every key is one row of `SCHEMA` (a tone's keys are rows of `TONE`, a grid
@@ -23,10 +23,11 @@ from dataclasses import dataclass
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 from .analytic import ORDERINGS
-from .errors import ConfigError
+from .dicke import MAX_ATOMS
+from .errors import ConfigError, _check_integer, _check_real
 from .montecarlo import INTEGRANDS, MAX_SEED
 from .noise import GYRO_HZ_PER_NT, NoiseComponent
-from .squeezing import SqueezeParams
+from .squeezing import MAX_PHOTONS, SqueezeParams
 
 EXPERIMENTS = (
     "contrast",
@@ -69,31 +70,29 @@ def _is_list(value: Any) -> bool:
 # item parsers: (section, key, JSON value) -> field value, or ConfigError
 
 
-def _as_integer(section: str, key: str, value: Any) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{section}.{key} must be an integer, got {value!r}")
-    return value
+def _name(section: str, key: str) -> str:
+    """A key as messages name it: section.key, or the bare key at the top level."""
+    return key if section == "config" else f"{section}.{key}"
 
 
-def _as_positive_int(section: str, key: str, value: Any) -> int:
-    if _as_integer(section, key, value) < 1:
-        raise ConfigError(f"{section}.{key} must be >= 1, got {value}")
-    return value
+def _integer(low: int, high: float = math.inf):
+    """A parser for an integer in [low, high]."""
+
+    def parse(section: str, key: str, value: Any) -> int:
+        _check_integer(_name(section, key), value, low, high)
+        return value
+
+    return parse
 
 
-def _as_number(section: str, key: str, value: Any) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{section}.{key} must be finite, got {value!r}")
-    return float(value)
+def _real(low: float = -math.inf, high: float = math.inf, strict: bool = False):
+    """A parser for a finite number in [low, high], or in (low, high) when strict."""
 
+    def parse(section: str, key: str, value: Any) -> float:
+        _check_real(_name(section, key), value, low, high, strict)
+        return float(value)
 
-def _as_nonnegative(section: str, key: str, value: Any) -> float:
-    number = _as_number(section, key, value)
-    if number < 0:
-        raise ConfigError(f"{section}.{key} must be >= 0, got {number}")
-    return number
+    return parse
 
 
 def _optional(parse: Callable[[str, str, Any], Any]):
@@ -103,28 +102,22 @@ def _optional(parse: Callable[[str, str, Any], Any]):
 
 def _as_bool(section: str, key: str, value: Any) -> bool:
     if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, got {value!r}")
+        raise ConfigError(f"{_name(section, key)} must be true or false, got {value!r}")
     return value
 
 
-def _one_of(options: Sequence[str], message: str, cutoff: float = 0.6):
-    """A parser for one of options; message names {where}, {value}, {options}, {hint}."""
+def _one_of(options: Sequence[str], cutoff: float = 0.6):
+    """A parser for one of options, with the closest one as a hint."""
 
     def parse(section: str, key: str, value: Any) -> str:
         if value not in options:
-            where = key if section == "config" else f"{section}.{key}"
-            hint = _hint(value, options, cutoff)
-            raise ConfigError(message.format(where=where, value=value, options=options, hint=hint))
+            raise ConfigError(
+                f"{_name(section, key)} must be one of {options}, got {value!r}"
+                f"{_hint(value, options, cutoff)}"
+            )
         return value
 
     return parse
-
-
-_INVALID = "{where} {value!r} invalid; expected one of {options}"
-_as_experiment = _one_of(EXPERIMENTS, "unknown experiment {value!r}{hint}")
-# cutoff 0.5 lets single-character case slips ("pt") match
-_as_units = _one_of(UNIT_TAGS, "{where} {value!r} invalid, expected one of {options}{hint}", 0.5)
-_as_ordering = _one_of(ORDERINGS, "{where}: unknown ordering {value!r}, expected one of {options}")
 
 
 def _as_path(section: str, key: str, value: Any) -> str:
@@ -147,9 +140,13 @@ def _list_of(item: Callable[[str, str, Any], Any]):
 
 
 def _as_atoms(section: str, key: str, value: Any) -> tuple[int, ...]:
-    if _is_list(value):
-        return _list_of(_as_positive_int)(section, key, value)
-    return (_as_positive_int(section, key, value),)
+    if not _is_list(value):
+        return (_integer(1)(section, key, value),)
+    atoms = _list_of(_integer(1))(section, key, value)
+    if len(set(atoms)) < len(atoms):
+        # the curves are keyed by atom number, so a repeat would vanish
+        raise ConfigError(f"{section}.{key} must not repeat")
+    return atoms
 
 
 def _as_grid(section: str, key: str, value: Any) -> tuple[float, ...]:
@@ -157,20 +154,24 @@ def _as_grid(section: str, key: str, value: Any) -> tuple[float, ...]:
 
 
 def expand_grid(section: str, spec: Any) -> tuple[float, ...]:
-    """A grid is an explicit strictly increasing list, or {start, stop, step}."""
+    """A grid of positive values: an explicit strictly increasing list, or
+    {start, stop, step}."""
     if isinstance(spec, Mapping):
         start, stop, step = _walk(section, spec, RANGE).values()
-        if step <= 0 or stop < start:
-            raise ConfigError(f"{section}: need step > 0 and stop >= start")
+        if stop < start:
+            raise ConfigError(f"{section}: need stop >= start")
         span = (stop - start) / step + GRID_EPS
         if not span < MAX_GRID_POINTS:  # also catches an infinite span
             raise ConfigError(
                 f"{section}: {{start, stop, step}} expands to more than "
                 f"{MAX_GRID_POINTS} points"
             )
+        _check_real(f"{section}.start", spec["start"], 0, strict=True)
         values = tuple(start + i * step for i in range(math.floor(span) + 1))
     elif _is_list(spec):
-        values = tuple(_as_number(section, f"[{i}]", v) for i, v in enumerate(spec))
+        for i, v in enumerate(spec):
+            _check_real(f"{section}[{i}]", v, 0, strict=True)
+        values = tuple(float(v) for v in spec)
     else:
         raise ConfigError(f"{section} must be a list or a start/stop/step object")
     if not values:
@@ -190,18 +191,8 @@ def _as_tones(section: str, key: str, value: Any) -> tuple[NoiseSpec, ...]:
         spec = NoiseSpec(**_walk(where, tone, TONE))
         if "gyro_hz_per_nt" in tone and spec.units != "pT":
             raise ConfigError(f"{where}.gyro_hz_per_nt only applies to pT tones")
-        # checked before any unit conversion, so that an error names the
-        # tone, its config key and the value as written
-        if spec.amplitude < 0:
-            raise ConfigError(f"{where}.amplitude must be >= 0, got {tone['amplitude']!r}")
-        if spec.freq_hz <= 0:
-            raise ConfigError(f"{where}.freq_hz must be > 0, got {tone['freq_hz']!r}")
-        if spec.gyro_hz_per_nt <= 0:
-            raise ConfigError(
-                f"{where}.gyro_hz_per_nt must be > 0, got {tone['gyro_hz_per_nt']!r}"
-            )
         try:
-            spec.build()  # what is left: a converted amplitude that overflows
+            spec.build()  # what the rows cannot see: a converted amplitude that overflows
         except ConfigError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
         specs.append(spec)
@@ -232,24 +223,24 @@ class Section(NamedTuple):
 
 
 SCHEMA: dict[str, Key | Section] = {
-    "experiment": Key("experiment", REQUIRED, _as_experiment),
+    "experiment": Key("experiment", REQUIRED, _one_of(EXPERIMENTS)),
     "physics": Section(
         {
             # one atom number is written bare, even if configured as a list
             "n_atoms": Key(
                 "n_atoms", REQUIRED, _as_atoms, lambda n: n[0] if len(n) == 1 else list(n)
             ),
-            "n_photons": Key("n_photons", REQUIRED, _as_positive_int),
-            "g": Key("g", REQUIRED, _as_nonnegative),
-            "tau": Key("tau", REQUIRED, _as_nonnegative),
-            "squeeze_duration": Key("squeeze_duration", REQUIRED, _as_nonnegative),
-            "chi_override": Key("chi_override", None, _optional(_as_nonnegative)),
+            "n_photons": Key("n_photons", REQUIRED, _integer(1)),
+            "g": Key("g", REQUIRED, _real(0)),
+            "tau": Key("tau", REQUIRED, _real(0)),
+            "squeeze_duration": Key("squeeze_duration", REQUIRED, _real(0)),
+            "chi_override": Key("chi_override", None, _optional(_real(0))),
         },
         absent=REQUIRED,
     ),
     "lockin": Section(
         {
-            "n_pulses": Key("n_pulses", REQUIRED, _as_positive_int),
+            "n_pulses": Key("n_pulses", REQUIRED, _integer(1)),
             "tau_arm_grid_ms": Key("tau_arm_grid_ms", None, _as_grid),
             "duration_grid_ms": Key("duration_grid_ms", None, _as_grid),
         },
@@ -258,17 +249,17 @@ SCHEMA: dict[str, Key | Section] = {
     "noise": Key("noise", (), _as_tones, lambda specs: [spec.to_dict() for spec in specs]),
     "mc": Section(
         {
-            "samples": Key("samples", 2000, _as_positive_int),
-            "master_seed": Key("master_seed", 0, _as_integer),
+            "samples": Key("samples", 2000, _integer(1)),
+            "master_seed": Key("master_seed", 0, _integer(0, MAX_SEED - 1)),
         }
     ),
     "toggle": Key("toggle", True, _as_bool),
-    "contrast_integrand": Key("integrand", "ramsey", _one_of(INTEGRANDS, _INVALID)),
-    "threshold": Key("threshold", 0.9, _as_number),
+    "contrast_integrand": Key("integrand", "ramsey", _one_of(INTEGRANDS)),
+    "threshold": Key("threshold", 0.9, _real(0, 1, strict=True)),
     "output": Section(
         {
             "path": Key("output_path", "-", _as_path),
-            "format": Key("output_format", "csv", _one_of(FORMATS, _INVALID)),
+            "format": Key("output_format", "csv", _one_of(FORMATS)),
         }
     ),
     "bch": Section(
@@ -276,16 +267,16 @@ SCHEMA: dict[str, Key | Section] = {
         owner="verify-bch",
     ),
     "preview": Section(
-        {"n_points": Key("preview_points", 1001, _as_positive_int)},
+        {"n_points": Key("preview_points", 1001, _integer(1))},
         owner="noise-preview",
     ),
     "compare": Section(
         {
-            "n_atoms": Key("compare_n_atoms", (1, 2, 3, 4), _list_of(_as_positive_int)),
-            "alphas": Key("compare_alphas", (0.0, 0.1, 0.3), _list_of(_as_number)),
-            "betas": Key("compare_betas", (0.0, 0.4), _list_of(_as_number)),
-            "gammas": Key("compare_gammas", (0.0, 0.5), _list_of(_as_number)),
-            "orderings": Key("compare_orderings", ORDERINGS, _list_of(_as_ordering)),
+            "n_atoms": Key("compare_n_atoms", (1, 2, 3, 4), _list_of(_integer(1, 4))),
+            "alphas": Key("compare_alphas", (0.0, 0.1, 0.3), _list_of(_real())),
+            "betas": Key("compare_betas", (0.0, 0.4), _list_of(_real())),
+            "gammas": Key("compare_gammas", (0.0, 0.5), _list_of(_real())),
+            "orderings": Key("compare_orderings", ORDERINGS, _list_of(_one_of(ORDERINGS))),
         },
         owner="oracle-compare",
     ),
@@ -293,15 +284,20 @@ SCHEMA: dict[str, Key | Section] = {
 
 # the keys of each noise[i] tone, whose fields are NoiseSpec's
 TONE: dict[str, Key] = {
-    "units": Key("units", REQUIRED, _as_units),
-    "amplitude": Key("amplitude", REQUIRED, _as_number),
-    "freq_hz": Key("freq_hz", REQUIRED, _as_number),
-    "phase": Key("phase", None, _optional(_as_number)),
-    "gyro_hz_per_nt": Key("gyro_hz_per_nt", GYRO_HZ_PER_NT, _as_number),
+    # cutoff 0.5 lets single-character case slips ("pt") match
+    "units": Key("units", REQUIRED, _one_of(UNIT_TAGS, 0.5)),
+    "amplitude": Key("amplitude", REQUIRED, _real(0)),
+    "freq_hz": Key("freq_hz", REQUIRED, _real(0, strict=True)),
+    "phase": Key("phase", None, _optional(_real())),
+    "gyro_hz_per_nt": Key("gyro_hz_per_nt", GYRO_HZ_PER_NT, _real(0, strict=True)),
 }
 
 # the keys of a {start, stop, step} grid object
-RANGE: dict[str, Key] = {key: Key(key, REQUIRED, _as_number) for key in ("start", "stop", "step")}
+RANGE: dict[str, Key] = {
+    "start": Key("start", REQUIRED, _real()),
+    "stop": Key("stop", REQUIRED, _real()),
+    "step": Key("step", REQUIRED, _real(0, strict=True)),
+}
 
 # Keys written even at their defaults (a required key always is).  Every
 # published config-sha256 hashes them, so this list is frozen: any other key,
@@ -447,26 +443,27 @@ def parse_config(data: Mapping[str, Any]) -> RunConfig:
     data = {k: v for k, v in data.items() if v is not None or k not in ("lockin", "noise")}
     fields = _walk("config", data, SCHEMA)
 
-    # cross-key rules
+    # rules that read two or more keys
     experiment = fields["experiment"]
-    if _is_list(data["physics"]["n_atoms"]):
-        if experiment != "sensitivity":
-            raise ConfigError(f"physics.n_atoms must be a single integer for {experiment}")
-        if len(set(fields["n_atoms"])) < len(fields["n_atoms"]):
-            # the curves are keyed by atom number, so a repeat would vanish
-            raise ConfigError("physics.n_atoms must not repeat")
+    if _is_list(data["physics"]["n_atoms"]) and experiment != "sensitivity":
+        raise ConfigError(f"physics.n_atoms must be a single integer for {experiment}")
+    if experiment == "verify-bch":  # the sizes bch_error takes
+        _check_integer("physics.n_photons", fields["n_photons"], 1, MAX_PHOTONS)
+        _check_integer("physics.n_atoms", fields["n_atoms"][0], 1, MAX_ATOMS)
     chi = fields.pop("chi_override")
     fields["chi_is_override"] = chi is not None
-    if chi is None:
-        chi = SqueezeParams.from_g_tau(fields["g"], fields["tau"], fields["n_photons"]).chi
+    try:  # products that overflow: chi = n_photons g^2 tau / 8 and alpha = chi t
+        if chi is None:
+            chi = SqueezeParams.from_g_tau(fields["g"], fields["tau"], fields["n_photons"]).chi
+        _check_real("alpha", chi * fields["squeeze_duration"])
+    except ConfigError as exc:
+        raise ConfigError(f"physics: {exc}") from exc
     fields["chi"] = chi
 
     needs_lockin = experiment in ("contrast", "sensitivity", "noise-preview")
     if needs_lockin and "lockin" not in data:
         raise ConfigError(f"missing required key 'lockin' for {experiment}")
     tau_arm_grid, duration_grid = fields["tau_arm_grid_ms"], fields["duration_grid_ms"]
-    if any(v <= 0 for v in (tau_arm_grid or ()) + (duration_grid or ())):
-        raise ConfigError("lockin grids must contain positive times (ms)")
     if experiment == "contrast" and tau_arm_grid is None:
         raise ConfigError("contrast requires lockin.tau_arm_grid_ms")
     if experiment == "sensitivity" and duration_grid is None:
@@ -475,15 +472,6 @@ def parse_config(data: Mapping[str, Any]) -> RunConfig:
         raise ConfigError("noise-preview requires a lockin grid to set the window length")
     if needs_lockin and "noise" not in data:
         raise ConfigError(f"missing required key 'noise' for {experiment}")
-
-    if not 0 <= fields["master_seed"] < MAX_SEED:
-        raise ConfigError(f"mc.master_seed must be in [0, 2^64), got {fields['master_seed']}")
-    if not 0.0 < fields["threshold"] < 1.0:
-        raise ConfigError(f"threshold must be in (0, 1), got {fields['threshold']}")
-    if any(v <= 0 for v in fields["g_tau_grid"]):
-        raise ConfigError("bch.g_tau_grid must contain positive values")
-    if any(n > 4 for n in fields["compare_n_atoms"]):
-        raise ConfigError("compare.n_atoms limited to <= 4 (full-space oracle bound)")
     return RunConfig(**fields)
 
 

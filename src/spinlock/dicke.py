@@ -40,6 +40,7 @@ from .errors import (
     NonHermitianError,
     NumericsError,
     _check_integer,
+    _check_real,
 )
 
 HERMITIAN_TOL = 1e-12
@@ -119,9 +120,7 @@ class PhaseTriple:
 
     def __post_init__(self):
         for name in ("alpha", "beta", "gamma"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ConfigError(f"phase {name} must be finite, got {value!r}")
+            _check_real(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -136,8 +135,7 @@ class PulseStep:
             raise ConfigError(
                 f"unknown generator {self.generator!r}; expected one of {GENERATOR_NAMES}"
             )
-        if not np.isfinite(self.angle):
-            raise ConfigError(f"pulse angle must be finite, got {self.angle!r}")
+        _check_real("angle", self.angle)
 
 
 PulseSchedule = Sequence[PulseStep]
@@ -347,9 +345,12 @@ def _spin_moments(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     m, ladder = _m_and_ladder(amps.shape[0])
     pop = (rows.conj() * rows).real
     norm2 = pop.sum(axis=-1)
-    norms = np.sqrt(norm2)
-    if (np.abs(norms - 1.0) >= NORM_TOL).any():
-        raise NumericsError(f"state norms {norms!r} deviate from 1 beyond 1e-12")
+    deviation = np.abs(np.sqrt(norm2) - 1.0).reshape(-1)
+    worst = int(deviation.argmax())
+    if deviation[worst] >= NORM_TOL:
+        raise NumericsError(
+            f"state norm of column {worst} deviates from 1 by {deviation[worst]:.3g}, beyond 1e-12"
+        )
     near = rows[..., :-1].conj() * rows[..., 1:] * ladder  # <m|J+|m-1> a_m^* a_(m-1)
     plus = near.sum(axis=-1)
     plus_z = (near * (m[:-1] + m[1:])).sum(axis=-1)

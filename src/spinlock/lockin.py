@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, _check_integer
+from .errors import _check_integer, _check_real
 from .noise import NoiseComponent
 
 
@@ -32,8 +32,7 @@ class LockInSchedule:
 
     def __post_init__(self):
         _check_integer("n_pulses", self.n_pulses, 1)
-        if not np.isfinite(self.tau_arm) or self.tau_arm <= 0:
-            raise ConfigError(f"tau_arm must be > 0 seconds, got {self.tau_arm!r}")
+        _check_real("tau_arm", self.tau_arm, 0, strict=True)
 
     @property
     def total_duration(self) -> float:

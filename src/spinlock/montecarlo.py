@@ -34,7 +34,7 @@ import numpy as np
 
 from . import analytic, kernels
 from .dicke import PhaseTriple
-from .errors import ConfigError, EmptyRangeError, NumericsError, _check_integer
+from .errors import ConfigError, EmptyRangeError, NumericsError, _check_integer, _check_real
 from .lockin import LockInSchedule, phase_kernel_grid
 from .noise import NoiseComponent
 
@@ -73,9 +73,7 @@ class McConfig:
         _check_integer("master_seed", self.master_seed, 0, MAX_SEED - 1)
         _check_integer("n_atoms", self.n_atoms, 1)
         for name in ("chi", "squeeze_duration"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value < 0:
-                raise ConfigError(f"{name} must be finite and >= 0, got {value!r}")
+            _check_real(name, getattr(self, name), 0)
 
     @property
     def alpha(self) -> float:
@@ -91,8 +89,9 @@ class CurvePoint:
     stderr: float
 
     def __post_init__(self):
+        # only NaN and negatives fail; inf is the stderr of a point with no fringe
         if not self.stderr >= 0:
-            raise ConfigError(f"stderr must be >= 0, got {self.stderr!r}")
+            _check_real("stderr", self.stderr, 0)
 
 
 def _stream(master_seed: int, point_index: int) -> np.random.Generator:
@@ -340,7 +339,6 @@ def fringe_contrast_mc(
     integrand: str = "ramsey",
     toggle: bool = True,
     point_index: int = 0,
-    x_value: float | None = None,
 ) -> CurvePoint:
     """Monte-Carlo fringe contrast E[cos(detected phase)] with stderr.
 
@@ -355,8 +353,7 @@ def fringe_contrast_mc(
         components, schedule.n_pulses, [schedule.tau_arm], [mc], integrand, toggle, 1,
         first_index=point_index,
     )
-    x = schedule.tau_arm * 1e3 if x_value is None else x_value
-    return CurvePoint(x=x, estimate=float(estimate), stderr=float(stderr))
+    return CurvePoint(x=schedule.tau_arm * 1e3, estimate=float(estimate), stderr=float(stderr))
 
 
 def contrast_curve(
@@ -397,8 +394,7 @@ def measurement_range(
     """
     if not curve:
         raise ConfigError("measurement_range needs a nonempty curve")
-    if not 0.0 < threshold < 1.0:
-        raise ConfigError(f"threshold must be in (0, 1), got {threshold!r}")
+    _check_real("threshold", threshold, 0, 1, strict=True)
     best: tuple[float, float] | None = None
     best_span = -1.0
     run_start: int | None = None

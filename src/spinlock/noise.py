@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError
+from .errors import DimensionMismatchError, _check_real
 
 GYRO_HZ_PER_NT = 28.0
 
@@ -32,12 +32,10 @@ class NoiseComponent:
     phase: float | None = None
 
     def __post_init__(self):
-        if not np.isfinite(self.amplitude_hz) or self.amplitude_hz < 0:
-            raise ConfigError(f"amplitude_hz must be >= 0, got {self.amplitude_hz!r}")
-        if not np.isfinite(self.freq_hz) or self.freq_hz <= 0:
-            raise ConfigError(f"freq_hz must be > 0, got {self.freq_hz!r}")
-        if self.phase is not None and not np.isfinite(self.phase):
-            raise ConfigError(f"phase must be finite or None, got {self.phase!r}")
+        _check_real("amplitude_hz", self.amplitude_hz, 0)
+        _check_real("freq_hz", self.freq_hz, 0, strict=True)
+        if self.phase is not None:
+            _check_real("phase", self.phase)
 
     @classmethod
     def from_field_pt(
@@ -49,8 +47,8 @@ class NoiseComponent:
     ) -> "NoiseComponent":
         """Tone given as a field amplitude in pT, converted via the
         gyromagnetic ratio (default 28 Hz per nT)."""
-        if not np.isfinite(gyro_hz_per_nt) or gyro_hz_per_nt <= 0:
-            raise ConfigError(f"gyro_hz_per_nt must be > 0, got {gyro_hz_per_nt!r}")
+        _check_real("amplitude_pt", amplitude_pt, 0)
+        _check_real("gyro_hz_per_nt", gyro_hz_per_nt, 0, strict=True)
         return cls(
             amplitude_hz=amplitude_pt * 1e-3 * gyro_hz_per_nt,
             freq_hz=freq_hz,
@@ -63,12 +61,10 @@ class NoiseComponent:
     ) -> "NoiseComponent":
         """Slow drift specified as an amplitude-frequency product in Hz^2;
         the tone amplitude is strength/freq."""
-        if not np.isfinite(strength_hz2) or strength_hz2 < 0:
-            raise ConfigError(f"strength_hz2 must be >= 0, got {strength_hz2!r}")
+        _check_real("strength_hz2", strength_hz2, 0)
         # before the division, which would turn a bad frequency into a
         # ZeroDivisionError or a negative amplitude
-        if not np.isfinite(freq_hz) or freq_hz <= 0:
-            raise ConfigError(f"freq_hz must be > 0, got {freq_hz!r}")
+        _check_real("freq_hz", freq_hz, 0, strict=True)
         return cls(amplitude_hz=strength_hz2 / freq_hz, freq_hz=freq_hz, phase=phase)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dicke
-from .errors import ConfigError, _check_integer
+from .errors import _check_integer, _check_real
 
 MAX_PHOTONS = 200
 
@@ -37,9 +37,7 @@ class SqueezeParams:
 
     def __post_init__(self):
         for name in ("g", "tau", "chi"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
-                raise ConfigError(f"squeezing {name} must be finite, got {value!r}")
+            _check_real(name, getattr(self, name))
 
     @classmethod
     def from_g_tau(cls, g: float, tau: float, n_photons: int) -> "SqueezeParams":

@@ -184,7 +184,7 @@ def test_slow_drift_frequency_is_checked_before_dividing(tmp_path, capsys, freq_
             ".gyro_hz_per_nt must be > 0, got 0",
         ),
         # finite inputs whose converted amplitude overflows still name the tone
-        ({"units": "Hz2-slow", "amplitude": 1e300, "freq_hz": 1e-10}, ": amplitude_hz must be >= 0, got inf"),
+        ({"units": "Hz2-slow", "amplitude": 1e300, "freq_hz": 1e-10}, ": amplitude_hz must be finite, got inf"),
     ],
     ids=["pT-amplitude", "Hz-amplitude", "slow-amplitude", "pT-freq", "Hz-freq", "gyro", "overflow"],
 )
@@ -724,11 +724,10 @@ def old_fmt(value) -> str:
 
 
 def test_csv_cells_keep_their_text():
+    # every comment value is a float, plain or numpy's
     values = [
-        True, False, 0, -7, 2**70, np.int64(-3), np.int32(5), 0.1, 1 / 3, 1e300,
-        5e-324, -0.0, 0.0, math.nan, math.inf, -math.inf, np.float64(2.5),
-        np.float64(-0.0), np.float64(math.nan), np.float64(-math.inf),
-        "single", "",
+        0.1, 1 / 3, 1e300, 5e-324, -0.0, 0.0, math.nan, math.inf, -math.inf,
+        np.float64(2.5), np.float64(-0.0), np.float64(math.nan), np.float64(-math.inf),
     ]
     for value in values:
         assert cli._fmt(value) == old_fmt(value), repr(value)

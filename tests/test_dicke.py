@@ -276,6 +276,21 @@ def test_unnormalised_or_misshapen_amplitudes_are_rejected():
         dicke._spin_moments(amps[..., None])
 
 
+def test_norm_error_names_the_worst_column_and_its_deviation():
+    # a block of many columns must not print its norms: only the worst
+    # |norm - 1| and where it is
+    amps = random_block(np.random.default_rng(11), 8, 40)
+    amps[:, 27] *= 1 + 3e-12
+    deviation = abs(np.linalg.norm(amps[:, 27]) - 1)
+    assert 2e-12 < deviation < 4e-12
+    with pytest.raises(NumericsError) as err:
+        dicke._spin_moments(amps)
+    message = str(err.value)
+    assert message.startswith("state norm of column 27 deviates from 1 by ")
+    assert float(message.split(" by ")[1].split(",")[0]) == pytest.approx(deviation, rel=1e-2)
+    assert "array" not in message and len(message) < 100
+
+
 def test_pulse_step_rejects_non_finite_angle():
     for angle in (math.nan, math.inf, -math.inf):
         with pytest.raises(ConfigError):

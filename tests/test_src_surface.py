@@ -9,6 +9,9 @@ config schema's fields).  A name that only tests use is a reference and
 belongs in the tests.  Names are matched bare, so a method counts as used
 when any attribute of that name is read, and the guard can miss a
 leftover that shares its name with a used one.
+
+Integer, finite and range rules are worded in one place, the shared checks
+of ``errors.py``: no other module raises a ConfigError with that wording.
 """
 import ast
 import re
@@ -100,3 +103,57 @@ def test_guard_flags_a_name_only_a_docstring_or_import_names():
     }
     assert unused_public_names(sources, ["Box().read()"]) == ["a.spare"]
     assert unused_public_names(sources, []) == ["a.Box", "a.Box.read", "a.spare"]
+
+
+# the wordings of errors._check_integer and errors._check_real
+RANGE_WORDINGS = (
+    "must be >", "must be >=", "must be finite", "must be an integer", "must be in", "outside [",
+)
+
+
+def own_range_checks(sources: dict[str, str]) -> list[str]:
+    """module:line of each ``raise ConfigError(...)`` whose literal text
+    words an integer, finite or range rule."""
+    found = []
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            call = node.exc if isinstance(node, ast.Raise) else None
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            if getattr(func, "id", getattr(func, "attr", None)) != "ConfigError":
+                continue
+            words = "".join(
+                part.value
+                for part in ast.walk(call)
+                if isinstance(part, ast.Constant) and isinstance(part.value, str)
+            )
+            if any(wording in words for wording in RANGE_WORDINGS):
+                found.append(f"{module}:{node.lineno}")
+    return found
+
+
+def test_only_the_shared_checks_word_range_rules():
+    sources = {
+        path.stem: path.read_text() for path in sorted(SRC.glob("*.py")) if path.name != "errors.py"
+    }
+    copies = own_range_checks(sources)
+    assert not copies, f"use errors._check_integer or errors._check_real instead: {copies}"
+
+
+def test_range_guard_flags_each_wording():
+    flagged = [
+        "raise ConfigError(f'{name} must be >= 0, got {value!r}')",
+        "raise errors.ConfigError('n must be an integer')",
+        "raise ConfigError(f'x must be in (0, 1), got {x}')",
+        "raise ConfigError(f'{n}={v} outside [1, 4]')",
+        "raise ConfigError('phase ' + 'must be finite')",
+    ]
+    passed = [
+        "raise ConfigError('physics.n_atoms must not repeat')",
+        "raise ConfigError(f'{key} must be one of {options}, got {value!r}')",
+        "raise SpinlockError(f'thread count must be >= 1, got {n}')",
+        "message = 'x must be > 0'",
+    ]
+    sources = {f"f{i}": code for i, code in enumerate(flagged + passed)}
+    assert own_range_checks(sources) == [f"f{i}:1" for i in range(len(flagged))]
