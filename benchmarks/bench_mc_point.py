@@ -17,7 +17,9 @@ points.  For samples in
 over a few repeats (tracemalloc off) and the tracemalloc peak of one more
 call.  It then does the same for the two shipped curves: the 301-point
 ``configs/contrast_squeezed.json`` contrast curve and the 3 x 49-point
-``configs/sensitivity.json`` sensitivity curves, on one thread, and for a
+``configs/sensitivity.json`` sensitivity curves, on one thread, once
+sampled and once as the closed-form ramsey mean (``exact=True``, the
+estimator the CLI runs for these configs), and for a
 chunked curve of 64 points of 2000 samples with 3 random tones it records
 the best wall time, ns per tone-sample and the minor page faults
 (``ru_minflt``) of one call after a warm-up.  Last it runs the benchmark's
@@ -225,7 +227,7 @@ def measure(samples: int, n_tones: int, integrand: str) -> dict:
     }
 
 
-def measure_curve(config: str) -> dict:
+def measure_curve(config: str, exact: bool) -> dict:
     from spinlock.config import load_config
     from spinlock.montecarlo import McConfig, contrast_curve, sensitivity_curve
 
@@ -237,7 +239,7 @@ def measure_curve(config: str) -> dict:
         chi=cfg.chi,
         squeeze_duration=cfg.squeeze_duration,
     )
-    kwargs = dict(integrand=cfg.integrand, toggle=cfg.toggle, threads=1)
+    kwargs = dict(integrand=cfg.integrand, toggle=cfg.toggle, threads=1, exact=exact)
     if cfg.experiment == "contrast":
         grid = [x * 1e-3 for x in cfg.tau_arm_grid_ms]
         points = len(grid)
@@ -268,6 +270,7 @@ def measure_curve(config: str) -> dict:
         walls.append(time.perf_counter() - start)
     return {
         "config": config,
+        "estimator": "exact" if exact else "mc",
         "points": points,
         "samples": cfg.samples,
         "threads": 1,
@@ -310,11 +313,15 @@ def main() -> int:
                     f"{row['wall_s']:>9.4f} {row['peak_mb']:>9.2f}"
                 )
     curves = []
-    print(f"{'config':>24} {'points':>6} {'wall_s':>9} {'peak_MB':>9}")
-    for config in CURVES:
-        row = measure_curve(config)
-        curves.append(row)
-        print(f"{config:>24} {row['points']:>6} {row['wall_s']:>9.4f} {row['peak_mb']:>9.2f}")
+    print(f"{'config':>24} {'estimator':>9} {'points':>6} {'wall_s':>9} {'peak_MB':>9}")
+    for exact in (False, True):
+        for config in CURVES:
+            row = measure_curve(config, exact)
+            curves.append(row)
+            print(
+                f"{config:>24} {row['estimator']:>9} {row['points']:>6} "
+                f"{row['wall_s']:>9.4f} {row['peak_mb']:>9.2f}"
+            )
     chunked = measure_chunked_curve()
     print(
         f"chunked curve, {chunked['points']} x {chunked['samples']} samples: "

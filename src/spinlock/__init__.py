@@ -45,7 +45,7 @@ from .montecarlo import (
 from .noise import NoiseComponent, synth_noise
 from .squeezing import SqueezeParams, bch_error
 
-__version__ = "0.3.1"
+__version__ = "0.4.0"
 
 __all__ = [
     "CollectiveOps",

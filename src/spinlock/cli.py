@@ -67,6 +67,16 @@ def _mc_config(cfg: RunConfig, n_atoms: int) -> McConfig:
     )
 
 
+def _exact(cfg: RunConfig) -> bool:
+    """Whether the contrasts are the closed-form mean (ramsey) or sampled
+    (eq23, which has no closed form)."""
+    return cfg.integrand == "ramsey"
+
+
+def _estimator_line(cfg: RunConfig) -> str:
+    return "estimator exact" if _exact(cfg) else f"estimator mc samples={cfg.samples}"
+
+
 def run_contrast(cfg: RunConfig, threads: int):
     grid_s = [x * 1e-3 for x in cfg.tau_arm_grid_ms]
     curve = contrast_curve(
@@ -77,15 +87,17 @@ def run_contrast(cfg: RunConfig, threads: int):
         integrand=cfg.integrand,
         toggle=cfg.toggle,
         threads=threads,
+        exact=_exact(cfg),
     )
     rows = [
         (p.x, p.estimate, p.stderr, cfg.n_atoms[0], cfg.alpha) for p in curve
     ]
+    comments = [_estimator_line(cfg)]
     try:
         low, high = measurement_range(curve, cfg.threshold)
-        comments = [f"measurement-range-ms {_fmt(low)} {_fmt(high)}"]
+        comments.append(f"measurement-range-ms {_fmt(low)} {_fmt(high)}")
     except EmptyRangeError:
-        comments = ["measurement-range-ms none"]
+        comments.append("measurement-range-ms none")
     return rows, comments
 
 
@@ -100,9 +112,10 @@ def run_sensitivity(cfg: RunConfig, threads: int):
         integrand=cfg.integrand,
         toggle=cfg.toggle,
         threads=threads,
+        exact=_exact(cfg),
     )
     rows = []
-    comments = []
+    comments = [_estimator_line(cfg)]
     for n_atoms in cfg.n_atoms:
         curve = curves[n_atoms]
         rows.extend((p.x, p.estimate, p.stderr, n_atoms) for p in curve)

@@ -22,6 +22,10 @@ Sensitivity curves share the draws and tone sums across atom numbers: a
 duration's stream is keyed by its grid index alone, so only the readout
 runs once per atom number.  fringe_contrast_mc evaluates a grid of one
 point, keyed by its point_index.
+
+The ramsey integrand's mean also has a closed form, which _expectation
+evaluates on the same grid with stderr 0 and no stream at all; the curves
+take it with exact=True, and the sampler stays the check on it.
 """
 from __future__ import annotations
 
@@ -331,6 +335,58 @@ def _evaluate(
     ]
 
 
+def _j0(x: np.ndarray) -> np.ndarray:
+    """Bessel J0 of each x >= 0: the midpoint rule on
+    J0(x) = (1/pi) int_0^pi cos(x sin t) dt.
+
+    The integrand is smooth and pi-periodic, so M nodes integrate it up to
+    2 |J_2M(x)|, the first Fourier term they alias.  M = ceil(x + 12 x^(1/3)
+    + 40) at the largest x puts that far below rounding (the tests hold the
+    values to 1e-15 of an independent J0 on [0, 60]).
+    """
+    x = np.asarray(x, dtype=float)
+    top = float(x.max(initial=0.0))
+    nodes = math.ceil(top + 12.0 * top ** (1.0 / 3.0) + 40.0)
+    t = (np.arange(nodes) + 0.5) * (math.pi / nodes)
+    return np.cos(np.multiply.outer(x, np.sin(t))).mean(axis=-1)
+
+
+def _expectation(
+    components: Sequence[NoiseComponent],
+    n_pulses: int,
+    tau_arms: Sequence[float],
+    mcs: Sequence[McConfig],
+    integrand: str,
+    toggle: bool,
+    threads: int,
+    first_index: int = 0,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """_evaluate's contrasts without sampling: the exact mean of the ramsey
+    integrand over the random tone phases, with stderr 0.
+
+    The readout is (R/c) cos(beta + psi) at beta = beta0 + sum_k r_k
+    sin(theta_k), and with independent uniform theta_k the Jacobi-Anger
+    identity (Abramowitz & Stegun 9.1.42-45) gives E[e^{i beta}] =
+    e^{i beta0} prod_k J0(r_k).  So the mean is
+    (R/c) cos(beta0 + psi) prod_k J0(r_k).  No stream is read, so neither
+    threads, first_index nor the samples and seed of mcs enter.  eq23 has
+    no such form: asking for it is a ConfigError.
+    """
+    del threads, first_index
+    if integrand == "eq23":
+        raise ConfigError("the closed form covers the ramsey integrand only; eq23 is sampled")
+    fringes = [_fringe(mc, integrand, n_pulses) for mc in mcs]
+    a, b = phase_kernel_grid(components, n_pulses, tau_arms, toggle)
+    beta0, weights = _split_fixed(components, a, b)
+    damping = np.prod(_j0(0.5 * weights), axis=-1)
+    results = []
+    for cos_fac, sin_fac, *_ in fringes:
+        norm = math.hypot(cos_fac, sin_fac) / cos_fac  # R/c
+        estimates = norm * np.cos(beta0 + math.atan2(sin_fac, cos_fac)) * damping
+        results.append((estimates, np.zeros_like(estimates)))
+    return results
+
+
 def fringe_contrast_mc(
     components: Sequence[NoiseComponent],
     schedule: LockInSchedule,
@@ -365,17 +421,20 @@ def contrast_curve(
     integrand: str = "ramsey",
     toggle: bool = True,
     threads: int = 1,
+    exact: bool = False,
 ) -> list[CurvePoint]:
     """Fringe contrast versus arm time; x reported in ms.
 
     Grid point i uses the phase stream keyed by point_index=i, so the curve
     is reproducible point-by-point regardless of grid slicing, chunking or
-    threads.
+    threads.  With exact=True the ramsey contrast is the closed-form mean
+    instead, with stderr 0 (see _expectation); eq23 is then a ConfigError.
     """
     grid = [float(t) for t in tau_arm_grid_s]
     if not grid:
         raise ConfigError("tau_arm grid must be nonempty")
-    [(estimates, stderrs)] = _evaluate(
+    evaluate = _expectation if exact else _evaluate
+    [(estimates, stderrs)] = evaluate(
         components, n_pulses, grid, [mc], integrand, toggle, threads
     )
     return [
@@ -419,23 +478,22 @@ def measurement_range(
 
 def sensitivity_point(
     contrast: CurvePoint,
-    mc: McConfig,
+    dphi0: float,
+    squeeze_duration: float,
     n_pulses: int,
     tau_arm: float,
 ) -> CurvePoint:
     """Field sensitivity for one interrogation window, Hz per sqrt(Hz).
 
     S = dphi_eff / (2 pi T_coh) * sqrt(T_cycle) with
-    dphi_eff = dphi(alpha, 0, 0) / contrast, T_coh = N tau_arm (phase
-    actually accumulates for N arms), and T_cycle = squeeze_duration +
-    (N+1) tau_arm (pi and pi/2 pulses treated as instantaneous).  A
-    nonpositive contrast means no fringe: infinite sensitivity.
+    dphi_eff = dphi0 / contrast, dphi0 = dphi(alpha, 0, 0) of the atom
+    number, T_coh = N tau_arm (phase actually accumulates for N arms), and
+    T_cycle = squeeze_duration + (N+1) tau_arm (pi and pi/2 pulses treated
+    as instantaneous).  A nonpositive contrast means no fringe: infinite
+    sensitivity.
     """
-    dphi0 = analytic.min_detectable_phase(
-        PhaseTriple(mc.alpha, 0.0, 0.0), mc.n_atoms
-    )
     t_coh = n_pulses * tau_arm
-    t_cycle = mc.squeeze_duration + (n_pulses + 1) * tau_arm
+    t_cycle = squeeze_duration + (n_pulses + 1) * tau_arm
     scale = dphi0 * math.sqrt(t_cycle) / (_TWO_PI * t_coh)
     if contrast.estimate <= 0.0:
         return CurvePoint(x=contrast.x, estimate=math.inf, stderr=math.inf)
@@ -454,6 +512,7 @@ def sensitivity_curve(
     integrand: str = "ramsey",
     toggle: bool = True,
     threads: int = 1,
+    exact: bool = False,
 ) -> dict[int, list[CurvePoint]]:
     """Sensitivity versus total interrogation window T, one curve per atom
     number; x reported in ms.
@@ -461,6 +520,8 @@ def sensitivity_curve(
     T on the grid is the full window (N+1) tau_arm.  The phase stream for a
     given T is keyed by its grid index only, shared across atom numbers, so
     curves for different N_a differ by physics and not by sampling noise.
+    With exact=True the contrasts are the closed-form ramsey means, with
+    stderr 0, as in contrast_curve.
     """
     grid = [float(t) for t in duration_grid_s]
     atoms = list(n_atoms_list)
@@ -472,17 +533,19 @@ def sensitivity_curve(
         raise ConfigError("physics.n_atoms must not repeat")
     tau_arms = [duration / (n_pulses + 1) for duration in grid]
     mcs = [replace(mc, n_atoms=n) for n in atoms]
-    curves = _evaluate(
-        components, n_pulses, tau_arms, mcs, integrand, toggle, threads
-    )
-    return {
-        mc_n.n_atoms: [
+    evaluate = _expectation if exact else _evaluate
+    curves = evaluate(components, n_pulses, tau_arms, mcs, integrand, toggle, threads)
+    result = {}
+    for mc_n, (estimates, stderrs) in zip(mcs, curves):
+        # dphi(alpha, 0, 0) depends on the atom number alone
+        dphi0 = analytic.min_detectable_phase(PhaseTriple(mc_n.alpha, 0.0, 0.0), mc_n.n_atoms)
+        result[mc_n.n_atoms] = [
             sensitivity_point(
-                CurvePoint(x=duration * 1e3, estimate=e, stderr=s), mc_n, n_pulses, tau_arm
+                CurvePoint(x=duration * 1e3, estimate=e, stderr=s),
+                dphi0, mc_n.squeeze_duration, n_pulses, tau_arm,
             )
             for duration, tau_arm, e, s in zip(
                 grid, tau_arms, estimates.tolist(), stderrs.tolist()
             )
         ]
-        for mc_n, (estimates, stderrs) in zip(mcs, curves)
-    }
+    return result

@@ -41,6 +41,8 @@ class SqueezeParams:
 
     @classmethod
     def from_g_tau(cls, g: float, tau: float, n_photons: int) -> "SqueezeParams":
+        # an integer past the float range ends the product in OverflowError
+        _check_real("n_photons", n_photons)
         return cls(g=g, tau=tau, chi=n_photons * g * g * tau / 8)
 
     @property

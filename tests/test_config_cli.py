@@ -17,6 +17,7 @@ from spinlock.config import (
     parse_config,
 )
 from spinlock.errors import ConfigError, SpinlockError
+from spinlock.lockin import phase_kernel_grid
 
 
 def minimal_contrast(**overrides):
@@ -305,10 +306,55 @@ def run_variants(tmp_path, docs):
 
 
 def test_cli_seed_changes_rows(tmp_path):
-    reseeded = minimal_contrast(mc={"samples": 50, "master_seed": 99})
-    (rows_a, echo_a), (rows_b, echo_b) = run_variants(tmp_path, [minimal_contrast(), reseeded])
-    assert rows_a != rows_b
+    # the seed drives the sampled eq23 rows; the ramsey rows are the closed form
+    reseeded = {"mc": {"samples": 50, "master_seed": 99}}
+    eq23 = {"contrast_integrand": "eq23"}
+    (eq23_a, echo_a), (eq23_b, echo_b), (ramsey_a, _), (ramsey_b, _) = run_variants(
+        tmp_path,
+        [
+            minimal_contrast(**eq23),
+            minimal_contrast(**eq23, **reseeded),
+            minimal_contrast(),
+            minimal_contrast(**reseeded),
+        ],
+    )
+    assert eq23_a != eq23_b
+    assert ramsey_a == ramsey_b
     assert (echo_a["mc"]["master_seed"], echo_b["mc"]["master_seed"]) == (7, 99)
+
+
+@pytest.mark.parametrize("name", ["contrast_squeezed.json", "sensitivity.json"])
+def test_ramsey_rows_are_the_closed_form_with_stderr_zero(tmp_path, name):
+    from scipy.special import j0
+
+    path = Path(__file__).resolve().parent.parent / "configs" / name
+    cfg = load_config(str(path))
+    out = tmp_path / "out.csv"
+    assert run_cli([cfg.experiment, "--config", path, "--output", out]) == 0
+    comments, _, rows = read_output(out)
+    assert "estimator exact" in comments
+    rows = np.array([[float(v) for v in row.split(",")] for row in rows])
+    finite = np.isfinite(rows[:, 1])  # a dead fringe's sensitivity and stderr are inf
+    assert not rows[finite, 2].any() and (rows[~finite, 2] == math.inf).all()
+    if cfg.experiment == "contrast":
+        tau_arms = np.array(cfg.tau_arm_grid_ms) * 1e-3
+    else:
+        tau_arms = np.array(cfg.duration_grid_ms) * 1e-3 / (cfg.n_pulses + 1)
+    a, b = phase_kernel_grid(cfg.components(), cfg.n_pulses, tau_arms, cfg.toggle)
+    # no pinned tone, so beta0 = 0 and E[(c cos beta - s sin beta) / c] is
+    # E[cos(sum_k r_k sin theta_k)] = prod_k J0(r_k)
+    assert all(tone.phase is None for tone in cfg.components())
+    contrast = np.prod(j0(np.hypot(a, b)), axis=-1)
+    for i, n_atoms in enumerate(cfg.n_atoms):
+        got = rows[i * tau_arms.size : (i + 1) * tau_arms.size, 1]
+        if cfg.experiment == "contrast":
+            np.testing.assert_allclose(got, contrast, rtol=0, atol=1e-13)
+            continue
+        dphi0 = 1.0 / (math.sqrt(n_atoms) * math.cos(cfg.alpha) ** (n_atoms - 1))
+        t_cycle = cfg.squeeze_duration + (cfg.n_pulses + 1) * tau_arms
+        want = dphi0 * np.sqrt(t_cycle) / (2 * math.pi * cfg.n_pulses * tau_arms) / contrast
+        want[contrast <= 0] = math.inf
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_cli_no_toggle_flows_through(tmp_path):

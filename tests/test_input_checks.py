@@ -193,6 +193,12 @@ def test_numpy_scalars_pass_the_shared_checks():
     [
         # values the rows pass whose products overflow
         ("contrast", {"g": 1e200, "chi_override": None}, "physics: chi must be finite, got inf"),
+        # an integer n_photons that no float holds
+        (
+            "contrast",
+            {"n_photons": 10**400, "chi_override": None},
+            f"physics: n_photons must be finite, got {10**400!r}",
+        ),
         (
             "contrast",
             {"chi_override": 1e200, "squeeze_duration": 1e200},

@@ -1,11 +1,15 @@
 import dataclasses
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spinlock import kernels, montecarlo as mc
+from spinlock.analytic import min_detectable_phase
+from spinlock.config import load_config
+from spinlock.dicke import PhaseTriple
 from spinlock.errors import ConfigError, EmptyRangeError, NumericsError
 from spinlock.lockin import LockInSchedule
 from spinlock.montecarlo import CurvePoint, McConfig
@@ -574,6 +578,18 @@ def _values(points):
     return [(p.estimate, p.stderr) for p in points]
 
 
+def _sensitivity_alone(contrast, mc_n, tau_arm):
+    """(estimate, stderr) of one 7-pulse point's sensitivity, worked out for
+    that point alone, dphi(alpha, 0, 0) included, in sensitivity_point's
+    arithmetic order."""
+    dphi0 = min_detectable_phase(PhaseTriple(mc_n.alpha, 0.0, 0.0), mc_n.n_atoms)
+    scale = dphi0 * math.sqrt(mc_n.squeeze_duration + 8 * tau_arm) / (2.0 * math.pi * (7 * tau_arm))
+    if contrast.estimate <= 0.0:
+        return (math.inf, math.inf)
+    estimate = scale / contrast.estimate
+    return (estimate, estimate * contrast.stderr / contrast.estimate)
+
+
 def _chunk_sample_counts():
     # with the 7-point grids below a curve never fills its last chunk (16384,
     # 12, 4, 3 or 1 points per chunk), and at 4097 samples a chunk of 3
@@ -614,16 +630,16 @@ def test_sensitivity_curve_chunks_never_change_a_bit(default_mc, integrand, n_ra
         want = {}
         for n in atoms:
             mc_n = dataclasses.replace(cfg, n_atoms=n)
-            want[n] = _values(
-                mc.sensitivity_point(
+            want[n] = [
+                _sensitivity_alone(
                     mc.fringe_contrast_mc(
                         components, LockInSchedule(7, t / 8), mc_n, integrand=integrand,
                         point_index=i,
                     ),
-                    mc_n, 7, t / 8,
+                    mc_n, t / 8,
                 )
                 for i, t in enumerate(grid)
-            )
+            ]
         for threads in (1, 2, 8):
             curves = mc.sensitivity_curve(
                 components, atoms, grid, 7, cfg, integrand=integrand, threads=threads
@@ -650,16 +666,16 @@ def test_curve_straddling_a_chunk_boundary_equals_its_points(default_mc, integra
     atoms = (50, 300)
     durations = [8 * tau for tau in grid]
     want = {
-        n: _values(
-            mc.sensitivity_point(
+        n: [
+            _sensitivity_alone(
                 mc.fringe_contrast_mc(
                     components, LockInSchedule(7, t / 8), mc_n, integrand=integrand,
                     point_index=i,
                 ),
-                mc_n, 7, t / 8,
+                mc_n, t / 8,
             )
             for i, t in enumerate(durations)
-        )
+        ]
         for n, mc_n in ((n, dataclasses.replace(cfg, n_atoms=n)) for n in atoms)
     }
     for threads in (1, 2):
@@ -695,6 +711,73 @@ def test_tone_phases_do_not_move_the_ramsey_law(default_mc):
         assert abs(estimate - want) <= 4 * stderr, phi
         # not vacuous: the noise moves the mean by hundreds of stderrs
         assert abs(noiseless - want) >= 100 * stderr
+
+
+def test_j0_matches_scipy():
+    from scipy.special import j0
+
+    x = np.concatenate([np.linspace(0.0, 60.0, 60_001), [1e-300, 4.84, 59.999]])
+    assert np.abs(mc._j0(x) - j0(x)).max() <= 1e-15
+    # fewer nodes when the largest argument is smaller
+    assert np.abs(mc._j0(x[:5_000]) - j0(x[:5_000])).max() <= 1e-15
+    assert mc._j0(np.empty((4, 0))).shape == (4, 0)
+
+
+SHIPPED = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _closed_form_z(name):
+    """z = (sampled - closed form) / sampled stderr at every point of a
+    shipped ramsey config, for each of its atom numbers, at seed 7."""
+    cfg = load_config(str(SHIPPED / name))
+    if cfg.experiment == "contrast":
+        tau_arms = [x * 1e-3 for x in cfg.tau_arm_grid_ms]
+    else:
+        tau_arms = [x * 1e-3 / (cfg.n_pulses + 1) for x in cfg.duration_grid_ms]
+    mcs = [McConfig(cfg.samples, 7, n, cfg.chi, cfg.squeeze_duration) for n in cfg.n_atoms]
+    args = (cfg.components(), cfg.n_pulses, tau_arms, mcs, cfg.integrand, cfg.toggle, 1)
+    zs = []
+    for (estimates, stderrs), (means, exact_stderrs) in zip(
+        mc._evaluate(*args), mc._expectation(*args)
+    ):
+        assert not exact_stderrs.any()
+        zs.append((estimates - means) / stderrs)
+    return np.concatenate(zs)
+
+
+def _agrees(zs):
+    return np.abs(zs).max() <= 5.0 and math.sqrt(np.mean(zs**2)) <= 1.3
+
+
+@pytest.mark.parametrize("name", ("contrast_squeezed.json", "sensitivity.json"))
+def test_closed_form_is_the_mean_of_the_sampler(name):
+    zs = _closed_form_z(name)
+    assert _agrees(zs), (np.abs(zs).max(), math.sqrt(np.mean(zs**2)))
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    (
+        lambda x, j0=mc._j0: j0(2.0 * x),  # prod_k J0(2 r_k), the second moment's damping
+        lambda x: np.ones_like(x),  # no damping: cos(beta0 + psi) alone
+    ),
+    ids=("J0(2r)", "undamped"),
+)
+@pytest.mark.parametrize("name", ("contrast_squeezed.json", "sensitivity.json"))
+def test_closed_form_check_catches_wrong_damping(monkeypatch, name, mutant):
+    monkeypatch.setattr(mc, "_j0", mutant)
+    assert not _agrees(_closed_form_z(name))
+
+
+def test_closed_form_is_ramsey_only(three_tone_noise, default_mc):
+    with pytest.raises(ConfigError, match="ramsey integrand only"):
+        mc.contrast_curve(three_tone_noise, 7, [5e-3], default_mc, integrand="eq23", exact=True)
+    with pytest.raises(ConfigError, match="ramsey integrand only"):
+        mc.sensitivity_curve(
+            three_tone_noise, [50], [0.04], 7, default_mc, integrand="eq23", exact=True
+        )
+    with pytest.raises(ConfigError, match="unknown integrand"):
+        mc.contrast_curve(three_tone_noise, 7, [5e-3], default_mc, integrand="exact", exact=True)
 
 
 def test_sensitivity_curve_rejects_repeated_atom_numbers(three_tone_noise, default_mc):
