@@ -20,9 +20,9 @@ call.  It then does the same for the two shipped curves: the 301-point
 ``configs/sensitivity.json`` sensitivity curves, on one thread, once
 sampled and once as the closed-form ramsey mean (``exact=True``, the
 estimator the CLI runs for these configs), and for a
-chunked curve of 64 points of 2000 samples with 3 random tones it records
-the best wall time, ns per tone-sample and the minor page faults
-(``ru_minflt``) of one call after a warm-up.  Last it runs the benchmark's
+sampled curve of 64 short points, 2000 samples each with 3 random tones,
+it records the best wall time, ns per tone-sample and the minor page
+faults (``ru_minflt``) of one call after a warm-up.  Last it runs the benchmark's
 ``sweep`` pass (``perfbench/workloads.py``: both shipped contrast curves,
 the sensitivity curves and the noise preview through ``spinlock.cli.main``,
 one thread) a few times after a warm-up, and records the median wall time
@@ -61,8 +61,8 @@ DRAW_SHAPES = ((4096, 3), (4096, 9))  # one streamed block at the shipped tone c
 DRAW_REPEATS = 200  # best-of; a call takes about 0.1 ms
 STREAM_POINTS = 2000  # stream set-ups per repeat; one takes about 10 us
 STREAM_REPEATS = 5  # best-of
-CHUNKED = dict(points=64, samples=2000, random_tones=3)  # 8 chunks of 8 points
-CHUNKED_REPEATS = 15  # best-of; a curve takes about 5 ms
+SHORT_CURVE = dict(points=64, samples=2000, random_tones=3)
+SHORT_CURVE_REPEATS = 15  # best-of; a curve takes about 5 ms
 SWEEP_PASSES = 10  # a pass takes about 0.1 s
 # passes before those: in a fresh process the heap still grows by a few pages
 # in some of the first ten or so passes, at this commit and its parent
@@ -136,16 +136,16 @@ def minor_faults() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
-def measure_chunked_curve() -> dict:
+def measure_short_point_curve() -> dict:
     from spinlock.montecarlo import McConfig, contrast_curve
     from spinlock.noise import NoiseComponent
 
-    tones = [NoiseComponent(3.0 + k, 37.0 + 13.0 * k) for k in range(CHUNKED["random_tones"])]
+    tones = [NoiseComponent(3.0 + k, 37.0 + 13.0 * k) for k in range(SHORT_CURVE["random_tones"])]
     mc = McConfig(
-        samples=CHUNKED["samples"], master_seed=7, n_atoms=50, chi=625.0,
+        samples=SHORT_CURVE["samples"], master_seed=7, n_atoms=50, chi=625.0,
         squeeze_duration=1.6e-5,
     )
-    grid = [1e-3 + 8e-5 * i for i in range(CHUNKED["points"])]
+    grid = [1e-3 + 8e-5 * i for i in range(SHORT_CURVE["points"])]
 
     def curve():
         return contrast_curve(tones, 7, grid, mc)
@@ -155,13 +155,13 @@ def measure_chunked_curve() -> dict:
     curve()
     faults = minor_faults() - faults
     walls = []
-    for _ in range(CHUNKED_REPEATS):
+    for _ in range(SHORT_CURVE_REPEATS):
         start = time.perf_counter()
         curve()
         walls.append(time.perf_counter() - start)
-    tone_samples = CHUNKED["points"] * CHUNKED["samples"] * CHUNKED["random_tones"]
+    tone_samples = SHORT_CURVE["points"] * SHORT_CURVE["samples"] * SHORT_CURVE["random_tones"]
     return {
-        **CHUNKED,
+        **SHORT_CURVE,
         "wall_s": min(walls),
         "repeats": len(walls),
         "ns_per_tone_sample": min(walls) / tone_samples * 1e9,
@@ -322,11 +322,11 @@ def main() -> int:
                 f"{config:>24} {row['estimator']:>9} {row['points']:>6} "
                 f"{row['wall_s']:>9.4f} {row['peak_mb']:>9.2f}"
             )
-    chunked = measure_chunked_curve()
+    short = measure_short_point_curve()
     print(
-        f"chunked curve, {chunked['points']} x {chunked['samples']} samples: "
-        f"{chunked['wall_s'] * 1e3:.2f} ms, {chunked['ns_per_tone_sample']:.2f} ns per "
-        f"tone-sample, {chunked['minor_faults']} minor faults"
+        f"short-point curve, {short['points']} x {short['samples']} samples: "
+        f"{short['wall_s'] * 1e3:.2f} ms, {short['ns_per_tone_sample']:.2f} ns per "
+        f"tone-sample, {short['minor_faults']} minor faults"
     )
     sweep = measure_sweep_pass()
     print(
@@ -344,7 +344,7 @@ def main() -> int:
         "stream": stream,
         "points": rows,
         "curves": curves,
-        "chunked_curve": chunked,
+        "short_point_curve": short,
         "sweep_pass": sweep,
     }
     args.output.write_text(json.dumps(report, indent=1) + "\n")

@@ -41,14 +41,14 @@ r_k _sin(theta).
 
 The kernel is two stages.  tone_sum is the random-phase part, the sum of
 r_k sin(theta_k) over the Q tones; readout turns it into fringe values for
-one atom number.  Both take a leading chunk axis, so one call serves C
-points at once: half phases (C, S, Q) with weights of shape (C, Q), and an
-offset broadcastable to (C, S).  Every step is elementwise or a per-sample
-sum over the tones in a fixed order, so a sample's value carries the same
-bits wherever it sits in a block or a chunk.  Given out= and scratch=
-buffers, neither stage allocates an array of the block's size: tone_sum
-takes its tangents in place in the half phases it is given (it consumes
-them), and every t^2 goes into the caller's scratch.
+one atom number.  A call serves one point's block of S samples: half
+phases (S, Q) with weights of shape (Q,), and one offset.  Every step is
+elementwise or a per-sample sum over the tones in a fixed order, so a
+sample's value carries the same bits wherever it sits in a block.  Given
+out= and scratch= buffers, neither stage allocates an array of the
+block's size: tone_sum takes its tangents in place in the half phases it
+is given (it consumes them), and every t^2 goes into the caller's
+scratch.
 """
 from __future__ import annotations
 
@@ -83,7 +83,7 @@ def tone_sum(
 
 def readout(
     tones: np.ndarray,
-    beta0: float | np.ndarray,
+    beta0: float,
     cos_fac: float,
     sin_fac: float,
     inv_n: float,
@@ -99,23 +99,14 @@ def readout(
     (cos_fac cos(beta) - sin_fac sin(beta)) / cos_fac; in eq23 mode it is
     cos(delta_phi) with the phase-resolution formula evaluated at beta,
     radicand clamped at zero (sin_gamma is ~0 for integer-pi drive, so the
-    clamp only absorbs rounding).  beta0 is a float, or an array of one
-    offset per row of tones (one per point of a chunk).  The values go into
-    out when given (it may be tones itself), else into a new array.
+    clamp only absorbs rounding).  The values go into out when given (it
+    may be tones itself), else into a new array.
     scratch, when given, has shape (2, *tones.shape) and holds the
     temporaries (ramsey uses scratch[0] only).
     """
     square, projection = (None, None) if scratch is None else scratch
     # phase = beta + psi, so the readout is a single cosine (and sine)
-    offset = beta0 + math.atan2(sin_fac, cos_fac)
-    if np.ndim(offset) == 0:
-        phase = np.add(tones, offset, out=out)
-    else:
-        # row by row: a broadcast add has numpy's iterator allocate its
-        # 64 KB buffers on every call
-        phase = np.empty_like(tones) if out is None else out
-        for row, sums, shift in zip(phase, tones, offset.tolist()):
-            np.add(sums, shift, out=row)
+    phase = np.add(tones, beta0 + math.atan2(sin_fac, cos_fac), out=out)
     amplitude = math.hypot(cos_fac, sin_fac)
     if not eq23:
         _cos(phase, out=phase, scratch=square)
@@ -143,7 +134,7 @@ def _half_sin(
 
     Every step is elementwise and np.tan's SIMD loops give an element the
     same bits at any offset, length or stride, so a value does not depend on
-    the block or chunk it is computed in.
+    the block it is computed in.
     """
     t = np.tan(h, out=out)
     square = np.square(t, out=scratch)

@@ -1,27 +1,24 @@
 """Monte-Carlo fringe contrast, measurement range, and sensitivity sweeps.
 
 Reproducibility contract: every result is a pure function of (config,
-master_seed), independent of worker count, evaluation order, chunking and
-block size.  Each point has its own PCG64 stream keyed by
+master_seed), independent of worker count, evaluation order and block
+size.  Each point has its own PCG64 stream keyed by
 (master_seed, point_index), read in order: sample j of a point with Q
 random tones takes the stream's uniforms jQ ... jQ+Q-1, so any scheduling
 of the work reproduces identical draws, and each point's reduction sums
-its own index-ordered row.
+its own index-ordered values.
 
-A curve is evaluated in chunks of whole points, up to _CHUNK_SAMPLES
-samples per chunk, or one point when a point alone is larger.  The phase
-kernel runs once for the whole grid; per chunk, each point's phases are
-drawn from its own stream into one (C, S, Q) buffer, and the tone sum,
-the readout and the mean/std reduction each run once over all C points.
-A point longer than _BLOCK_SAMPLES streams through blocks of that size,
-so it holds 8 bytes per sample plus two blocks, its draws and a scratch.  Each worker reuses one
-_Workspace for all its chunks: the draw buffer (the kernel takes its
-tangents in it), a scratch buffer of the same size and the rows of sums
-and values, so the hot loop allocates nothing in steady state.
-Sensitivity curves share the draws and tone sums across atom numbers: a
-duration's stream is keyed by its grid index alone, so only the readout
-runs once per atom number.  fringe_contrast_mc evaluates a grid of one
-point, keyed by its point_index.
+The phase kernel runs once for the whole grid; then each point is one
+task of the thread pool.  A point streams its samples through blocks of
+at most _BLOCK_SAMPLES, so it holds 8 bytes per sample plus two blocks,
+its draws and a scratch.  Each worker reuses one _Workspace for all its
+points: the draw buffer (the kernel takes its tangents in it), a scratch
+buffer of the same size and the rows of sums and values, so the hot loop
+allocates nothing in steady state.  Sensitivity curves share the draws
+and tone sums across atom numbers: a duration's stream is keyed by its
+grid index alone, so only the readout runs once per atom number.
+fringe_contrast_mc evaluates a grid of one point, keyed by its
+point_index.
 
 The ramsey integrand's mean also has a closed form, which _expectation
 evaluates on the same grid with stderr 0 and no stream at all; the curves
@@ -44,17 +41,16 @@ from .noise import NoiseComponent
 
 INTEGRANDS = ("ramsey", "eq23")
 _TWO_PI = 2.0 * math.pi
-# samples per chunk of short points: numpy calls over 4000-12,000 elements
-# spend much of their time in call overhead, and 16,384 samples (8 points of
-# 2000) run the 2000-sample curves faster than 8192, as fast as 32,768, and
-# with the buffers reused take no page fault
-_CHUNK_SAMPLES = 16384
-# samples per streamed block of a long point: the smallest block at full
+# samples per streamed block of a point: the smallest block at full
 # speed.  For 100,000-sample, 12-tone eq23 points on 2 threads (2-core Xeon,
 # 2 MB L2 per core) 1024 took 14% longer than 4096.  A 16,384-sample block
 # ran the deep_mc benchmark 5-14% faster, but its peak RSS read 45.5 MB
-# against 42.1 MB, so long points keep the smaller block: two constants
+# against 42.1 MB, so points keep the smaller block
 _BLOCK_SAMPLES = 4096
+# Bessel J0 quadrature nodes per block: the midpoint sum runs over blocks of
+# this many nodes, so its (values, nodes) temporary stays bounded at any
+# noise amplitude, and the shipped calls (at most 66 nodes) run as one block
+_J0_BLOCK = 128
 MAX_SEED = 2**64
 
 
@@ -132,9 +128,10 @@ def _split_fixed(
         else:
             beta0 += a[..., k] * math.sin(comp.phase) + b[..., k] * math.cos(comp.phase)
     idx = np.array(free, dtype=int)
-    # C order, like any one row of it: np.einsum picks its summation loop by
-    # the operands' strides, so a point's tone sum would change its last bits
-    # between a chunk of the grid and a grid of one
+    # C order, so each point's row of weights is contiguous in a grid of any
+    # size: np.einsum picks its summation loop by the operands' strides, so a
+    # strided row would change a point's last bits between a curve and a grid
+    # of one
     weights = np.ascontiguousarray(2.0 * np.hypot(a[..., idx], b[..., idx]))
     return beta0, weights
 
@@ -169,122 +166,104 @@ def _fringe(mc: McConfig, integrand: str, n_pulses: int) -> tuple:
 
 
 class _Workspace:
-    """One worker's buffers, reused from block to block and chunk to chunk.
+    """One worker's buffers, reused from block to block and point to point.
 
-    They serve chunks of up to `points` points of `samples` samples with
-    n_tones random tones: the draws (points, block, n_tones), which the
-    kernel consumes in place; a flat scratch buffer, holding t^2 for the
-    tone sum or the readout's two temporaries; the tone sums; and, for
-    more than one fringe, a row of values per point.  All are views of one
-    allocation: glibc serves a freed block that large again from its heap
-    without trimming it, so a run's later curves take no page faults.
+    They serve points of `samples` samples with n_tones random tones: the
+    draws (block, n_tones), which the kernel consumes in place; a flat
+    scratch buffer, holding t^2 for the tone sum or the readout's two
+    temporaries; the tone sums; and, for more than one fringe, a row of
+    values.  All are views of one allocation: glibc serves a freed block
+    that large again from its heap without trimming it, so a run's later
+    curves take no page faults.
     """
 
-    def __init__(self, points: int, samples: int, n_tones: int, fringes: int):
+    def __init__(self, samples: int, n_tones: int, fringes: int):
         block = min(samples, _BLOCK_SAMPLES)
         sizes = [
-            points * block * n_tones,
-            max(n_tones, 2) * points * block,
-            points * samples,
-            points * samples if fringes > 1 else 0,
+            block * n_tones,
+            max(n_tones, 2) * block,
+            samples,
+            samples if fringes > 1 else 0,
         ]
-        draws, self.scratch, sums, values = np.split(np.empty(sum(sizes)), np.cumsum(sizes)[:-1])
-        self.draws = draws.reshape(points, block, n_tones)
-        self.sums = sums.reshape(points, samples)
-        self.values = values.reshape(points, samples) if fringes > 1 else self.sums
+        draws, self.scratch, self.sums, values = np.split(
+            np.empty(sum(sizes)), np.cumsum(sizes)[:-1]
+        )
+        self.draws = draws.reshape(block, n_tones)
+        self.values = values if fringes > 1 else self.sums
 
 
-def _chunk_values(
+def _point_values(
     master_seed: int,
-    indices: Sequence[int],
+    point_index: int,
     samples: int,
-    terms: tuple[np.ndarray, np.ndarray],
+    beta0: float,
+    weights: np.ndarray,
     fringes: Sequence[tuple],
     work: _Workspace,
 ):
-    """Yield the (C, samples) fringe values of a chunk of C points, once per
-    entry of fringes (one atom number each), in rows of work.
+    """Yield one point's (samples,) fringe values, once per entry of
+    fringes (one atom number each), in rows of work.
 
-    Point c draws from the stream keyed by indices[c] and has offset
-    beta0[c] and random-tone weights[c], where (beta0, weights) = terms.
-    The draws and the tone sums run once, block by block, over the whole
-    chunk; only the readout runs per fringe, and the last one writes over
-    the tone sums.  A yielded array is overwritten by the next one.
+    The point draws from the stream keyed by point_index and has offset
+    beta0 and random-tone weights 2 r_k.  The draws and the tone sums run
+    once, block by block; only the readout runs per fringe, and the last
+    one writes over the tone sums.  A yielded array is overwritten by the
+    next one.
     """
-    beta0, weights = terms
-    points = len(indices)
-    draws = work.draws[:points]
-    block = draws.shape[1]
+    draws, sums = work.draws, work.sums
+    block = len(draws)
     tone_scratch = work.scratch[: draws.size].reshape(draws.shape)
-    readout_scratch = work.scratch[: 2 * points * block].reshape(2, points, block)
-    sums = work.sums[:points]
-    streams = [_stream(master_seed, i) for i in indices]
+    readout_scratch = work.scratch[: 2 * block].reshape(2, block)
+    stream = _stream(master_seed, point_index)
     for start in range(0, samples, block):
         width = min(block, samples - start)
-        for c, gen in enumerate(streams):
-            _draw(gen, draws[c, :width])
         kernels.tone_sum(
-            draws[:, :width],
+            _draw(stream, draws[:width]),
             weights,
-            out=sums[:, start : start + width],
-            scratch=tone_scratch[:, :width],
+            out=sums[start : start + width],
+            scratch=tone_scratch[:width],
         )
     for j, fringe in enumerate(fringes):
-        values = sums if j == len(fringes) - 1 else work.values[:points]
+        values = sums if j == len(fringes) - 1 else work.values
         for start in range(0, samples, block):
             width = min(block, samples - start)
             cols = slice(start, start + width)
             kernels.readout(
-                sums[:, cols],
-                beta0,
-                *fringe,
-                out=values[:, cols],
-                scratch=readout_scratch[..., :width],
+                sums[cols], beta0, *fringe, out=values[cols], scratch=readout_scratch[:, :width]
             )
         yield values
 
 
-def _reduce(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise estimate and stderr of (C, S) values: the mean, and
+def _reduce(values: np.ndarray) -> tuple[float, float]:
+    """Estimate and stderr of (S,) values: the mean, and
     sample-std/sqrt(S) (0 for a single sample or a constant row).
 
-    The one row mean serves the estimate and the deviations, in the
-    operation order of np.mean and np.std(ddof=1), so both are the same bits
-    as those calls.  The reduction owns values: it overwrites them with the
-    squared deviations instead of holding a second (C, S) array.
+    The one mean serves the estimate and the deviations, in the operation
+    order of np.mean and np.std(ddof=1), so both are the same bits as those
+    calls.  The reduction owns values: it overwrites them with the squared
+    deviations instead of holding a second (S,) array.
     """
-    samples = values.shape[1]
-    estimates = np.add.reduce(values, axis=1) / samples
-    stderrs = np.zeros(len(values))
-    if samples > 1:
-        # a constant row (all phases pinned, or no noise at all) has zero
-        # spread; the std would report ~1e-16 from the rounding of the mean
-        spread = np.ptp(values, axis=1) != 0.0
-        # row by row, like readout's offsets: a broadcast subtract has
-        # numpy's iterator allocate 64 KB of buffers on every call
-        for row, mean in zip(values, estimates.tolist()):
-            np.subtract(row, mean, out=row)
-        np.square(values, out=values)
-        std = np.sqrt(np.add.reduce(values, axis=1) / (samples - 1))
-        stderrs[spread] = std[spread] / math.sqrt(samples)
-    return estimates, stderrs
+    samples = len(values)
+    estimate = float(np.add.reduce(values) / samples)
+    # a constant row (all phases pinned, or no noise at all) has zero
+    # spread; the std would report ~1e-16 from the rounding of the mean
+    if samples == 1 or np.ptp(values) == 0.0:
+        return estimate, 0.0
+    np.subtract(values, estimate, out=values)
+    np.square(values, out=values)
+    std = math.sqrt(np.add.reduce(values) / (samples - 1))
+    return estimate, std / math.sqrt(samples)
 
 
-def _run_indexed(tasks, threads: int):
-    """Evaluate index-keyed closures into a list, any scheduling, fixed order."""
-    results = [None] * len(tasks)
+def _run_indexed(task, count: int, threads: int) -> list:
+    """task(i) for i in range(count), any scheduling, results in order."""
     if threads <= 1:
-        for i, task in enumerate(tasks):
-            results[i] = task()
-        return results
+        return [task(i) for i in range(count)]
     # imported here: a one-thread run never loads concurrent.futures
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = {pool.submit(task): i for i, task in enumerate(tasks)}
-        for future, i in futures.items():
-            results[i] = future.result()
-    return results
+        return list(pool.map(task, range(count)))
 
 
 def _evaluate(
@@ -301,38 +280,26 @@ def _evaluate(
     times, for each McConfig of mcs (they differ only in n_atoms).
 
     Point p draws from the stream keyed by point_index=first_index + p.
-    The grid goes in chunks of whole points, up to _CHUNK_SAMPLES samples
-    per chunk or one point; the chunks are the thread pool's tasks, and
-    each thread keeps one workspace for all the chunks it runs.
+    Each point is one task of the thread pool, and each thread keeps one
+    workspace for all the points it runs.
     """
     fringes = [_fringe(mc, integrand, n_pulses) for mc in mcs]
     a, b = phase_kernel_grid(components, n_pulses, tau_arms, toggle)
-    terms = _split_fixed(components, a, b)
+    beta0, weights = _split_fixed(components, a, b)
     samples, master_seed = mcs[0].samples, mcs[0].master_seed
-    per_chunk = max(1, _CHUNK_SAMPLES // samples)
-    points = len(tau_arms)
     local = threading.local()
 
-    def make_task(lo: int, hi: int):
-        def task():
-            if not hasattr(local, "work"):
-                n_tones = terms[1].shape[-1]
-                local.work = _Workspace(min(per_chunk, points), samples, n_tones, len(fringes))
-            chunk = tuple(t[lo:hi] for t in terms)
-            keys = range(first_index + lo, first_index + hi)
-            values = _chunk_values(master_seed, keys, samples, chunk, fringes, local.work)
-            return [_reduce(v) for v in values]
+    def task(p: int) -> list[tuple[float, float]]:
+        if not hasattr(local, "work"):
+            local.work = _Workspace(samples, weights.shape[-1], len(fringes))
+        values = _point_values(
+            master_seed, first_index + p, samples, float(beta0[p]), weights[p], fringes, local.work
+        )
+        return [_reduce(v) for v in values]
 
-        return task
-
-    tasks = [
-        make_task(lo, min(lo + per_chunk, points)) for lo in range(0, points, per_chunk)
-    ]
-    chunks = _run_indexed(tasks, threads)
-    return [
-        tuple(np.concatenate([chunk[j][k] for chunk in chunks]) for k in (0, 1))
-        for j in range(len(mcs))
-    ]
+    # (P, atom numbers, 2): each point's (estimate, stderr) per atom number
+    results = np.array(_run_indexed(task, len(tau_arms), threads))
+    return [(results[:, j, 0], results[:, j, 1]) for j in range(len(mcs))]
 
 
 def _j0(x: np.ndarray) -> np.ndarray:
@@ -342,13 +309,17 @@ def _j0(x: np.ndarray) -> np.ndarray:
     The integrand is smooth and pi-periodic, so M nodes integrate it up to
     2 |J_2M(x)|, the first Fourier term they alias.  M = ceil(x + 12 x^(1/3)
     + 40) at the largest x puts that far below rounding (the tests hold the
-    values to 1e-15 of an independent J0 on [0, 60]).
+    values to 1e-15 of an independent J0 on [0, 60]).  The sum runs over
+    blocks of _J0_BLOCK nodes, so memory stays O(x.size) at any argument.
     """
     x = np.asarray(x, dtype=float)
     top = float(x.max(initial=0.0))
     nodes = math.ceil(top + 12.0 * top ** (1.0 / 3.0) + 40.0)
-    t = (np.arange(nodes) + 0.5) * (math.pi / nodes)
-    return np.cos(np.multiply.outer(x, np.sin(t))).mean(axis=-1)
+    total = np.zeros(x.shape)
+    for start in range(0, nodes, _J0_BLOCK):
+        t = (np.arange(start, min(start + _J0_BLOCK, nodes)) + 0.5) * (math.pi / nodes)
+        total += np.cos(np.multiply.outer(x, np.sin(t))).sum(axis=-1)
+    return total / nodes
 
 
 def _expectation(
@@ -426,8 +397,7 @@ def contrast_curve(
     """Fringe contrast versus arm time; x reported in ms.
 
     Grid point i uses the phase stream keyed by point_index=i, so the curve
-    is reproducible point-by-point regardless of grid slicing, chunking or
-    threads.  With exact=True the ramsey contrast is the closed-form mean
+    is reproducible point-by-point regardless of grid slicing or threads.  With exact=True the ramsey contrast is the closed-form mean
     instead, with stderr 0 (see _expectation); eq23 is then a ConfigError.
     """
     grid = [float(t) for t in tau_arm_grid_s]

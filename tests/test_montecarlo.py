@@ -57,7 +57,7 @@ def _reads(master_seed, point_index, *counts, n_tones):
 
 
 def test_sampling_is_chunk_stable():
-    # the property _chunk_values relies on: a stream read block by block
+    # the property _point_values relies on: a stream read block by block
     # gives the draws of one read
     (full,) = _reads(12345, 3, 100, n_tones=5)
     split = np.vstack(_reads(12345, 3, 17, 33, 50, n_tones=5))
@@ -205,18 +205,18 @@ def test_tone_sum_bits_do_not_depend_on_block_boundaries(n_random):
 
 
 @pytest.mark.parametrize("eq23", (False, True))
-@pytest.mark.parametrize("points, samples, n_random", ((8, 2000, 3), (1, 4096, 9), (3, 700, 1)))
-def test_hot_loop_allocates_nothing_with_caller_buffers(eq23, points, samples, n_random):
-    # the hot loop's steady state: tone_sum takes its tangents in the draws
-    # and t^2 in the scratch, readout its temporaries in the scratch, and
-    # the reduction works in the values
+@pytest.mark.parametrize("samples, n_random", ((2000, 3), (4096, 9), (700, 1)))
+def test_hot_loop_allocates_nothing_with_caller_buffers(eq23, samples, n_random):
+    # the hot loop's steady state on one point's block: tone_sum takes its
+    # tangents in the draws and t^2 in the scratch, readout its temporaries
+    # in the scratch, and the reduction works in the values
     rng = np.random.default_rng(21)
-    draws = rng.uniform(0, math.pi, (points, samples, n_random))
-    weights = 2.0 * np.hypot(*rng.normal(size=(2, points, n_random)))
-    beta0 = rng.normal(size=points)
+    draws = rng.uniform(0, math.pi, (samples, n_random))
+    weights = 2.0 * np.hypot(*rng.normal(size=(2, n_random)))
+    beta0 = float(rng.normal())
     fringe = (-0.7, 0.2, 0.02, 0.9, eq23)
-    sums = np.empty((points, samples))
-    scratch = np.empty(max(n_random, 2) * points * samples)
+    sums = np.empty(samples)
+    scratch = np.empty(max(n_random, 2) * samples)
     tone_scratch = scratch[: draws.size].reshape(draws.shape)
     readout_scratch = scratch[: 2 * sums.size].reshape(2, *sums.shape)
     block = draws.nbytes
@@ -276,9 +276,9 @@ def test_half_angle_trig_matches_numpy(half_angle, reference):
 
 @pytest.mark.parametrize("half_angle", (kernels._half_sin, kernels._sin, kernels._cos))
 def test_half_angle_trig_bits_do_not_depend_on_layout(half_angle):
-    # the curve chunks a point's samples and a thread pool schedules the
-    # chunks, so an element's value must not depend on where it sits in an
-    # array: SIMD loops run a vector body and a scalar or masked tail
+    # a point streams its samples through blocks and a thread pool schedules
+    # the points, so an element's value must not depend on where it sits in
+    # an array: SIMD loops run a vector body and a scalar or masked tail
     x = _trig_arguments()[:8192]
     want = half_angle(x)
     for offset in range(17):
@@ -326,15 +326,17 @@ def _one_shot_values(components, schedule, cfg, integrand, point_index):
 
 
 def _streamed_values(components, schedule, cfg, integrand, point_index):
-    """A point's per-sample values as a curve streams them: a chunk of one point."""
+    """A point's per-sample values as a curve streams them, block by block."""
     from spinlock.lockin import phase_kernel_grid
 
     fringe = mc._fringe(cfg, integrand, schedule.n_pulses)
     a, b = phase_kernel_grid(components, schedule.n_pulses, [schedule.tau_arm], True)
-    terms = mc._split_fixed(components, a, b)
-    work = mc._Workspace(1, cfg.samples, terms[1].shape[-1], 1)
-    chunks = mc._chunk_values(cfg.master_seed, [point_index], cfg.samples, terms, [fringe], work)
-    return next(chunks)[0]
+    (beta0,), (weights,) = mc._split_fixed(components, a, b)
+    work = mc._Workspace(cfg.samples, weights.size, 1)
+    values = mc._point_values(
+        cfg.master_seed, point_index, cfg.samples, float(beta0), weights, [fringe], work
+    )
+    return next(values)
 
 
 @pytest.mark.parametrize("integrand", mc.INTEGRANDS)
@@ -590,83 +592,31 @@ def _sensitivity_alone(contrast, mc_n, tau_arm):
     return (estimate, estimate * contrast.stderr / contrast.estimate)
 
 
-def _chunk_sample_counts():
-    # with the 7-point grids below a curve never fills its last chunk (16384,
-    # 12, 4, 3 or 1 points per chunk), and at 4097 samples a chunk of 3
-    # points streams a last block of one sample
-    block = mc._BLOCK_SAMPLES
-    return (1, block // 3, block - 1, block, block + 1, 2 * block + 17)
+BLOCK = mc._BLOCK_SAMPLES
 
 
 @pytest.mark.parametrize("integrand", mc.INTEGRANDS)
 @pytest.mark.parametrize("n_random", (0, 3, 9))
-def test_contrast_curve_chunks_never_change_a_bit(default_mc, integrand, n_random):
-    components = _tones(n_random)
-    for samples in _chunk_sample_counts():
-        cfg = dataclasses.replace(default_mc, samples=samples)
-        grid = [2e-3 + 1.3e-3 * i for i in range(7)]
-        points = [
-            mc.fringe_contrast_mc(
-                components, LockInSchedule(7, tau), cfg, integrand=integrand,
-                point_index=i,
-            )
-            for i, tau in enumerate(grid)
-        ]
-        for threads in (1, 2, 8):
-            curve = mc.contrast_curve(
-                components, 7, grid, cfg, integrand=integrand, threads=threads
-            )
-            assert _values(curve) == _values(points), (samples, threads)
-
-
-@pytest.mark.parametrize("integrand", mc.INTEGRANDS)
-@pytest.mark.parametrize("n_random", (0, 3, 9))
-def test_sensitivity_curve_chunks_never_change_a_bit(default_mc, integrand, n_random):
+@pytest.mark.parametrize("samples", (1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 17))
+def test_curves_equal_their_points_bit_for_bit(default_mc, integrand, n_random, samples):
+    # every curve row is its one-point fringe_contrast_mc call (or that
+    # point's sensitivity) under ==, at sample counts on both sides of a
+    # block boundary, on 1, 2 and 8 threads
     components = _tones(n_random)
     atoms = (50, 300, 7)
-    for samples in _chunk_sample_counts():
-        cfg = dataclasses.replace(default_mc, samples=samples)
-        grid = [0.016 + 0.011 * i for i in range(7)]
-        want = {}
-        for n in atoms:
-            mc_n = dataclasses.replace(cfg, n_atoms=n)
-            want[n] = [
-                _sensitivity_alone(
-                    mc.fringe_contrast_mc(
-                        components, LockInSchedule(7, t / 8), mc_n, integrand=integrand,
-                        point_index=i,
-                    ),
-                    mc_n, t / 8,
-                )
-                for i, t in enumerate(grid)
-            ]
-        for threads in (1, 2, 8):
-            curves = mc.sensitivity_curve(
-                components, atoms, grid, 7, cfg, integrand=integrand, threads=threads
-            )
-            assert list(curves) == list(atoms)
-            assert {n: _values(c) for n, c in curves.items()} == want, (samples, threads)
-
-
-@pytest.mark.parametrize("integrand", mc.INTEGRANDS)
-def test_curve_straddling_a_chunk_boundary_equals_its_points(default_mc, integrand):
-    # 9 points of 2000 samples fill one 8-point chunk and start another
-    samples = 2000
-    per_chunk = mc._CHUNK_SAMPLES // samples
+    tau_grid = [2e-3 + 1.3e-3 * i for i in range(7)]
+    durations = [0.016 + 0.011 * i for i in range(7)]
     cfg = dataclasses.replace(default_mc, samples=samples)
-    components = _tones(3)
-    grid = [1e-3 + 8e-5 * i for i in range(per_chunk + 1)]
     points = [
         mc.fringe_contrast_mc(
-            components, LockInSchedule(7, tau), cfg, integrand=integrand,
-            point_index=i,
+            components, LockInSchedule(7, tau), cfg, integrand=integrand, point_index=i
         )
-        for i, tau in enumerate(grid)
+        for i, tau in enumerate(tau_grid)
     ]
-    atoms = (50, 300)
-    durations = [8 * tau for tau in grid]
-    want = {
-        n: [
+    want = {}
+    for n in atoms:
+        mc_n = dataclasses.replace(cfg, n_atoms=n)
+        want[n] = [
             _sensitivity_alone(
                 mc.fringe_contrast_mc(
                     components, LockInSchedule(7, t / 8), mc_n, integrand=integrand,
@@ -676,14 +626,15 @@ def test_curve_straddling_a_chunk_boundary_equals_its_points(default_mc, integra
             )
             for i, t in enumerate(durations)
         ]
-        for n, mc_n in ((n, dataclasses.replace(cfg, n_atoms=n)) for n in atoms)
-    }
-    for threads in (1, 2):
-        curve = mc.contrast_curve(components, 7, grid, cfg, integrand=integrand, threads=threads)
+    for threads in (1, 2, 8):
+        curve = mc.contrast_curve(
+            components, 7, tau_grid, cfg, integrand=integrand, threads=threads
+        )
         assert _values(curve) == _values(points), threads
         curves = mc.sensitivity_curve(
             components, atoms, durations, 7, cfg, integrand=integrand, threads=threads
         )
+        assert list(curves) == list(atoms)
         assert {n: _values(c) for n, c in curves.items()} == want, threads
 
 
@@ -695,19 +646,19 @@ def test_tone_phases_do_not_move_the_ramsey_law(default_mc):
 
     samples = 20_000
     r = np.array([0.8, 1.3, 2.0])
-    beta0 = np.array([0.3])
+    beta0 = 0.3
     components = [NoiseComponent(1.0, 10.0 + k) for k in range(r.size)]
     fringe = mc._fringe(default_mc, "ramsey", 7)
     cos_fac, sin_fac = fringe[:2]
     amplitude, psi = math.hypot(cos_fac, sin_fac), math.atan2(sin_fac, cos_fac)
-    noiseless = amplitude * math.cos(beta0[0] + psi) / cos_fac
+    noiseless = amplitude * math.cos(beta0 + psi) / cos_fac
     want = float(np.prod(j0(r))) * noiseless
     for index, phi in enumerate(([0.0, 0.0, 0.0], [0.7, -2.0, 3.1], [1e3, -37.5, 1e6])):
         a, b = r * np.cos(phi), r * np.sin(phi)
-        _, weights = mc._split_fixed(components, a[None], b[None])
-        work = mc._Workspace(1, samples, r.size, 1)
-        values = next(mc._chunk_values(5, [index], samples, (beta0, weights), [fringe], work))
-        (estimate,), (stderr,) = mc._reduce(values)
+        _, weights = mc._split_fixed(components, a, b)
+        work = mc._Workspace(samples, r.size, 1)
+        values = next(mc._point_values(5, index, samples, beta0, weights, [fringe], work))
+        estimate, stderr = mc._reduce(values)
         assert abs(estimate - want) <= 4 * stderr, phi
         # not vacuous: the noise moves the mean by hundreds of stderrs
         assert abs(noiseless - want) >= 100 * stderr
@@ -717,29 +668,71 @@ def test_j0_matches_scipy():
     from scipy.special import j0
 
     x = np.concatenate([np.linspace(0.0, 60.0, 60_001), [1e-300, 4.84, 59.999]])
-    assert np.abs(mc._j0(x) - j0(x)).max() <= 1e-15
-    # fewer nodes when the largest argument is smaller
-    assert np.abs(mc._j0(x[:5_000]) - j0(x[:5_000])).max() <= 1e-15
+    # the whole range, and its head with the fewer nodes a smaller top needs
+    for part in (x, x[:5_000]):
+        assert np.abs(mc._j0(part) - j0(part)).max() <= 1e-15
+    # past one block of nodes: the rounding of x sin(t) grows with x
+    large = np.array([0.0, 1.0, 137.5, 1e3, 1e4])
+    assert np.abs(mc._j0(large) - j0(large)).max() <= 1e-14
     assert mc._j0(np.empty((4, 0))).shape == (4, 0)
+
+
+def test_closed_form_memory_does_not_grow_with_the_noise(default_mc):
+    # J0 takes as many nodes as its largest argument: one (values, nodes)
+    # array would hold 40 MB for this 31-point curve with a 3 uT mains tone,
+    # and the node blocks keep it at a few tenths of a MB
+    grid = [1e-3 + 8e-4 * i for i in range(31)]
+    components = [
+        NoiseComponent.from_field_pt(3e6, 50),
+        NoiseComponent.from_field_pt(390, 100),
+        NoiseComponent.from_slow_drift(40, 2.1),
+    ]
+    mc.contrast_curve(components, 7, grid[:2], default_mc, exact=True)  # first-call set-up
+    tracemalloc.start()
+    try:
+        curve = mc.contrast_curve(components, 7, grid, default_mc, exact=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+    # not vacuous: the tone's Bessel arguments need over a hundred blocks
+    from spinlock.lockin import phase_kernel_grid
+
+    a, b = phase_kernel_grid(components, 7, grid, True)
+    assert np.hypot(a, b).max() > 100 * mc._J0_BLOCK
+    assert all(-1.0 <= p.estimate <= 1.0 for p in curve)
 
 
 SHIPPED = Path(__file__).resolve().parent.parent / "configs"
 
 
-def _closed_form_z(name):
-    """z = (sampled - closed form) / sampled stderr at every point of a
-    shipped ramsey config, for each of its atom numbers, at seed 7."""
-    cfg = load_config(str(SHIPPED / name))
+def _closed_form_args(case):
+    """_evaluate's arguments, at seed 7, for a shipped ramsey config or for
+    "pinned": 31 arm times under _tones(3), whose two pinned tones set an
+    offset beta0 of up to a few tenths of a radian, where every shipped
+    config has beta0 = 0."""
+    if case == "pinned":
+        grid = [2e-3 + 1.3e-3 * i for i in range(31)]
+        mcs = [McConfig(2000, 7, 50, 625.0, 1.6e-5)]
+        return (_tones(3), 7, grid, mcs, "ramsey", True, 1)
+    cfg = load_config(str(SHIPPED / case))
     if cfg.experiment == "contrast":
         tau_arms = [x * 1e-3 for x in cfg.tau_arm_grid_ms]
     else:
         tau_arms = [x * 1e-3 / (cfg.n_pulses + 1) for x in cfg.duration_grid_ms]
     mcs = [McConfig(cfg.samples, 7, n, cfg.chi, cfg.squeeze_duration) for n in cfg.n_atoms]
-    args = (cfg.components(), cfg.n_pulses, tau_arms, mcs, cfg.integrand, cfg.toggle, 1)
+    return (cfg.components(), cfg.n_pulses, tau_arms, mcs, cfg.integrand, cfg.toggle, 1)
+
+
+def _closed_form_z(case, mutate=lambda: None):
+    """z = (sampled - closed form) / sampled stderr at every point of a
+    case, for each of its atom numbers; mutate runs between the two, so a
+    mutant reaches the closed form only."""
+    args = _closed_form_args(case)
+    sampled = mc._evaluate(*args)
+    mutate()
     zs = []
-    for (estimates, stderrs), (means, exact_stderrs) in zip(
-        mc._evaluate(*args), mc._expectation(*args)
-    ):
+    for (estimates, stderrs), (means, exact_stderrs) in zip(sampled, mc._expectation(*args)):
         assert not exact_stderrs.any()
         zs.append((estimates - means) / stderrs)
     return np.concatenate(zs)
@@ -749,7 +742,10 @@ def _agrees(zs):
     return np.abs(zs).max() <= 5.0 and math.sqrt(np.mean(zs**2)) <= 1.3
 
 
-@pytest.mark.parametrize("name", ("contrast_squeezed.json", "sensitivity.json"))
+CLOSED_FORM_CASES = ("contrast_squeezed.json", "sensitivity.json", "pinned")
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_CASES)
 def test_closed_form_is_the_mean_of_the_sampler(name):
     zs = _closed_form_z(name)
     assert _agrees(zs), (np.abs(zs).max(), math.sqrt(np.mean(zs**2)))
@@ -763,10 +759,21 @@ def test_closed_form_is_the_mean_of_the_sampler(name):
     ),
     ids=("J0(2r)", "undamped"),
 )
-@pytest.mark.parametrize("name", ("contrast_squeezed.json", "sensitivity.json"))
+@pytest.mark.parametrize("name", CLOSED_FORM_CASES)
 def test_closed_form_check_catches_wrong_damping(monkeypatch, name, mutant):
-    monkeypatch.setattr(mc, "_j0", mutant)
-    assert not _agrees(_closed_form_z(name))
+    assert not _agrees(_closed_form_z(name, lambda: monkeypatch.setattr(mc, "_j0", mutant)))
+
+
+def test_closed_form_check_catches_a_dropped_offset(monkeypatch):
+    # the mutant reads cos(psi) where the closed form has cos(beta0 + psi)
+    split_fixed = mc._split_fixed
+
+    def offset_dropped(components, a, b):
+        beta0, weights = split_fixed(components, a, b)
+        return np.zeros_like(beta0), weights
+
+    zs = _closed_form_z("pinned", lambda: monkeypatch.setattr(mc, "_split_fixed", offset_dropped))
+    assert not _agrees(zs)
 
 
 def test_closed_form_is_ramsey_only(three_tone_noise, default_mc):
@@ -821,21 +828,16 @@ def test_curve_memory_is_one_point_plus_results(three_tone_noise, default_mc):
 
 
 def test_reduce_is_numpy_mean_and_std_bit_for_bit():
-    # the shared row mean must reproduce np.mean and np.std(ddof=1) exactly,
-    # so estimates and stderrs keep their bits
+    # the one mean must reproduce np.mean and np.std(ddof=1) exactly, so
+    # estimates and stderrs keep their bits
     rng = np.random.default_rng(31)
     random_rows = rng.normal(0.3, 0.2, size=(5, 2001))
     constant_rows = np.full((3, 40), 0.1)
-    for values in (random_rows, constant_rows, rng.normal(size=(4, 2)), np.vstack(
-        [random_rows[:, :40], constant_rows]
-    )):
-        estimates, stderrs = mc._reduce(values.copy())  # it consumes its input
-        samples = values.shape[1]
-        assert estimates.tobytes() == np.mean(values, axis=1).tobytes()
-        want = np.std(values, axis=1, ddof=1) / math.sqrt(samples)
-        want[np.ptp(values, axis=1) == 0.0] = 0.0
-        assert stderrs.tobytes() == want.tobytes()
-    single = rng.normal(size=(6, 1))
-    estimates, stderrs = mc._reduce(single.copy())
-    assert estimates.tobytes() == np.mean(single, axis=1).tobytes()
-    assert not stderrs.any()
+    rows = [*random_rows, *constant_rows, *rng.normal(size=(4, 2)), *random_rows[:, :40]]
+    for row in rows:
+        estimate, stderr = mc._reduce(row.copy())  # it consumes its input
+        assert estimate == np.mean(row)
+        want = np.std(row, ddof=1) / math.sqrt(row.size) if np.ptp(row) != 0.0 else 0.0
+        assert stderr == want
+    for row in rng.normal(size=(6, 1)):
+        assert mc._reduce(row.copy()) == (row[0], 0.0)
