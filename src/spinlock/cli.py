@@ -196,11 +196,7 @@ def run_noise_preview(cfg: RunConfig, threads: int):
     # the generator of the Monte Carlo's point 0
     theta = resolve_phases(components, montecarlo._stream(cfg.master_seed, 0))
     times = np.linspace(0.0, schedule.total_duration, cfg.preview_points)
-    if components:
-        values = synth_noise(components, theta, times)
-    else:
-        values = np.zeros_like(times)
-    rows = list(zip(times.tolist(), np.asarray(values, dtype=float).tolist()))
+    rows = list(zip(times.tolist(), synth_noise(components, theta, times).tolist()))
     return rows, []
 
 

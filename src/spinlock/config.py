@@ -39,9 +39,9 @@ EXPERIMENTS = (
 FORMATS = ("csv", "json")
 UNIT_TAGS = ("pT", "Hz", "Hz2-slow")
 GRID_EPS = 1e-9
-# the most points a {start, stop, step} grid may expand to; the largest
-# shipped grid has 301, and a larger count is a typo that would otherwise
-# build a tuple until memory runs out
+# the most points a {start, stop, step} grid may expand to, or a noise
+# preview may hold; the largest shipped grid has 301, and a larger count is
+# a typo that would otherwise allocate until memory runs out
 MAX_GRID_POINTS = 1_000_000
 REQUIRED = object()  # the default of a key that must be given
 
@@ -267,7 +267,7 @@ SCHEMA: dict[str, Key | Section] = {
         owner="verify-bch",
     ),
     "preview": Section(
-        {"n_points": Key("preview_points", 1001, _integer(1))},
+        {"n_points": Key("preview_points", 1001, _integer(1, MAX_GRID_POINTS))},
         owner="noise-preview",
     ),
     "compare": Section(

@@ -47,10 +47,10 @@ _TWO_PI = 2.0 * math.pi
 # ran the deep_mc benchmark 5-14% faster, but its peak RSS read 45.5 MB
 # against 42.1 MB, so points keep the smaller block
 _BLOCK_SAMPLES = 4096
-# Bessel J0 quadrature nodes per block: the midpoint sum runs over blocks of
-# this many nodes, so its (values, nodes) temporary stays bounded at any
-# noise amplitude, and the shipped calls (at most 66 nodes) run as one block
-_J0_BLOCK = 128
+# Bessel J0 takes the midpoint rule below this argument, at most 101 nodes,
+# and the Hankel expansion from it on, so its time and memory stay O(x.size)
+# at any noise amplitude; every shipped argument (below 5) is a midpoint one
+_J0_FAR = 25.0
 MAX_SEED = 2**64
 
 
@@ -302,24 +302,51 @@ def _evaluate(
     return [(results[:, j, 0], results[:, j, 1]) for j in range(len(mcs))]
 
 
-def _j0(x: np.ndarray) -> np.ndarray:
-    """Bessel J0 of each x >= 0: the midpoint rule on
-    J0(x) = (1/pi) int_0^pi cos(x sin t) dt.
+def _hankel_series(terms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients of P and x Q in J0's Hankel expansion, as polynomials in
+    1/x^2 (Abramowitz & Stegun 9.2.9-10 at nu = 0): P = a_0 - a_2/x^2 + ...
+    and Q = -a_1/x + a_3/x^3 - ..., with a_k = prod_{j<=k} (2j-1)^2 / (8j)."""
+    a = np.cumprod([1.0] + [(2 * k - 1) ** 2 / (8 * k) for k in range(1, terms)])
+    signs = (-1.0) ** np.arange(terms // 2)
+    return signs * a[0::2], -signs * a[1::2]
 
-    The integrand is smooth and pi-periodic, so M nodes integrate it up to
-    2 |J_2M(x)|, the first Fourier term they alias.  M = ceil(x + 12 x^(1/3)
-    + 40) at the largest x puts that far below rounding (the tests hold the
-    values to 1e-15 of an independent J0 on [0, 60]).  The sum runs over
-    blocks of _J0_BLOCK nodes, so memory stays O(x.size) at any argument.
+
+# 20 terms: at x = _J0_FAR the first one left out, a_20/25^20, is 4e-18
+_HANKEL_P, _HANKEL_Q = _hankel_series(20)
+
+
+def _j0(x: np.ndarray) -> np.ndarray:
+    """Bessel J0 of each x >= 0.
+
+    Below _J0_FAR it is the midpoint rule on
+    J0(x) = (1/pi) int_0^pi cos(x sin t) dt.  The integrand is smooth and
+    pi-periodic, so M nodes integrate it up to 2 |J_2M(x)|, the first
+    Fourier term they alias.  M = ceil(x + 12 x^(1/3) + 40) at the largest
+    such x puts that far below rounding.  From _J0_FAR on it is the Hankel
+    expansion J0(x) = sqrt(2/(pi x)) (P cos chi - Q sin chi) with
+    chi = x - pi/4 (Abramowitz & Stegun 9.2.5), whose terms there shrink
+    past rounding before they start to grow.  The tests hold both to 1e-15
+    of an independent J0 on [0, 1e6].
     """
     x = np.asarray(x, dtype=float)
-    top = float(x.max(initial=0.0))
+    out = np.empty(x.shape)
+    far = x >= _J0_FAR
+    y = x[~far]
+    top = float(y.max(initial=0.0))
     nodes = math.ceil(top + 12.0 * top ** (1.0 / 3.0) + 40.0)
-    total = np.zeros(x.shape)
-    for start in range(0, nodes, _J0_BLOCK):
-        t = (np.arange(start, min(start + _J0_BLOCK, nodes)) + 0.5) * (math.pi / nodes)
-        total += np.cos(np.multiply.outer(x, np.sin(t))).sum(axis=-1)
-    return total / nodes
+    t = (np.arange(nodes) + 0.5) * (math.pi / nodes)
+    out[~far] = np.cos(np.multiply.outer(y, np.sin(t))).sum(axis=-1) / nodes
+    if far.any():  # no shipped run has one: it skips the series' 40 calls
+        y = x[far]
+        w = 1.0 / y
+        u = w * w  # not 1/y^2, which overflows past 1e154
+        p = q = 0.0
+        for p_coef, q_coef in zip(_HANKEL_P[::-1], _HANKEL_Q[::-1]):
+            p = p * u + p_coef
+            q = q * u + q_coef
+        chi = y - 0.25 * math.pi
+        out[far] = np.sqrt(2.0 / math.pi * w) * (p * np.cos(chi) - q * w * np.sin(chi))
+    return out
 
 
 def _expectation(

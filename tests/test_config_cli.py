@@ -118,6 +118,17 @@ def test_grid_at_the_point_cap_expands():
     assert len(expand_grid("grid", spec)) == MAX_GRID_POINTS
 
 
+def test_preview_point_count_has_the_grid_cap():
+    doc = minimal_contrast(experiment="noise-preview")
+    doc["preview"] = {"n_points": MAX_GRID_POINTS}
+    assert parse_config(doc).preview_points == MAX_GRID_POINTS
+    doc["preview"]["n_points"] += 1
+    with pytest.raises(
+        ConfigError, match=r"^preview\.n_points must be in \[1, 1000000\], got 1000001$"
+    ):
+        parse_config(doc)
+
+
 def test_atom_list_only_for_sensitivity():
     doc = minimal_contrast()
     doc["physics"]["n_atoms"] = [50, 300]

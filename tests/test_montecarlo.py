@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import tracemalloc
 from pathlib import Path
@@ -668,19 +669,22 @@ def test_j0_matches_scipy():
     from scipy.special import j0
 
     x = np.concatenate([np.linspace(0.0, 60.0, 60_001), [1e-300, 4.84, 59.999]])
-    # the whole range, and its head with the fewer nodes a smaller top needs
-    for part in (x, x[:5_000]):
+    far = np.concatenate([np.geomspace(mc._J0_FAR, 1e6, 100_001), np.linspace(0.0, 1e6, 100_001)])
+    edge = np.nextafter(mc._J0_FAR, [0.0, np.inf])  # one ulp either side
+    # both methods in one call; the midpoint rule alone, at its most nodes
+    # and at the fewer a smaller top needs; the Hankel expansion to 1e6
+    for part in (x, x[x < mc._J0_FAR], x[:5_000], far, edge):
         assert np.abs(mc._j0(part) - j0(part)).max() <= 1e-15
-    # past one block of nodes: the rounding of x sin(t) grows with x
-    large = np.array([0.0, 1.0, 137.5, 1e3, 1e4])
-    assert np.abs(mc._j0(large) - j0(large)).max() <= 1e-14
     assert mc._j0(np.empty((4, 0))).shape == (4, 0)
+    # no overflow past 1e154, where x^2 is inf, and within the envelope
+    huge = np.array([1e20, 1e200, 1e300])
+    assert (np.abs(mc._j0(huge)) <= np.sqrt(2.0 / (np.pi * huge))).all()
 
 
 def test_closed_form_memory_does_not_grow_with_the_noise(default_mc):
-    # J0 takes as many nodes as its largest argument: one (values, nodes)
-    # array would hold 40 MB for this 31-point curve with a 3 uT mains tone,
-    # and the node blocks keep it at a few tenths of a MB
+    # the midpoint rule takes as many nodes as its largest argument: one
+    # (values, nodes) array would hold 40 MB for this 31-point curve with a
+    # 3 uT mains tone, and the Hankel expansion past _J0_FAR holds none
     grid = [1e-3 + 8e-4 * i for i in range(31)]
     components = [
         NoiseComponent.from_field_pt(3e6, 50),
@@ -695,11 +699,12 @@ def test_closed_form_memory_does_not_grow_with_the_noise(default_mc):
     finally:
         tracemalloc.stop()
     assert peak <= 2**20
-    # not vacuous: the tone's Bessel arguments need over a hundred blocks
+    # not vacuous: the tone's Bessel arguments reach a thousand times the
+    # threshold, where a midpoint rule would need tens of thousands of nodes
     from spinlock.lockin import phase_kernel_grid
 
     a, b = phase_kernel_grid(components, 7, grid, True)
-    assert np.hypot(a, b).max() > 100 * mc._J0_BLOCK
+    assert np.hypot(a, b).max() > 1000 * mc._J0_FAR
     assert all(-1.0 <= p.estimate <= 1.0 for p in curve)
 
 
@@ -707,14 +712,22 @@ SHIPPED = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _closed_form_args(case):
-    """_evaluate's arguments, at seed 7, for a shipped ramsey config or for
+    """_evaluate's arguments, at seed 7, for a shipped ramsey config, for
     "pinned": 31 arm times under _tones(3), whose two pinned tones set an
     offset beta0 of up to a few tenths of a radian, where every shipped
-    config has beta0 = 0."""
+    config has beta0 = 0, or for "far": 31 arm times across the 50 Hz
+    lock-in resonance under one random 50 Hz tone, whose Bessel arguments
+    (27.2 to 27.8) lie past _J0_FAR, below twice it, next to J0's zero at
+    27.49, where the Hankel expansion's Q term carries the value.  Its
+    800,000 samples a point resolve that term."""
     if case == "pinned":
         grid = [2e-3 + 1.3e-3 * i for i in range(31)]
         mcs = [McConfig(2000, 7, 50, 625.0, 1.6e-5)]
         return (_tones(3), 7, grid, mcs, "ramsey", True, 1)
+    if case == "far":
+        grid = [9.7e-3 + 2e-5 * i for i in range(31)]
+        mcs = [McConfig(800_000, 7, 50, 625.0, 1.6e-5)]
+        return ([NoiseComponent(87.0, 50.0)], 7, grid, mcs, "ramsey", True, 1)
     cfg = load_config(str(SHIPPED / case))
     if cfg.experiment == "contrast":
         tau_arms = [x * 1e-3 for x in cfg.tau_arm_grid_ms]
@@ -724,12 +737,19 @@ def _closed_form_args(case):
     return (cfg.components(), cfg.n_pulses, tau_arms, mcs, cfg.integrand, cfg.toggle, 1)
 
 
+@functools.cache
+def _sampled(case):
+    """_evaluate of a case: the sampler reads no closed form, so one run
+    serves every check of the case."""
+    return mc._evaluate(*_closed_form_args(case))
+
+
 def _closed_form_z(case, mutate=lambda: None):
     """z = (sampled - closed form) / sampled stderr at every point of a
     case, for each of its atom numbers; mutate runs between the two, so a
     mutant reaches the closed form only."""
     args = _closed_form_args(case)
-    sampled = mc._evaluate(*args)
+    sampled = _sampled(case)
     mutate()
     zs = []
     for (estimates, stderrs), (means, exact_stderrs) in zip(sampled, mc._expectation(*args)):
@@ -742,7 +762,7 @@ def _agrees(zs):
     return np.abs(zs).max() <= 5.0 and math.sqrt(np.mean(zs**2)) <= 1.3
 
 
-CLOSED_FORM_CASES = ("contrast_squeezed.json", "sensitivity.json", "pinned")
+CLOSED_FORM_CASES = ("contrast_squeezed.json", "sensitivity.json", "pinned", "far")
 
 
 @pytest.mark.parametrize("name", CLOSED_FORM_CASES)
@@ -774,6 +794,18 @@ def test_closed_form_check_catches_a_dropped_offset(monkeypatch):
 
     zs = _closed_form_z("pinned", lambda: monkeypatch.setattr(mc, "_split_fixed", offset_dropped))
     assert not _agrees(zs)
+
+
+def test_closed_form_check_catches_a_flipped_hankel_q(monkeypatch):
+    # the mutant reads P cos(chi) + Q sin(chi) where J0 has P cos(chi) - Q sin(chi)
+    zs = _closed_form_z("far", lambda: monkeypatch.setattr(mc, "_HANKEL_Q", -mc._HANKEL_Q))
+    assert not _agrees(zs)
+    # not vacuous: the case's arguments all take the Hankel expansion
+    from spinlock.lockin import phase_kernel_grid
+
+    components, n_pulses, grid = _closed_form_args("far")[:3]
+    r = np.hypot(*phase_kernel_grid(components, n_pulses, grid, True))
+    assert mc._J0_FAR < r.min() and r.max() < 2 * mc._J0_FAR
 
 
 def test_closed_form_is_ramsey_only(three_tone_noise, default_mc):
