@@ -22,7 +22,13 @@ sampled and once as the closed-form ramsey mean (``exact=True``, the
 estimator the CLI runs for these configs), and for a
 sampled curve of 64 short points, 2000 samples each with 3 random tones,
 it records the best wall time, ns per tone-sample and the minor page
-faults (``ru_minflt``) of one call after a warm-up.  Last it runs the benchmark's
+faults (``ru_minflt``) of one call after a warm-up.  For the eq23 readout
+stage it runs one 100,000-sample point with 9 random tones under the
+shipped 7-pulse drive and records, best of a few repeats, the time spent
+inside ``kernels.readout`` and the number of its calls.  It times the
+benchmark's ``deep_mc`` curve (``perfbench/configs/deep_mc.json``, 16 eq23
+points of 100,000 samples) on 1 and on 2 threads, alternating, and records
+each median and their ratio, the thread-scaling figure.  Last it runs the benchmark's
 ``sweep`` pass (``perfbench/workloads.py``: both shipped contrast curves,
 the sensitivity curves and the noise preview through ``spinlock.cli.main``,
 one thread) a few times after a warm-up, and records the median wall time
@@ -63,6 +69,9 @@ STREAM_POINTS = 2000  # stream set-ups per repeat; one takes about 10 us
 STREAM_REPEATS = 5  # best-of
 SHORT_CURVE = dict(points=64, samples=2000, random_tones=3)
 SHORT_CURVE_REPEATS = 15  # best-of; a curve takes about 5 ms
+READOUT_POINT = dict(samples=100_000, random_tones=9)
+READOUT_REPEATS = 7  # best-of; a point takes about 10 ms
+DEEP_MC_REPEATS = 9  # per thread count; a curve takes about 0.1-0.15 s
 SWEEP_PASSES = 10  # a pass takes about 0.1 s
 # passes before those: in a fresh process the heap still grows by a few pages
 # in some of the first ten or so passes, at this commit and its parent
@@ -166,6 +175,88 @@ def measure_short_point_curve() -> dict:
         "repeats": len(walls),
         "ns_per_tone_sample": min(walls) / tone_samples * 1e9,
         "minor_faults": faults,
+    }
+
+
+def measure_eq23_readout() -> dict:
+    from spinlock import kernels
+    from spinlock.lockin import LockInSchedule
+    from spinlock.montecarlo import McConfig, fringe_contrast_mc
+    from spinlock.noise import NoiseComponent
+
+    tones = [
+        NoiseComponent(3.0 + k, 37.0 + 13.0 * k) for k in range(READOUT_POINT["random_tones"])
+    ]
+    mc = McConfig(
+        samples=READOUT_POINT["samples"], master_seed=7, n_atoms=50, chi=625.0,
+        squeeze_duration=1.6e-5,
+    )
+    schedule = LockInSchedule(n_pulses=7, tau_arm=5e-3)
+    readout = kernels.readout
+    spent = []
+
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return readout(*args, **kwargs)
+        finally:
+            spent.append(time.perf_counter() - start)
+
+    kernels.readout = timed  # the sampler calls it through the module
+    try:
+        fringe_contrast_mc(tones, schedule, mc, integrand="eq23")  # first-call set-up
+        totals, calls = [], 0
+        for _ in range(READOUT_REPEATS):
+            spent.clear()
+            fringe_contrast_mc(tones, schedule, mc, integrand="eq23")
+            totals.append(sum(spent))
+            calls = len(spent)
+    finally:
+        kernels.readout = readout
+    return {
+        **READOUT_POINT,
+        "n_pulses": schedule.n_pulses,
+        "readout_s": min(totals),
+        "repeats": len(totals),
+        "calls_per_point": calls,
+    }
+
+
+def measure_deep_mc_threads() -> dict:
+    from spinlock.config import load_config
+    from spinlock.montecarlo import McConfig, contrast_curve
+
+    cfg = load_config(str(ROOT / "perfbench" / "configs" / "deep_mc.json"))
+    mc = McConfig(
+        samples=cfg.samples,
+        master_seed=cfg.master_seed,
+        n_atoms=cfg.n_atoms[0],
+        chi=cfg.chi,
+        squeeze_duration=cfg.squeeze_duration,
+    )
+    grid = [x * 1e-3 for x in cfg.tau_arm_grid_ms]
+
+    def curve(threads):
+        return contrast_curve(
+            cfg.components(), cfg.n_pulses, grid, mc, integrand=cfg.integrand,
+            toggle=cfg.toggle, threads=threads,
+        )
+
+    walls = {1: [], 2: []}
+    for threads in walls:  # first-call set-up, the pool's included
+        curve(threads)
+    for i in range(DEEP_MC_REPEATS):
+        for threads in (1, 2) if i % 2 == 0 else (2, 1):
+            start = time.perf_counter()
+            curve(threads)
+            walls[threads].append(time.perf_counter() - start)
+    medians = {threads: statistics.median(w) for threads, w in walls.items()}
+    return {
+        "points": len(grid),
+        "samples": cfg.samples,
+        "repeats": DEEP_MC_REPEATS,
+        "median_s": {str(threads): m for threads, m in medians.items()},
+        "two_over_one_thread": medians[2] / medians[1],
     }
 
 
@@ -328,6 +419,16 @@ def main() -> int:
         f"{short['wall_s'] * 1e3:.2f} ms, {short['ns_per_tone_sample']:.2f} ns per "
         f"tone-sample, {short['minor_faults']} minor faults"
     )
+    readout = measure_eq23_readout()
+    print(
+        f"eq23 readout of a {readout['samples']}-sample point, {readout['random_tones']} tones: "
+        f"{readout['readout_s'] * 1e3:.2f} ms in {readout['calls_per_point']} calls"
+    )
+    deep = measure_deep_mc_threads()
+    print(
+        f"deep_mc curve: median {deep['median_s']['1']:.4f} s on 1 thread, "
+        f"{deep['median_s']['2']:.4f} s on 2 ({deep['two_over_one_thread']:.2f}x)"
+    )
     sweep = measure_sweep_pass()
     print(
         f"sweep pass: median {sweep['median_s']:.4f} s, minor faults per pass "
@@ -345,6 +446,8 @@ def main() -> int:
         "points": rows,
         "curves": curves,
         "short_point_curve": short,
+        "eq23_readout": readout,
+        "deep_mc_threads": deep,
         "sweep_pass": sweep,
     }
     args.output.write_text(json.dumps(report, indent=1) + "\n")

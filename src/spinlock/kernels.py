@@ -10,7 +10,8 @@ one sine instead of a sine and a cosine:
 
 with c = cos_fac and s = sin_fac (and c sin(beta) + s cos(beta) =
 R sin(beta + psi)).  Per sample that is Q + 1 trig evaluations for the
-ramsey integrand and Q + 3 for eq23, Q being the number of random tones.
+ramsey integrand and Q + 3 for eq23, Q being the number of random tones,
+or Q + 2 under the integer-pi drive, where readout skips the radicand.
 The folded form agrees with the two-term expressions to rounding.
 
 Each sine and cosine but one comes from a single tangent.  With
@@ -22,10 +23,11 @@ takes 3-5 ns per element through the half-angle forms against 18-26 ns
 through np.sin (benchmarks/bench_mc_point.py).  They agree with np.sin and
 np.cos to 2.22e-16 absolute over random arguments in [-pi, 3pi], [-50, 50]
 and [1e3, 1e8].  So a ramsey sample costs Q + 1 tangents and an eq23
-sample Q + 2 tangents and one np.cos, for eq23's fringe slope.  On a host
-whose numpy dispatches AVX2 at most, tan is no faster than libm and the
-half-angle forms take 7-14% longer than np.sin.  Results are
-byte-reproducible for a given numpy build and SIMD dispatch.
+sample Q + 2 tangents and one np.cos, for eq23's fringe slope (Q + 1
+tangents when the radicand is skipped).  On a host whose numpy dispatches
+AVX2 at most, tan is no faster than libm and the half-angle forms take
+7-14% longer than np.sin.  Results are byte-reproducible for a given numpy
+build and SIMD dispatch.
 
 tone_sum drops the tone phases phi_k.  Each random theta_k is uniform on
 the circle and independent of the others, so theta_k + phi_k mod 2 pi is
@@ -41,7 +43,7 @@ r_k _sin(theta).
 
 The kernel is two stages.  tone_sum is the random-phase part, the sum of
 r_k sin(theta_k) over the Q tones; readout turns it into fringe values for
-one atom number.  A call serves one point's block of S samples: half
+one atom number.  A call serves S consecutive samples of one point: half
 phases (S, Q) with weights of shape (Q,), and one offset.  Every step is
 elementwise or a per-sample sum over the tones in a fixed order, so a
 sample's value carries the same bits wherever it sits in a block.  Given
@@ -98,11 +100,20 @@ def readout(
     In the default mode the value is the normalized fringe amplitude
     (cos_fac cos(beta) - sin_fac sin(beta)) / cos_fac; in eq23 mode it is
     cos(delta_phi) with the phase-resolution formula evaluated at beta,
-    radicand clamped at zero (sin_gamma is ~0 for integer-pi drive, so the
-    clamp only absorbs rounding).  The values go into out when given (it
-    may be tones itself), else into a new array.
+    radicand clamped at zero.  The values go into out when given (it may
+    be tones itself), else into a new array.
     scratch, when given, has shape (2, *tones.shape) and holds the
     temporaries (ramsey uses scratch[0] only).
+
+    The eq23 radicand is inv_n - (sin_gamma R sin(beta + psi))^2.  For the
+    integer-pi drive sin_gamma is ~1e-15, so it rounds to inv_n on every
+    sample; when inv_n - 4 (sin_gamma R)^2 == inv_n the readout takes the
+    scalar sqrt(inv_n) instead of its six passes over the samples.  That
+    is exact: |_sin| <= 1 + 2 ulp, so each squared projection is at most
+    4 (sin_gamma R)^2 and, rounding being monotone, inv_n minus it rounds
+    to inv_n too (for 1/N a normal float, N < 1e306).  A NaN factor fails
+    the test and takes the general branch, which a drive with sin_gamma
+    of order one (a pi/2 pulse) needs.
     """
     square, projection = (None, None) if scratch is None else scratch
     # phase = beta + psi, so the readout is a single cosine (and sine)
@@ -112,12 +123,17 @@ def readout(
         _cos(phase, out=phase, scratch=square)
         phase *= amplitude / cos_fac
         return phase
-    projection = _sin(phase, out=projection, scratch=square)
-    projection *= sin_gamma * amplitude
-    radicand = np.square(projection, out=projection)
-    np.subtract(inv_n, radicand, out=radicand)
-    np.maximum(radicand, 0.0, out=radicand)
-    np.sqrt(radicand, out=radicand)
+    reach = sin_gamma * amplitude  # the projection's bound, up to |_sin| <= 1 + 2 ulp
+    if inv_n - 4.0 * (reach * reach) == inv_n:
+        # every sample's radicand rounds to inv_n exactly: skip its six passes
+        radicand = math.sqrt(inv_n)
+    else:
+        projection = _sin(phase, out=projection, scratch=square)
+        projection *= reach
+        radicand = np.square(projection, out=projection)
+        np.subtract(inv_n, radicand, out=radicand)
+        np.maximum(radicand, 0.0, out=radicand)
+        np.sqrt(radicand, out=radicand)
     # the slope keeps np.cos, which is never exactly 0 for a finite
     # argument; the half-angle 1 - t^2 is 0 wherever tan rounds to +-1
     np.cos(phase, out=phase)

@@ -74,7 +74,15 @@ def phase_kernel_grid(
         LockInSchedule(n_pulses, float(tau))  # raises on the first bad arm time
     signs = interval_signs(LockInSchedule(n_pulses, 1.0), toggle)  # checks n_pulses
     omega = np.array([2.0 * np.pi * comp.freq_hz for comp in components])
-    weight = np.array([comp.amplitude_hz / comp.freq_hz for comp in components])
+    weight = np.array([float(comp.amplitude_hz) / float(comp.freq_hz) for comp in components])
+    # |a_k| and |b_k| are at most 2 (N+1) weight_k, so every phase made
+    # from them (a tone's 2 hypot(a_k, b_k), the pinned tones' offset, a
+    # sample's whole phase) stays below 8 (N+1) sum(weight); past the float
+    # range it would be inf and the fringe NaN
+    _check_real(
+        f"the tones' phase bound 8 (N+1) sum(amplitude_hz / freq_hz) at N={n_pulses}",
+        8.0 * len(signs) * sum(weight.tolist()),
+    )
     a = np.zeros((taus.size, omega.size))
     b = np.zeros_like(a)
     x = np.zeros_like(a)  # 2 pi f t at the first edge, t = 0

@@ -9,15 +9,16 @@ of the work reproduces identical draws, and each point's reduction sums
 its own index-ordered values.
 
 The phase kernel runs once for the whole grid; then each point is one
-task of the thread pool.  A point streams its samples through blocks of
-at most _BLOCK_SAMPLES, so it holds 8 bytes per sample plus two blocks,
-its draws and a scratch.  Each worker reuses one _Workspace for all its
-points: the draw buffer (the kernel takes its tangents in it), a scratch
-buffer of the same size and the rows of sums and values, so the hot loop
-allocates nothing in steady state.  Sensitivity curves share the draws
-and tone sums across atom numbers: a duration's stream is keyed by its
-grid index alone, so only the readout runs once per atom number.
-fringe_contrast_mc evaluates a grid of one point, keyed by its
+task of the thread pool.  A point streams its draws and tone sums through
+blocks of at most _BLOCK_SAMPLES, so it holds 8 bytes per sample plus two
+blocks, its draws and a scratch; its readout then runs in chunks as long
+as half of those two blocks together.  Each worker reuses one _Workspace
+for all its points: the draw buffer (the kernel takes its tangents in
+it), a scratch buffer of the same size and the rows of sums and values,
+so the hot loop allocates nothing in steady state.  Sensitivity curves
+share the draws and tone sums across atom numbers: a duration's stream
+is keyed by its grid index alone, so only the readout runs once per atom
+number.  fringe_contrast_mc evaluates a grid of one point, keyed by its
 point_index.
 
 The ramsey integrand's mean also has a closed form, which _expectation
@@ -170,11 +171,13 @@ class _Workspace:
 
     They serve points of `samples` samples with n_tones random tones: the
     draws (block, n_tones), which the kernel consumes in place; a flat
-    scratch buffer, holding t^2 for the tone sum or the readout's two
-    temporaries; the tone sums; and, for more than one fringe, a row of
-    values.  All are views of one allocation: glibc serves a freed block
-    that large again from its heap without trimming it, so a run's later
-    curves take no page faults.
+    scratch buffer of at least two blocks, holding t^2 for the tone sum;
+    the tone sums; and, for more than one fringe, a row of values.  All
+    are views of one allocation: glibc serves a freed block that large
+    again from its heap without trimming it, so a run's later curves take
+    no page faults.  The draws and the scratch sit side by side, and once
+    a point's tone sums exist both are free: the readout takes that region
+    as its two temporaries, readout_scratch, each half of it long.
     """
 
     def __init__(self, samples: int, n_tones: int, fringes: int):
@@ -185,11 +188,14 @@ class _Workspace:
             samples,
             samples if fringes > 1 else 0,
         ]
-        draws, self.scratch, self.sums, values = np.split(
-            np.empty(sum(sizes)), np.cumsum(sizes)[:-1]
-        )
+        buffer = np.empty(sum(sizes))
+        draws, self.scratch, self.sums, values = np.split(buffer, np.cumsum(sizes)[:-1])
         self.draws = draws.reshape(block, n_tones)
         self.values = values if fringes > 1 else self.sums
+        # not min(draws.size, scratch.size): the draws are empty without
+        # random tones, and the scratch alone holds two blocks
+        chunk = (sizes[0] + sizes[1]) // 2
+        self.readout_scratch = buffer[: 2 * chunk].reshape(2, chunk)
 
 
 def _point_values(
@@ -209,11 +215,21 @@ def _point_values(
     once, block by block; only the readout runs per fringe, and the last
     one writes over the tone sums.  A yielded array is overwritten by the
     next one.
+
+    The readout runs in chunks as long as work.readout_scratch, 36,864
+    samples at 9 tones (3 calls per 100,000-sample point, against 25 of
+    4096).  Its steps are about ten numpy calls per chunk, and on 4096
+    samples each lasts only 1-15 us, so two threads mostly wait on each
+    other for the GIL: on a 2-core host two threads looping np.divide
+    over 4096 elements got through 0.74-0.93x the work of one thread,
+    against 1.74-1.93x over 36,864.  Every step is elementwise, so no
+    value depends on the chunk.
     """
     draws, sums = work.draws, work.sums
     block = len(draws)
     tone_scratch = work.scratch[: draws.size].reshape(draws.shape)
-    readout_scratch = work.scratch[: 2 * block].reshape(2, block)
+    readout_scratch = work.readout_scratch
+    chunk = readout_scratch.shape[1]
     stream = _stream(master_seed, point_index)
     for start in range(0, samples, block):
         width = min(block, samples - start)
@@ -225,8 +241,8 @@ def _point_values(
         )
     for j, fringe in enumerate(fringes):
         values = sums if j == len(fringes) - 1 else work.values
-        for start in range(0, samples, block):
-            width = min(block, samples - start)
+        for start in range(0, samples, chunk):
+            width = min(chunk, samples - start)
             cols = slice(start, start + width)
             kernels.readout(
                 sums[cols], beta0, *fringe, out=values[cols], scratch=readout_scratch[:, :width]

@@ -34,6 +34,10 @@ class NoiseComponent:
     def __post_init__(self):
         _check_real("amplitude_hz", self.amplitude_hz, 0)
         _check_real("freq_hz", self.freq_hz, 0, strict=True)
+        # the phase kernel weighs the tone by this ratio: past the float range
+        # it would turn the tone's coefficients into NaN (as floats, so a
+        # numpy scalar's overflow is no warning)
+        _check_real("amplitude_hz / freq_hz", float(self.amplitude_hz) / float(self.freq_hz))
         if self.phase is not None:
             _check_real("phase", self.phase)
 

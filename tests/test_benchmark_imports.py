@@ -15,7 +15,10 @@ import pytest
 from spinlock import cli
 
 ROOT = Path(__file__).resolve().parent.parent
-SCRIPTS = sorted(ROOT.glob("benchmarks/*.py")) + [ROOT / "perfbench" / "workloads.py"]
+# ab.py imports no spinlock name: it only starts perfbench/worker.py processes
+SCRIPTS = sorted(p for p in ROOT.glob("benchmarks/*.py") if p.name != "ab.py") + [
+    ROOT / "perfbench" / "workloads.py"
+]
 BENCHMARK_CONFIGS = sorted((ROOT / "perfbench" / "configs").glob("*.json"))
 
 

@@ -209,6 +209,37 @@ def test_tone_range_error_names_tone_key_and_configured_value(tmp_path, capsys, 
     assert capsys.readouterr().err == f"error: noise[3]{message}\n"
 
 
+def test_tone_whose_phase_weight_overflows_is_a_config_error(tmp_path, capsys):
+    # amplitude and frequency each pass their rows, but the phase kernel's
+    # weight amplitude_hz / freq_hz is inf, which made NaN coefficients
+    doc = minimal_contrast()
+    doc["noise"].append({"units": "Hz", "amplitude": 1e300, "freq_hz": 1e-300})
+    out = tmp_path / "out.csv"
+    with pytest.raises(ConfigError, match="^noise\\[3\\]: amplitude_hz / freq_hz must be finite"):
+        parse_config(doc)
+    assert run_cli(["contrast", "--config", write_config(tmp_path, doc), "--output", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: noise[3]: amplitude_hz / freq_hz must be finite, got inf\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_tone_whose_phases_overflow_in_the_kernel_is_a_config_error(tmp_path, capsys):
+    # amplitude_hz / freq_hz = 1e308 is finite, so the config parses; the
+    # coefficients of order one that multiply it would make the phases inf
+    doc = minimal_contrast()
+    doc["noise"].append({"units": "Hz", "amplitude": 1e308, "freq_hz": 1})
+    parse_config(doc)
+    out = tmp_path / "out.csv"
+    assert run_cli(["contrast", "--config", write_config(tmp_path, doc), "--output", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: the tones' phase bound 8 (N+1) sum(amplitude_hz / freq_hz)")
+    assert captured.err.endswith(" must be finite, got inf\n")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_round_trip_identity():
     docs = [
         minimal_contrast(),

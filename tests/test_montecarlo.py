@@ -145,7 +145,7 @@ def test_kernel_matches_two_term_formula_on_ramsey():
         )
 
 
-def test_kernel_matches_two_term_formula_on_eq23_away_from_nodes():
+def assert_eq23_matches_reference(cos_fac, sin_fac, sin_gamma):
     # eq23 divides by the fringe slope; near slope zero the cosine argument
     # explodes and last-bit trig differences are amplified, so agreement is
     # asserted on a phase range that keeps the slope away from zero
@@ -153,10 +153,73 @@ def test_kernel_matches_two_term_formula_on_eq23_away_from_nodes():
     theta = rng.uniform(0, 2 * math.pi, (4000, 3))
     a = 0.05 * rng.normal(size=3)
     b = 0.05 * rng.normal(size=3)
-    for cos_fac, sin_fac, sin_gamma in ((0.99, 1e-5, 8.6e-16), (-0.7, 0.2, 0.9)):
-        assert_kernel_matches_reference(
-            theta, a, b, 0.1, cos_fac, sin_fac, 0.02, sin_gamma, True
-        )
+    assert_kernel_matches_reference(theta, a, b, 0.1, cos_fac, sin_fac, 0.02, sin_gamma, True)
+
+
+EQ23_DRIVES = ((0.99, 1e-5, 8.6e-16), (-0.7, 0.2, 0.9))  # the pi train, and sin_gamma ~ 1
+
+
+def test_kernel_matches_two_term_formula_on_eq23_away_from_nodes():
+    for cos_fac, sin_fac, sin_gamma in EQ23_DRIVES:
+        assert_eq23_matches_reference(cos_fac, sin_fac, sin_gamma)
+
+
+def six_pass_radicand(phase, amplitude, inv_n, sin_gamma):
+    """The eq23 radicand as the readout's general branch forms it."""
+    projection = kernels._sin(phase) * (sin_gamma * amplitude)
+    return np.sqrt(np.maximum(inv_n - np.square(projection), 0.0))
+
+
+def test_skipped_radicand_is_the_six_passes_bit_for_bit():
+    # the pi-pulse trains n = 1 ... 1000 leave sin(n pi) of 1e-16 to 3e-13,
+    # and the readout takes sqrt(inv_n) for the radicand instead of six
+    # passes; at every fringe amplitude the phases include some where
+    # |_sin| reaches 1, so the projection takes its largest value
+    rng = np.random.default_rng(41)
+    spread = np.concatenate([
+        _trig_arguments()[:42],  # pi/2, pi and their neighbours, both signs
+        rng.uniform(-math.pi, 3 * math.pi, 500),
+    ])
+    for n_atoms in (1, 2, 50, 10_000):
+        inv_n = 1.0 / n_atoms
+        for cos_fac, sin_fac in ((1.0, 0.0), (0.99, 1e-5), (-0.7, 0.2), (0.6, 0.8), (1e-3, -2e-3)):
+            amplitude, psi = math.hypot(cos_fac, sin_fac), math.atan2(sin_fac, cos_fac)
+            peaks = np.multiply.outer((math.pi / 2, -math.pi / 2), np.ones(100)) - psi
+            tones = np.concatenate([spread, (peaks + rng.uniform(-1e-9, 1e-9, peaks.shape)).ravel()])
+            phase = tones + psi
+            assert np.count_nonzero(np.abs(kernels._sin(phase)) == 1.0) >= 20
+            for n_pulses in range(1, 1001):
+                sin_gamma = math.sin(n_pulses * math.pi)
+                reach = sin_gamma * amplitude
+                assert inv_n - 4.0 * (reach * reach) == inv_n  # the fast path's test
+                radicand = six_pass_radicand(phase, amplitude, inv_n, sin_gamma)
+                assert (radicand == math.sqrt(inv_n)).all(), (n_atoms, n_pulses)
+                general = kernels._cos(radicand / (np.cos(phase) * amplitude))
+                fast = kernels.readout(tones, 0.0, cos_fac, sin_fac, inv_n, sin_gamma, True)
+                assert fast.tobytes() == general.tobytes(), (n_atoms, n_pulses)
+
+
+def _always_skipping_readout():
+    """kernels.readout with the radicand test replaced by True."""
+    import inspect
+    import textwrap
+
+    source = textwrap.dedent(inspect.getsource(kernels.readout))
+    test = "if inv_n - 4.0 * (reach * reach) == inv_n:"
+    assert source.count(test) == 1
+    namespace = dict(vars(kernels))
+    exec("from __future__ import annotations\n" + source.replace(test, "if True:"), namespace)
+    return namespace["readout"]
+
+
+def test_always_skipping_the_radicand_fails_the_general_drive(monkeypatch):
+    # the mutant that takes sqrt(inv_n) at any drive: the pi train cannot
+    # tell it apart, a drive with sin_gamma = 0.9 must
+    monkeypatch.setattr(kernels, "readout", _always_skipping_readout())
+    (pi_train, general) = EQ23_DRIVES
+    assert_eq23_matches_reference(*pi_train)
+    with pytest.raises(AssertionError):
+        assert_eq23_matches_reference(*general)
 
 
 def test_kernel_without_random_tones_or_amplitude():
@@ -340,16 +403,42 @@ def _streamed_values(components, schedule, cfg, integrand, point_index):
     return next(values)
 
 
+def _readout_chunk(samples, n_random):
+    return mc._Workspace(samples, n_random, 1).readout_scratch.shape[1]
+
+
 @pytest.mark.parametrize("integrand", mc.INTEGRANDS)
-@pytest.mark.parametrize("n_random", (0, 3, 4, 5, 9))
-def test_block_streaming_equals_one_shot_bit_for_bit(default_mc, integrand, n_random):
+@pytest.mark.parametrize("n_random", (0, 1, 3, 4, 5, 9))
+def test_block_streaming_equals_one_shot_bit_for_bit(
+    default_mc, monkeypatch, integrand, n_random
+):
+    # the draws and tone sums run in blocks of 4096; the readout runs over the
+    # free draw and scratch region, in chunks of half its size (36,864
+    # samples at 9 tones)
     block = mc._BLOCK_SAMPLES
+    chunk = _readout_chunk(100_000, n_random)
+    assert chunk == (n_random + max(n_random, 2)) * block // 2
+    calls = []
+    readout = kernels.readout
+
+    def counted(tones, *args, **kwargs):
+        calls.append(tones.size)
+        return readout(tones, *args, **kwargs)
+
     components = _tones(n_random)
     sched = LockInSchedule(7, 5e-3)
-    for samples in (1, block - 1, block, block + 1, 2 * block + 17):
+    counts = {1, block - 1, block, block + 1, 2 * block + 17, chunk - 1, chunk + 1, 100_000}
+    for samples in sorted(counts):
         cfg = dataclasses.replace(default_mc, samples=samples)
         want = _one_shot_values(components, sched, cfg, integrand, 3)
-        assert np.array_equal(_streamed_values(components, sched, cfg, integrand, 3), want)
+        with monkeypatch.context() as patch:
+            patch.setattr(kernels, "readout", counted)
+            calls.clear()
+            got = _streamed_values(components, sched, cfg, integrand, 3)
+        assert got.tobytes() == want.tobytes(), samples
+        # not vacuous: the readout ran in chunks of the region's half
+        step = _readout_chunk(samples, n_random)
+        assert calls == [min(step, samples - lo) for lo in range(0, samples, step)]
         point = mc.fringe_contrast_mc(
             components, sched, cfg, integrand=integrand, point_index=3
         )
@@ -359,6 +448,32 @@ def test_block_streaming_equals_one_shot_bit_for_bit(default_mc, integrand, n_ra
         else:
             stderr = 0.0
         assert point.stderr == stderr
+    if n_random == 9:
+        assert len(calls) == 3  # per 100,000-sample point, against 25 blocks
+
+
+@pytest.mark.parametrize("drive", ((8.6e-16, True), (0.9, True), (8.6e-16, False)))
+@pytest.mark.parametrize("n_random", (0, 9))
+def test_point_in_a_reused_workspace_allocates_nothing(drive, n_random):
+    # a worker's steady state: the draws, tone sums, readout chunks and the
+    # reduction of a whole 100,000-sample point all stay in the workspace
+    samples = 100_000
+    weights = 2.0 * np.hypot(*np.random.default_rng(9).normal(size=(2, n_random)))
+    fringe = (-0.7, 0.2, 0.02, *drive)
+    work = mc._Workspace(samples, n_random, 1)
+
+    def point(index):
+        for values in mc._point_values(7, index, samples, 0.3, weights, [fringe], work):
+            mc._reduce(values)
+
+    point(0)  # first-call set-up
+    tracemalloc.start()
+    try:
+        point(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4096
 
 
 @pytest.mark.parametrize("integrand", mc.INTEGRANDS)

@@ -39,6 +39,13 @@ def test_component_validation():
         NoiseComponent(1.0, 0.0)
     with pytest.raises(ConfigError):
         NoiseComponent(1.0, 50.0, phase=math.inf)
+    # each field is finite, but the phase kernel's weight amplitude / freq is not
+    with pytest.raises(ConfigError, match="amplitude_hz / freq_hz must be finite, got inf"):
+        NoiseComponent(1e300, 1e-300)
+    assert NoiseComponent(1e300, 1e-5).amplitude_hz == 1e300
+    # numpy scalars divide as floats: the overflow is the ConfigError alone, no warning
+    with pytest.raises(ConfigError, match="amplitude_hz / freq_hz must be finite, got inf"):
+        NoiseComponent(np.float64(1e300), np.float64(1e-300))
 
 
 def test_field_conversion():
@@ -273,3 +280,16 @@ def test_grid_kernel_shapes_and_errors():
     for n_pulses, taus in ((0, [1e-3]), (7, [1e-3, -1e-3]), (7, [math.nan]), (True, [1e-3])):
         with pytest.raises(ConfigError):
             lockin.phase_kernel_grid(comps, n_pulses, taus)
+
+
+def test_grid_kernel_rejects_tones_whose_phases_leave_the_float_range():
+    # weight 1e308 is finite, but a coefficient of about 1 makes 2 hypot(a, b)
+    # inf; the bound 8 (N+1) sum(weight) catches it before any coefficient
+    with pytest.raises(ConfigError, match=r"phase bound .* at N=7 must be finite, got inf"):
+        lockin.phase_kernel_grid([NoiseComponent(1e308, 1.0)], 7, [0.25, 0.5])
+    # so does a sum of tones that are each in range
+    tones = [NoiseComponent(1e306, 1.0)] * 20
+    with pytest.raises(ConfigError, match="must be finite, got inf"):
+        lockin.phase_kernel_grid(tones, 7, [0.25])
+    a, b = lockin.phase_kernel_grid(tones[:2], 7, [0.25])
+    assert np.isfinite(2.0 * np.hypot(a, b)).all()
