@@ -1,7 +1,7 @@
 """Closed-form fringe expectations and minimal detectable phase.
 
 These are the printed formulas of the squeezed-Ramsey analysis, implemented
-verbatim and kept strictly separate from the exact Dicke-basis evolution in
+verbatim and kept strictly separate from the exact Dicke-basis results of
 ``dicke`` so that any disagreement between the two is measurable instead of
 hidden.  ``oracle_grid`` computes both sides over a phase grid, one point
 being a grid of one, and reports the residuals; nothing in this module
@@ -120,7 +120,6 @@ def _formula_entries(phases: PhaseTriple, n_atoms: int) -> dict[str, float]:
 
 def _grid_moments(
     ops: dicke.CollectiveOps,
-    css: np.ndarray,
     ordering: str,
     alphas: np.ndarray,
     betas: np.ndarray,
@@ -130,20 +129,23 @@ def _grid_moments(
     ordering, shapes (A, B, G, 3) and (A, B, G, 3, 3).
 
     "product" applies squeeze, then signal, then drive (the physical
-    sequence), and "reversed" applies them backwards, ending on the twist;
-    both run as one array-angle schedule through ``dicke._schedule_moments``.
+    sequence): R_x(gamma) R_z(beta) on ``dicke._twisted_moments``.
+    "reversed" applies them backwards: R_z(beta) alone, since the drive only
+    phases the x-CSS (a Jx eigenstate) and Jz commutes with the twist.
     "single" exponentiates the summed generator alpha*Jz^2 + beta*Jz +
     gamma*Jx in one step, which differs at every point: the bands of all
     points form one stack, propagated in a single Chebyshev pass.
     """
-    steps = [("jz2", alphas), ("jz", betas), ("jx", gammas)]
-    if ordering == "product":
-        return dicke._schedule_moments(css, steps)
-    if ordering == "reversed":
-        mean, second = dicke._schedule_moments(css, steps[::-1])  # axes (G, B, A)
-        return mean.transpose(2, 1, 0, 3), second.transpose(2, 1, 0, 3, 4)
-    dim = css.size
     grid = (alphas.size, betas.size, gammas.size)
+    if ordering != "single":
+        mean, second = dicke._twisted_moments(ops.n_atoms, alphas)
+        rotation = dicke._rotation_matrix("jz", betas)[:, None]  # (B, 1, 3, 3)
+        if ordering == "product":
+            rotation = dicke._rotation_matrix("jx", gammas) @ rotation
+        mean, second = dicke._rotate_moments(rotation, mean[:, None, None], second[:, None, None])
+        return np.broadcast_to(mean, grid + (3,)), np.broadcast_to(second, grid + (3, 3))
+    css = dicke.x_css(ops.n_atoms)
+    dim = css.size
     # weights (A, 1, 1, 1), (1, B, 1, 1), (1, 1, G, 1) against each band
     weights = [w[..., None] for w in np.ix_(alphas, betas, gammas)]
     terms = tuple(zip(weights, (ops.jz2, ops.jz, ops.jx)))
@@ -174,9 +176,9 @@ def oracle_grid(
     never asserted away: for alpha != 0 the printed formulas are known to
     deviate.
 
-    The operators and the x-CSS are built once, and each ordering's moments
-    come from ``_grid_moments`` in one batch: <Jx>, <Jz> and
-    Var(Jz) = M_zz - <Jz>^2 for every point at once.
+    The operators are built once, and each ordering's moments come from
+    ``_grid_moments`` in one batch, closed form for "product" and
+    "reversed": <Jx>, <Jz> and Var(Jz) = M_zz - <Jz>^2 for every point at once.
     """
     for ordering in orderings:
         if ordering not in ORDERINGS:
@@ -185,9 +187,8 @@ def oracle_grid(
     ops = dicke.build_collective_ops(n_atoms)
     if not points or not orderings:
         return []
-    css = dicke.x_css(n_atoms)
     grid = [np.array(values, dtype=float) for values in (alphas, betas, gammas)]
-    moments = {o: _grid_moments(ops, css, o, *grid) for o in set(orderings)}
+    moments = {o: _grid_moments(ops, o, *grid) for o in set(orderings)}
     # one row per (alpha, beta, gamma, ordering), in that order
     mean = np.stack([moments[o][0] for o in orderings], axis=-2).reshape(-1, 3)
     jzz = np.stack([moments[o][1][..., 2, 2] for o in orderings], axis=-1).reshape(-1)

@@ -15,7 +15,6 @@ plus one row, and while it sits at its default no config hash moves.
 """
 from __future__ import annotations
 
-import difflib
 import hashlib
 import json
 import math
@@ -47,6 +46,7 @@ REQUIRED = object()  # the default of a key that must be given
 
 
 def _hint(value: Any, options: Sequence[str], cutoff: float = 0.6) -> str:
+    import difflib  # only a rejected config reaches here
     close = difflib.get_close_matches(str(value), options, n=1, cutoff=cutoff)
     return f"; did you mean {close[0]!r}?" if close else ""
 

@@ -13,11 +13,11 @@ to rounding, with no step size to tune, and can serve as ground truth for
 closed-form expressions.
 A state is its plain array of amplitudes; ``css_state`` returns them
 normalised and read-only.  One evaluator, ``_schedule_moments``, runs a
-pulse schedule on them, each angle a float or an array of angles: the
-steps up to the last twist act on the amplitudes, and the rotations after
-it need no state at all: they act on the first and second moments of J as
-one SO(3) matrix, read from the state's populations and first two
-coherences in O(N).
+pulse schedule on them: the steps up to the last twist act on the
+amplitudes, and the rotations after it need no state at all: they act on
+the first and second moments of J as one SO(3) matrix, read from the
+state's populations and first two coherences in O(N).  The moments of the
+twisted x-CSS alone are closed form (``_twisted_moments``).
 ``TridiagonalOperator`` is the package's one operator type; its bands are
 the whole operator, and no dense matrix of it is built.
 
@@ -224,17 +224,14 @@ def x_css(n_atoms: int) -> np.ndarray:
     return css_state(n_atoms, np.pi / 2, 0.0)
 
 
-def _propagate(
-    generator: TridiagonalOperator, angle: float | np.ndarray, vec: np.ndarray
-) -> np.ndarray:
+def _propagate(generator: TridiagonalOperator, angle: float, vec: np.ndarray) -> np.ndarray:
     """exp(-i*angle*G) @ vec for a Hermitian tridiagonal G, or for each of a stack.
 
-    ``vec`` is one vector of shape (dim,) or a block (dim, *axes).
-    ``angle`` is a float, giving an array shaped like ``vec``, or a 1-D array
-    of A angles, giving the A results stacked as (A,) + vec.shape.  A stack
-    of P generators (bands (P, dim) and (P, dim - 1)) propagates ``vec`` with
-    each, giving (P,) + vec.shape after any angle axis.  Diagonal generators
-    (Jz, Jz^2) and all-zero angles short-circuit to exact phase factors.
+    ``vec`` is one vector of shape (dim,) or a block (dim, *axes), and the
+    result is shaped like it.  A stack of P generators (bands (P, dim) and
+    (P, dim - 1)) propagates ``vec`` with each, giving (P,) + vec.shape.
+    Diagonal generators (Jz, Jz^2) and a zero angle short-circuit to exact
+    phase factors.
     Otherwise the exponential is expanded in Chebyshev polynomials
     (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)):
 
@@ -243,25 +240,21 @@ def _propagate(
 
     where [c - h, c + h] is the Gershgorin interval of the two bands, one per
     generator of a stack.  Each T_k v follows from the previous two by one
-    banded mat-vec, so memory is O(dim) per angle and generator, and the
-    cost is about max|angle| h + O((|angle| h)^(1/3)) mat-vecs: it grows with
-    |angle| times the half-width h (N/2 for Jx at N atoms; a Jz^2 term of
-    weight w in a combined generator adds |w| N^2/8).  The vectors T_k v are
-    built once and shared by every angle, which only changes the
-    coefficients; a stack runs one recurrence on all its rows, as many terms
-    as its widest row needs.  Only terms with |J_k| < 1e-16 are dropped, and
-    |T_k| <= 1 on the interval, so the truncation error is at the level of
-    rounding.
+    banded mat-vec, so memory is O(dim) per generator, and the cost is about
+    |angle| h + O((|angle| h)^(1/3)) mat-vecs: it grows with |angle| times
+    the half-width h (N/2 for Jx at N atoms; a Jz^2 term of weight w in a
+    combined generator adds |w| N^2/8).  A stack runs one recurrence on all
+    its rows, as many terms as its widest row needs.  Only terms with
+    |J_k| < 1e-16 are dropped, and |T_k| <= 1 on the interval, so the
+    truncation error is at the level of rounding.
     """
-    angles = np.asarray(angle, dtype=float)
     diag, upper = generator.diag, generator.upper
     stack = diag.shape[:-1]  # () for one generator, (P,) for a stack
     if stack:  # broadcast_to costs more than a diagonal step on one generator
         vec = np.broadcast_to(vec, stack + vec.shape)
-    # per-row factors broadcast over the angles in front and the columns behind
-    columns = (1,) * (vec.ndim - diag.ndim)
-    if not angles.any() or not upper.any():
-        phases = np.exp(np.multiply.outer(-1j * angles, diag))
+    columns = (1,) * (vec.ndim - diag.ndim)  # per-row factors broadcast over the columns
+    if angle == 0 or not upper.any():
+        phases = np.exp(-1j * angle * diag)
         return phases.reshape(phases.shape + columns) * vec
     size = np.abs(upper)
     edge = np.zeros(stack + (1,))
@@ -269,8 +262,8 @@ def _propagate(
     low = (diag - radius).min(axis=-1, keepdims=True)
     high = (diag + radius).max(axis=-1, keepdims=True)
     centre, half_width = (high + low) / 2, (high - low) / 2
-    # one coefficient per angle and generator, broadcast over the vector's shape
-    coeffs = _chebyshev_coefficients(np.multiply.outer(angles, half_width[..., 0]))
+    # one coefficient per generator, broadcast over the vector's shape
+    coeffs = _chebyshev_coefficients(angle * half_width[..., 0])
     coeffs = np.moveaxis(coeffs, -1, 0)
     coeffs = coeffs.reshape(coeffs.shape + (1,) + columns)
     # 2 (G - c)/h, the factor of the three-term recurrence; an all-zero
@@ -283,7 +276,7 @@ def _propagate(
     for coeff in coeffs[2:]:
         prev, cur = cur, scaled.matvec(cur) - prev
         total += np.multiply(2 * coeff, cur, out=term)
-    total *= np.exp(np.multiply.outer(-1j * angles, centre[..., 0])).reshape(coeffs.shape[1:])
+    total *= np.exp(-1j * angle * centre[..., 0]).reshape(coeffs.shape[1:])
     return total
 
 
@@ -400,37 +393,46 @@ def _rotate_moments(
 
 
 def _schedule_moments(
-    amps: np.ndarray, steps: Sequence[tuple[str, float | np.ndarray]]
+    amps: np.ndarray, steps: Sequence[tuple[str, float]]
 ) -> tuple[np.ndarray, np.ndarray]:
     """<J> and M after a schedule of (generator, angle) steps run on ``amps``.
 
     ``amps`` is one state (dim,), the x-CSS for every caller; each step
-    rebinds it, so no copy of the input outlives the first step here.  Each
-    angle is a float or a 1-D array; an array runs the schedule under each
-    of its angles and adds one result axis, in step order, so the moments
-    come out shaped (*axes, 3) and (*axes, 3, 3).  Only the steps up to and including the last Jz^2
-    twist act on the amplitudes, held as (dim, *axes) with each new angle
-    axis last.  The rotations after it act on the moments instead: in the
-    Heisenberg picture each maps J to R J with R in SO(3), so their product
-    R gives <J> -> R<J> and M -> R M R^T (``_rotate_moments``), one R per
-    combination of their angles, read from the twisted states by
-    ``_spin_moments`` in O(N) each.
+    rebinds it, so no copy of the input outlives the first step here.  Only
+    the steps up to and including the last Jz^2 twist act on the amplitudes.
+    The rotations after it act on the moments instead: in the Heisenberg
+    picture each maps J to R J with R in SO(3), so their product R gives
+    <J> -> R<J> and M -> R M R^T (``_rotate_moments``), read from the
+    twisted state by ``_spin_moments`` in O(N).
     """
     ops = build_collective_ops(amps.size - 1)
     twists = [k for k, (generator, _) in enumerate(steps) if generator == "jz2"]
     split = twists[-1] + 1 if twists else 0
     for generator, angle in steps[:split]:
         amps = _propagate(ops.by_name(generator), angle, amps)
-        if np.ndim(angle):
-            amps = np.moveaxis(amps, 0, -1)
     rotation = np.eye(3)
     for generator, angle in steps[split:]:
-        if np.ndim(angle):
-            rotation = rotation[..., None, :, :]
         rotation = _rotation_matrix(generator, angle) @ rotation
-    mean, second = _spin_moments(amps.reshape(amps.shape[0], -1))
-    lead = amps.shape[1:] + (1,) * (rotation.ndim - 2)
-    return _rotate_moments(rotation, mean.reshape(lead + (3,)), second.reshape(lead + (3, 3)))
+    return _rotate_moments(rotation, *_spin_moments(amps))
+
+
+def _twisted_moments(n_atoms: int, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """<J> and M of the x-CSS after exp(-i alpha Jz^2) for each of A twists,
+    shapes (A, 3) and (A, 3, 3), closed form at every N (Kitagawa & Ueda,
+    PRA 47, 5138 (1993)).  With p = N(N-1)/8 and c = cos^{N-2}(2 alpha):
+    <J> = ((N/2) cos^{N-1}(alpha), 0, 0), M_xx = N/4 + p (1 + c),
+    M_yy = N/4 + p (1 - c), M_zz = N/4, M_yz = 2p sin(alpha) cos^{N-2}(alpha)
+    and M_xy = M_xz = 0 (R_x(pi) commutes with Jz^2 and fixes the x-CSS).
+    At N = 1, where p = 0, the power N - 2 is taken as 0: no cos^{-1} meets p.
+    """
+    half, pairs, power = n_atoms / 2, n_atoms * (n_atoms - 1) / 8, max(n_atoms - 2, 0)
+    squeeze, zero = np.cos(2 * alphas) ** power, np.zeros_like(alphas)
+    xx, yy = half / 2 + pairs * (1 + squeeze), half / 2 + pairs * (1 - squeeze)
+    yz = 2 * pairs * np.sin(alphas) * np.cos(alphas) ** power
+    mean = np.array([half * np.cos(alphas) ** (n_atoms - 1), zero, zero]).T
+    # M is symmetric, so .T moving the twist axis first leaves each block as is
+    second = np.array([[xx, zero, zero], [zero, yy, yz], [zero, yz, zero + half / 2]]).T
+    return mean, second
 
 
 def schedule_expectations(n_atoms: int, schedule: PulseSchedule) -> dict[str, float]:

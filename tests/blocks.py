@@ -56,12 +56,13 @@ def u4_sequence(params, n_photons: int, n_atoms: int) -> np.ndarray:
     each pulse acts after the free evolution preceding it.  Both commute
     with Jz, so on atom level m the train is (R_S F_m)^4 with
     F_m = exp(-i g tau m Sz): the block diagonal of the photon ⊗ atom
-    matrix.  The F_m of all levels are one multi-angle rotation about Sz.
+    matrix.  Each level's F_m is its own rotation about Sz.
     """
     sx, _, sz = stokes(n_photons)
     levels = dicke.build_collective_ops(n_atoms).jz.diag
     rot = np.exp(-1j * (np.pi / 2) * sx.diag)[:, None]
-    cycles = dicke._propagate(sz, params.g_tau * levels, np.eye(n_photons + 1, dtype=complex))
+    eye = np.eye(n_photons + 1, dtype=complex)
+    cycles = np.stack([dicke._propagate(sz, params.g_tau * m, eye) for m in levels])
     return np.linalg.matrix_power(cycles * rot, 4)
 
 

@@ -203,30 +203,34 @@ def test_single_ordering_grid_matches_per_point_propagation():
 
 
 def test_product_ordering_moments_match_drive_propagated_on_the_state():
-    # the product ordering twists the state and rotates its moments by
-    # R_x(gamma) R_z(beta); the reference propagates shift and drive on the
-    # state and reads it through the dense spin matrices
+    # the product ordering rotates the twisted CSS's closed-form moments by
+    # R_x(gamma) R_z(beta), and the reversed ordering by R_z(beta) alone; the
+    # reference propagates every step of either ordering on the state and
+    # reads it through the dense spin matrices
     alphas, betas, gammas = (0.0, 0.01, -0.3), (0.0, 0.8, -0.4), (0.0, 0.5, -1.2, 3.0)
     grid = [np.array(values) for values in (alphas, betas, gammas)]
-    for n in (1, 2, 4, 50, 200):
+    for n, ordering in itertools.product((1, 2, 4, 50, 200), ("product", "reversed")):
         ops = dicke.build_collective_ops(n)
         css = dicke.x_css(n)
-        mean, second = analytic._grid_moments(ops, css, "product", *grid)
+        mean, second = analytic._grid_moments(ops, ordering, *grid)
         assert mean.shape == (3, 3, 4, 3) and second.shape == (3, 3, 4, 3, 3)
         dense = spin_matrices(n + 1)
         sym = [[(a @ b + b @ a) / 2 for b in dense] for a in dense]
         for (i, alpha), (j, beta), (k, gamma) in itertools.product(
             enumerate(alphas), enumerate(betas), enumerate(gammas)
         ):
-            amps = dicke._propagate(ops.jz2, alpha, css)
-            amps = dicke._propagate(ops.jx, gamma, dicke._propagate(ops.jz, beta, amps))
+            steps = [(ops.jz2, alpha), (ops.jz, beta), (ops.jx, gamma)]
+            amps = css
+            for generator, angle in steps if ordering == "product" else steps[::-1]:
+                amps = dicke._propagate(generator, angle, amps)
+            where = (n, ordering, i, j, k)
             for p in range(3):
                 want = np.vdot(amps, dense[p] @ amps).real
-                assert abs(mean[i, j, k, p] - want) <= 1e-13 * max(1.0, n / 2), (n, i, j, k, p)
+                assert abs(mean[i, j, k, p] - want) <= 1e-13 * max(1.0, n / 2), (where, p)
                 for q in range(3):
                     want = np.vdot(amps, sym[p][q] @ amps).real
                     got = second[i, j, k, p, q]
-                    assert abs(got - want) <= 1e-13 * max(1.0, n * n / 4), (n, i, j, k, p, q)
+                    assert abs(got - want) <= 1e-13 * max(1.0, n * n / 4), (where, p, q)
 
 
 def test_oracle_grid_validation():

@@ -772,6 +772,19 @@ def test_cli_import_leaves_scipy_unloaded():
     assert run_fresh_interpreter(code) == "False"
 
 
+def test_loading_every_shipped_config_leaves_difflib_unloaded():
+    # only a rejected key or value asks difflib for a hint
+    root = Path(__file__).resolve().parent.parent
+    paths = [
+        str(p) for d in ("configs", "perfbench/configs") for p in sorted((root / d).glob("*.json"))
+    ]
+    code = (
+        f"import sys; from spinlock.config import load_config; "
+        f"[load_config(p) for p in {paths!r}]; print('difflib' in sys.modules)"
+    )
+    assert run_fresh_interpreter(code) == "False"
+
+
 def test_every_subcommand_leaves_scipy_unloaded(tmp_path):
     # scipy is a test-only dependency: no shipped config may need it
     config_dir = Path(__file__).resolve().parent.parent / "configs"

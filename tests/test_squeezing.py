@@ -152,22 +152,6 @@ def test_unitaries_match_dense_expm():
             assert np.abs(got - want).max() <= 1e-13, (n_photons, n_atoms, g_tau)
 
 
-def test_u4_sequence_matches_per_level_propagation():
-    # one multi-angle rotation for all atom levels against one call per level
-    for n_photons, n_atoms in ((4, 4), (10, 20), (50, 50)):
-        sx, _, sz = stokes(n_photons)
-        eye = np.eye(n_photons + 1, dtype=complex)
-        rot = np.exp(-1j * (np.pi / 2) * sx.diag)[:, None]
-        levels = dicke.build_collective_ops(n_atoms).jz.diag
-        for g_tau in (1e-3, 1e-2):
-            params = squeezing.SqueezeParams.from_g_tau(1.0, g_tau, n_photons)
-            want = np.linalg.matrix_power(
-                np.stack([rot * dicke._propagate(sz, g_tau * m, eye) for m in levels]), 4
-            )
-            got = u4_sequence(params, n_photons, n_atoms)
-            assert np.abs(got - want).max() <= 1e-14, (n_photons, n_atoms, g_tau)
-
-
 def test_level_blocks_match_per_level_expm():
     # at joint dimension 2601, each block against (R_S F_m)^4 from dense expm,
     # and the error against the largest reference block norm
