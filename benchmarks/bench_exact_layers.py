@@ -13,6 +13,10 @@ tracemalloc peak of one more call for:
 - ``dicke.full_space_oracle`` for the 192 sequential (``product`` and
   ``reversed``) comparisons of that grid, one schedule per call, as the
   ``exact`` workload of ``perfbench`` runs them;
+- ``dicke.full_space_oracle`` at its cap, N = 8, on one step of each
+  generator: the first call, which builds the 2^N tables (its wall time and
+  tracemalloc peak), and the best of the calls after it (a row records the
+  error where a checkout rejects the size);
 - ``dicke.schedule_expectations`` of ``[jz2 0.01, jx 0.3]`` (the ``exact``
   workload's twist-then-rotate) at N = 250, 2000 and 10,000;
 - ``squeezing.bch_error`` at the photon limit, (N_s, N) = (200, 48) at
@@ -47,6 +51,7 @@ BCH_SHAPE = (10, 20)
 # (N_s, N, g tau, best-of repeats)
 BCH_LIMIT_CASES = ((200, 48, 1e-2, 3), (200, 10_000, 1e-6, 9))
 SCHEDULE_ATOMS = (250, 2000, 10_000)
+ORACLE_CAP = 8
 MIXED_GRID = (200, (0.0, 0.0, 0.0, 0.3), (0.0, 0.4), (0.5, 1.0), ("single",))
 REPEATS = 9  # best-of for the BCH points and the oracle grids
 
@@ -124,6 +129,35 @@ def full_space_row() -> dict:
     return {"calls": len(schedules), "wall_s": wall, "repeats": REPEATS, "peak_mb": peak}
 
 
+def oracle_cap_row() -> dict:
+    from spinlock import dicke
+    from spinlock.errors import ConfigError
+
+    steps = [dicke.PulseStep(name, 0.3) for name in dicke.GENERATOR_NAMES]
+    row = {"n_atoms": ORACLE_CAP, "steps": [[s.generator, s.angle] for s in steps]}
+
+    def call():
+        return dicke.full_space_oracle(ORACLE_CAP, steps)
+
+    start = time.perf_counter()
+    try:
+        call()  # the first N = 8 call of this process builds the tables
+    except ConfigError as exc:
+        row["error"] = f"ConfigError: {exc}"
+        return row
+    row["first_call_s"] = time.perf_counter() - start
+    dicke._bit_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        call()
+        row["first_call_peak_mb"] = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    wall, peak = timed(call, REPEATS)
+    row.update(wall_s=wall, repeats=REPEATS, peak_mb=peak)
+    return row
+
+
 def schedule_rows() -> list[dict]:
     from spinlock import dicke
 
@@ -193,6 +227,15 @@ def main() -> int:
         f"full_space_oracle x{full['calls']}: "
         f"{full['wall_s']:.5f} s, {full['peak_mb']:.2f} MB"
     )
+    cap = oracle_cap_row()
+    if "error" in cap:
+        print(f"full_space_oracle N={ORACLE_CAP}: {cap['error']}")
+    else:
+        print(
+            f"full_space_oracle N={ORACLE_CAP}: first call {cap['first_call_s']:.5f} s, "
+            f"{cap['first_call_peak_mb']:.2f} MB; then {cap['wall_s']:.6f} s, "
+            f"{cap['peak_mb']:.2f} MB"
+        )
     schedule = schedule_rows()
     for row in schedule:
         print(
@@ -217,6 +260,7 @@ def main() -> int:
         "bch_error": bch,
         "oracle_grid": oracle,
         "full_space_oracle": full,
+        "full_space_oracle_cap": cap,
         "schedule_expectations": schedule,
         "bch_error_limits": limits,
         "mixed_oracle_grid": mixed,

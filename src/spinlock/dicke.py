@@ -19,7 +19,9 @@ the first and second moments of J as one SO(3) matrix, read from the
 state's populations and first two coherences in O(N).  The moments of the
 twisted x-CSS alone are closed form (``_twisted_moments``).
 ``TridiagonalOperator`` is the package's one operator type; its bands are
-the whole operator, and no dense matrix of it is built.
+the whole operator, and no dense matrix of it is built.  The check that
+shares none of this, ``full_space_oracle``, runs n <= 8 spins-1/2 in 2^n
+dimensions and reads Jx, Jy and Jz off bit tables (``_bit_tables``).
 
 Basis convention: amplitudes are indexed by m descending from +J, i.e.
 index 0 is m = +J and index n_atoms is m = -J.  Jz is diagonal in this
@@ -47,6 +49,8 @@ HERMITIAN_TOL = 1e-12
 NORM_TOL = 1e-12
 VARIANCE_FLOOR = -1e-10
 MAX_ATOMS = 10_000
+# the 2^n oracle's bit tables hold 3 4^n complex entries: 3 MB at n = 8
+_ORACLE_MAX_ATOMS = 8
 
 GENERATOR_NAMES = ("jx", "jy", "jz", "jz2")
 
@@ -443,58 +447,50 @@ def schedule_expectations(n_atoms: int, schedule: PulseSchedule) -> dict[str, fl
     return dict(zip(GENERATOR_NAMES, [*mean.tolist(), float(second[2, 2])]))
 
 
-@functools.lru_cache(maxsize=4)  # n_atoms <= 4
-def _pauli_sums(
-    n_atoms: int,
-) -> tuple[np.ndarray, dict[str, tuple[np.ndarray, np.ndarray]]]:
-    """Read-only 2^n collective operators, built once per n as Kronecker sums
-    of single-spin Paulis.
+@functools.lru_cache(maxsize=_ORACLE_MAX_ATOMS)
+def _bit_tables(n_atoms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only 2^n product-space tables, built once per n from bit counts.
 
-    Returns the stack of {Jx, Jy, Jz, Jz^2} in ``GENERATOR_NAMES`` order,
-    shape (4, 2^n, 2^n), and each one's ``np.linalg.eigh`` decomposition
-    (eigenvalues, eigenvectors) by name.
+    Bit j of index k is set when spin j points down.  Returns Jz's diagonal
+    m_k = n/2 - popcount(k), shape (2^n,); the phases i^popcount(k) of
+    S = diag(1, i) on every spin, (2^n,); and (H, H S^dag, I), shape
+    (3, 2^n, 2^n), with the Walsh-Hadamard H_kl = (-1)^popcount(k & l) / 2^(n/2).
+    H Jz H = Jx and S Jx S^dag = Jy, so row a takes a state to J_a's eigenbasis.
     """
-    sx = np.array([[0, 1], [1, 0]], dtype=complex) / 2
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex) / 2
-    sz = np.array([[1, 0], [0, -1]], dtype=complex) / 2
-    eye = np.eye(2, dtype=complex)
-
-    def collective(single: np.ndarray) -> np.ndarray:
-        total = np.zeros((2**n_atoms, 2**n_atoms), dtype=complex)
-        for site in range(n_atoms):
-            factors = [eye] * n_atoms
-            factors[site] = single
-            term = factors[0]
-            for f in factors[1:]:
-                term = np.kron(term, f)
-            total += term
-        return total
-
-    jz = collective(sz)
-    ops = np.stack([collective(sx), collective(sy), jz, jz @ jz])
-    eigen = {name: np.linalg.eigh(op) for name, op in zip(GENERATOR_NAMES, ops)}
-    for array in (ops, *(a for pair in eigen.values() for a in pair)):
+    bits = (np.arange(2**n_atoms)[:, None] >> np.arange(n_atoms)) & 1  # (2^n, n)
+    ones = bits.sum(axis=1)
+    m = n_atoms / 2 - ones
+    phases = np.array([1, 1j, -1, -1j])[ones % 4]
+    # popcount(k & l) is the k, l entry of bits @ bits^T
+    hadamard = (-1.0) ** (bits @ bits.T) / 2 ** (n_atoms / 2)
+    bases = np.stack([hadamard, hadamard * phases.conj(), np.eye(m.size)])
+    for array in (m, phases, bases):
         array.flags.writeable = False
-    return ops, eigen
+    return m, phases, bases
 
 
 def full_space_oracle(n_atoms: int, schedule: PulseSchedule) -> dict[str, float]:
-    """Expectations from an independent 2^n product-space simulation.
+    """Expectations from an independent 2^n product-space simulation, n <= 8.
 
-    Builds the collective operators as Kronecker sums of single-spin Paulis
-    and diagonalises each once per n with ``np.linalg.eigh``.  Starts from
-    the product |+x⟩^n, every amplitude 2^(-n/2), applies each step as
-    V diag(e^{-i angle lambda}) V^dag, and takes all four expectations from
-    one product with the stacked operators: dense eigenvectors, a different
-    algorithm from the Dicke path's banded Chebyshev expansion on purpose.
-    Only feasible for n_atoms <= 4; used to validate the symmetric-subspace
-    code.
+    Starts from |+x⟩^n, every amplitude 2^(-n/2), and builds no collective
+    operator: with the tables of ``_bit_tables``, a Jz or Jz^2 step is a
+    phase vector, a Jx step is H e^{-i angle Jz} H, and a Jy step is that
+    between S and S^dag.  <Jx>, <Jy> and <Jz> are |(H, H S^dag, I) psi|^2
+    against m, and <Jz^2> is |psi|^2 against m^2: none of the Dicke path's
+    code, on purpose.  Used to validate the symmetric-subspace code.
     """
-    _check_integer("n_atoms", n_atoms, 1, 4)
-    ops, eigen = _pauli_sums(n_atoms)
-    full = np.full(2**n_atoms, 2 ** (-n_atoms / 2), dtype=complex)
+    _check_integer("n_atoms", n_atoms, 1, _ORACLE_MAX_ATOMS)
+    m, phases, bases = _bit_tables(n_atoms)
+    hadamard, to_y, _ = bases
+    full = np.full(m.size, 2 ** (-n_atoms / 2), dtype=complex)
     for step in schedule:
-        values, vectors = eigen[step.generator]
-        full = vectors @ (np.exp(-1j * step.angle * values) * (full @ vectors.conj()))
-    moments = (ops @ full) @ full.conj()
-    return dict(zip(GENERATOR_NAMES, moments.real.tolist()))
+        turn = np.exp(-1j * step.angle * (m * m if step.generator == "jz2" else m))
+        if step.generator == "jx":
+            full = hadamard @ (turn * (hadamard @ full))
+        elif step.generator == "jy":
+            full = phases * (hadamard @ (turn * (to_y @ full)))
+        else:
+            full = turn * full
+    populations = np.abs(bases @ full) ** 2
+    jx, jy, jz = (populations @ m).tolist()
+    return {"jx": jx, "jy": jy, "jz": jz, "jz2": float(populations[2] @ (m * m))}

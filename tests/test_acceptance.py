@@ -90,10 +90,10 @@ def test_criterion_04_oracle_soundness():
     rng = np.random.default_rng(20260815)
     worst = 0.0
     for _ in range(120):
-        n_atoms = int(rng.integers(1, 5))
+        n_atoms = int(rng.integers(1, 9))
         steps = [
             PulseStep(
-                generator=str(rng.choice(["jz2", "jz", "jx"])),
+                generator=str(rng.choice(["jz2", "jz", "jx", "jy"])),
                 angle=float(rng.uniform(-np.pi, np.pi)),
             )
             for _ in range(int(rng.integers(1, 7)))
@@ -104,7 +104,8 @@ def test_criterion_04_oracle_soundness():
     report(
         4,
         worst <= 1e-10,
-        f"Dicke vs 2^N product space, 120 random schedules, max diff {worst:.2e} (tol 1e-10)",
+        f"Dicke vs 2^N product space, 120 random schedules at N=1..8, "
+        f"max diff {worst:.2e} (tol 1e-10)",
     )
 
 
