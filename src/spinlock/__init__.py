@@ -11,4 +11,4 @@ there (``from spinlock.montecarlo import McConfig``); importing the package
 loads no layer.
 """
 
-__version__ = "0.4.1"
+__version__ = "0.5.0"

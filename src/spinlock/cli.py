@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__, analytic, montecarlo, squeezing
 from .config import EXPERIMENTS, RunConfig, load_config
-from .errors import EmptyRangeError, SpinlockError
+from .errors import EmptyRangeError, SeriesError, SpinlockError
 from .lockin import LockInSchedule
 from .montecarlo import McConfig, contrast_curve, measurement_range, sensitivity_curve
 from .noise import resolve_phases, synth_noise
@@ -67,32 +67,40 @@ def _mc_config(cfg: RunConfig, n_atoms: int) -> McConfig:
     )
 
 
-def _exact(cfg: RunConfig) -> bool:
-    """Whether the contrasts are the closed-form mean (ramsey) or sampled
-    (eq23, which has no closed form)."""
-    return cfg.integrand == "ramsey"
+def _curves(curve, cfg: RunConfig, threads: int, *args):
+    """curve(*args) for cfg, and the header's estimator lines.
 
-
-def _estimator_line(cfg: RunConfig) -> str:
-    return "estimator exact" if _exact(cfg) else f"estimator mc samples={cfg.samples}"
+    Contrasts are the closed-form mean (stderr 0) where it exists: every
+    ramsey run, and every eq23 run whose series converges at every point
+    by K = montecarlo._SERIES_LAST.  Where the series cannot give it (a
+    SeriesError, most often raised before any term is summed), the whole
+    run is sampled, on threads.  An eq23 run's second line gives the
+    series' largest K and tail, which depend on the config alone (see
+    montecarlo._eq23_means).
+    """
+    kwargs = {"integrand": cfg.integrand, "toggle": cfg.toggle}
+    report: dict = {}
+    try:
+        result = curve(*args, **kwargs, exact=True, report=report)
+        lines, state = ["estimator exact"], ""
+    except SeriesError as err:
+        result = curve(*args, **kwargs, threads=threads)
+        lines, state = [f"estimator mc samples={cfg.samples}"], " unconverged"
+        report.update(terms=err.terms, tail=err.tail)
+    if cfg.integrand == "eq23":
+        lines.append(f"eq23-series terms={report['terms']} tail={_fmt(report['tail'])}{state}")
+    return result, lines
 
 
 def run_contrast(cfg: RunConfig, threads: int):
     grid_s = [x * 1e-3 for x in cfg.tau_arm_grid_ms]
-    curve = contrast_curve(
-        cfg.components(),
-        cfg.n_pulses,
-        grid_s,
-        _mc_config(cfg, cfg.n_atoms[0]),
-        integrand=cfg.integrand,
-        toggle=cfg.toggle,
-        threads=threads,
-        exact=_exact(cfg),
+    curve, comments = _curves(
+        contrast_curve, cfg, threads,
+        cfg.components(), cfg.n_pulses, grid_s, _mc_config(cfg, cfg.n_atoms[0]),
     )
     rows = [
         (p.x, p.estimate, p.stderr, cfg.n_atoms[0], cfg.alpha) for p in curve
     ]
-    comments = [_estimator_line(cfg)]
     try:
         low, high = measurement_range(curve, cfg.threshold)
         comments.append(f"measurement-range-ms {_fmt(low)} {_fmt(high)}")
@@ -103,19 +111,11 @@ def run_contrast(cfg: RunConfig, threads: int):
 
 def run_sensitivity(cfg: RunConfig, threads: int):
     grid_s = [x * 1e-3 for x in cfg.duration_grid_ms]
-    curves = sensitivity_curve(
-        cfg.components(),
-        cfg.n_atoms,
-        grid_s,
-        cfg.n_pulses,
-        _mc_config(cfg, cfg.n_atoms[0]),
-        integrand=cfg.integrand,
-        toggle=cfg.toggle,
-        threads=threads,
-        exact=_exact(cfg),
+    curves, comments = _curves(
+        sensitivity_curve, cfg, threads,
+        cfg.components(), cfg.n_atoms, grid_s, cfg.n_pulses, _mc_config(cfg, cfg.n_atoms[0]),
     )
     rows = []
-    comments = [_estimator_line(cfg)]
     for n_atoms in cfg.n_atoms:
         curve = curves[n_atoms]
         rows.extend((p.x, p.estimate, p.stderr, n_atoms) for p in curve)

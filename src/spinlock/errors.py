@@ -25,6 +25,17 @@ class NumericsError(SpinlockError):
     rather than rounding (e.g. a variance below -1e-10)."""
 
 
+class SeriesError(NumericsError):
+    """A closed-form series cannot give a mean to its tolerance (the eq23
+    Fourier series); the sampler can.  terms and tail say how far it got
+    (see montecarlo._eq23_means)."""
+
+    def __init__(self, message: str, terms: int, tail: float):
+        super().__init__(message)
+        self.terms = terms
+        self.tail = tail
+
+
 class FringeNodeError(SpinlockError):
     """Minimal detectable phase requested at a fringe node (vanishing slope)."""
 

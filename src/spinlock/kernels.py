@@ -124,7 +124,7 @@ def readout(
         phase *= amplitude / cos_fac
         return phase
     reach = sin_gamma * amplitude  # the projection's bound, up to |_sin| <= 1 + 2 ulp
-    if inv_n - 4.0 * (reach * reach) == inv_n:
+    if radicand_is_inv_n(inv_n, reach):
         # every sample's radicand rounds to inv_n exactly: skip its six passes
         radicand = math.sqrt(inv_n)
     else:
@@ -140,6 +140,12 @@ def readout(
     phase *= amplitude
     np.divide(radicand, phase, out=phase)
     return _cos(phase, out=phase, scratch=square)
+
+
+def radicand_is_inv_n(inv_n: float, reach: float) -> bool:
+    """Whether the eq23 radicand inv_n - (reach sin(beta + psi))^2 rounds to
+    inv_n at every beta, reach being sin_gamma R (see readout)."""
+    return inv_n - 4.0 * (reach * reach) == inv_n
 
 
 def _half_sin(

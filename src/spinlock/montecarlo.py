@@ -21,12 +21,14 @@ is keyed by its grid index alone, so only the readout runs once per atom
 number.  fringe_contrast_mc evaluates a grid of one point, keyed by its
 point_index.
 
-The ramsey integrand's mean also has a closed form, which _expectation
-evaluates on the same grid with stderr 0 and no stream at all; the curves
-take it with exact=True, and the sampler stays the check on it.
+Both integrands' means also have closed forms, which _expectation
+evaluates on the same grid with stderr 0 and no stream at all: ramsey's
+is one product of Bessel J0s, eq23's a Fourier series (_eq23_means).  The
+curves take them with exact=True, and the sampler stays the check on them.
 """
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass, replace
@@ -36,7 +38,14 @@ import numpy as np
 
 from . import analytic, kernels
 from .dicke import PhaseTriple
-from .errors import ConfigError, EmptyRangeError, NumericsError, _check_integer, _check_real
+from .errors import (
+    ConfigError,
+    EmptyRangeError,
+    NumericsError,
+    SeriesError,
+    _check_integer,
+    _check_real,
+)
 from .lockin import LockInSchedule, phase_kernel_grid
 from .noise import NoiseComponent
 
@@ -48,10 +57,32 @@ _TWO_PI = 2.0 * math.pi
 # ran the deep_mc benchmark 5-14% faster, but its peak RSS read 45.5 MB
 # against 42.1 MB, so points keep the smaller block
 _BLOCK_SAMPLES = 4096
-# Bessel J0 takes the midpoint rule below this argument, at most 101 nodes,
-# and the Hankel expansion from it on, so its time and memory stay O(x.size)
-# at any noise amplitude; every shipped argument (below 5) is a midpoint one
+# Bessel J0 takes a degree-12 Taylor polynomial about the nearest multiple
+# of _J0_STEP below _J0_FAR and the Hankel expansion from it on, so each
+# argument costs the same few passes however large it is
 _J0_FAR = 25.0
+_J0_STEP = 0.5
+_J0_DEGREE = 12
+# the eq23 series (_eq23_means) runs to K = _SERIES_FIRST, 2 K, 4 K, ... and
+# a point has converged once the signed sums of its last two blocks of
+# terms, [K/4, K/2) and [K/2, K), are each at most _SERIES_TOL; a point still
+# short of that at K = _SERIES_LAST has not
+_SERIES_FIRST = 256
+_SERIES_LAST = 2**16
+_SERIES_TOL = 1e-10
+# the scales a = 1/(sqrt(N) R) the series takes: the tests hold its
+# coefficients to quad at both ends.  Past a = 1 the FFT's aliasing grows as
+# a^3 (5.6e-8 at a = 4), and past a = 1420 L_n^(-1)(a) overflows
+_SERIES_SCALES = (1e-3, 1.0)
+# the coefficients F_n, n < count, come from an FFT of max(_FFT_MIN,
+# 2 count) nodes, with count = _FFT_MIN / 4 while K is at most that and
+# count = _SERIES_LAST past it.  2^15 nodes hold F_n within 3e-13 of an
+# independent quadrature at N = 50 and within 2e-10 at N = 1
+_FFT_MIN = 2**15
+# points of the series run to the end together: a (points, terms) array
+# then holds at most 2 MB, and a grid whose series does not converge stops
+# after the first group that has such a point
+_SERIES_POINTS = 16
 MAX_SEED = 2**64
 
 
@@ -331,28 +362,62 @@ def _hankel_series(terms: int) -> tuple[np.ndarray, np.ndarray]:
 _HANKEL_P, _HANKEL_Q = _hankel_series(20)
 
 
-def _j0(x: np.ndarray) -> np.ndarray:
-    """Bessel J0 of each x >= 0.
+@functools.cache
+def _j0_taylor() -> np.ndarray:
+    """Row j holds J0^(j)(x0) / j! at x0 = 0, _J0_STEP, ..., _J0_FAR, for
+    j <= _J0_DEGREE: a constant table, read-only, built on first use so
+    that no import pays for it.
 
-    Below _J0_FAR it is the midpoint rule on
-    J0(x) = (1/pi) int_0^pi cos(x sin t) dt.  The integrand is smooth and
-    pi-periodic, so M nodes integrate it up to 2 |J_2M(x)|, the first
-    Fourier term they alias.  M = ceil(x + 12 x^(1/3) + 40) at the largest
-    such x puts that far below rounding.  From _J0_FAR on it is the Hankel
-    expansion J0(x) = sqrt(2/(pi x)) (P cos chi - Q sin chi) with
-    chi = x - pi/4 (Abramowitz & Stegun 9.2.5), whose terms there shrink
-    past rounding before they start to grow.  The tests hold both to 1e-15
-    of an independent J0 on [0, 1e6].
+    J0^(j)(x) = (1/pi) int_0^pi Re[(i sin t)^j e^{i x sin t}] dt, and the
+    midpoint rule with M nodes integrates this smooth pi-periodic integrand
+    up to a Fourier term of order 2M, far below rounding for
+    M = ceil(x + 12 x^(1/3) + 40) at x = _J0_FAR.  Each entry sums its nodes
+    pairwise (np.sum): J0(x0) and J0'(x0) come out within 3.6e-16 of
+    mpmath's.
+    """
+    centers = np.arange(round(_J0_FAR / _J0_STEP) + 1) * _J0_STEP
+    nodes = math.ceil(_J0_FAR + 12.0 * _J0_FAR ** (1.0 / 3.0) + 40.0)
+    s = np.sin((np.arange(nodes) + 0.5) * (math.pi / nodes))
+    xs = np.multiply.outer(centers, s)
+    # Re[(i s)^j e^{i x s}] is s^j times cos, -sin, -cos, sin (x s) as j mod 4 runs
+    cycle = (np.cos(xs), -np.sin(xs), -np.cos(xs), np.sin(xs))
+    table = np.array(
+        [
+            (cycle[j % 4] * s**j).sum(axis=-1) / (nodes * math.factorial(j))
+            for j in range(_J0_DEGREE + 1)
+        ]
+    )
+    table.flags.writeable = False
+    return table
+
+
+def _j0(x: np.ndarray) -> np.ndarray:
+    """Bessel J0 of each x >= 0, in a time per argument that does not grow
+    with it.
+
+    Below _J0_FAR it is the Taylor polynomial of degree _J0_DEGREE about
+    the nearest table point x0 (_j0_taylor), by Horner's rule in
+    h = x - x0, |h| <= _J0_STEP / 2: |J0^(j)| <= 1, so the first term left
+    out is below 0.25^13 / 13! = 2.4e-18.  h is exact, and every partial
+    sum of Horner's rule is below 1.3, so rounding stays near 2 ulp of 1.  From _J0_FAR on
+    it is the Hankel expansion J0(x) = sqrt(2/(pi x)) (P cos chi - Q sin chi)
+    with chi = x - pi/4 (Abramowitz & Stegun 9.2.5), whose terms there
+    shrink past rounding before they start to grow.  The tests hold both to
+    1e-15 of an independent J0 on [0, 1e6].
     """
     x = np.asarray(x, dtype=float)
     out = np.empty(x.shape)
     far = x >= _J0_FAR
     y = x[~far]
-    top = float(y.max(initial=0.0))
-    nodes = math.ceil(top + 12.0 * top ** (1.0 / 3.0) + 40.0)
-    t = (np.arange(nodes) + 0.5) * (math.pi / nodes)
-    out[~far] = np.cos(np.multiply.outer(y, np.sin(t))).sum(axis=-1) / nodes
-    if far.any():  # no shipped run has one: it skips the series' 40 calls
+    piece = np.rint(y * (1.0 / _J0_STEP)).astype(np.intp)
+    h = y - piece * _J0_STEP
+    table = _j0_taylor()
+    value = table[-1].take(piece)
+    for row in table[-2::-1]:
+        value *= h
+        value += row.take(piece)
+    out[~far] = value
+    if far.any():
         y = x[far]
         w = 1.0 / y
         u = w * w  # not 1/y^2, which overflows past 1e154
@@ -365,6 +430,188 @@ def _j0(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _laguerre_weights(a: float, count: int) -> np.ndarray:
+    """alpha_n = e^{-a/2} L_n^(-1)(a) for n < count, from L_0 = 1 and
+    L_1 = -a by (n + 1) L_{n+1} = (2n - a) L_n - (n - 1) L_{n-1}.
+
+    Past n = a/4 every solution of the recurrence oscillates with an
+    amplitude that falls as n^(-3/4), so it runs forward without growth;
+    the tests hold it to scipy's eval_genlaguerre up to n = 2^16.
+    """
+    values = [1.0, -a][:count]
+    prev, cur = 1.0, -a
+    for n in range(1, count - 1):
+        prev, cur = cur, ((2 * n - a) * cur - (n - 1) * prev) / (n + 1)
+        values.append(cur)
+    return math.exp(-0.5 * a) * np.array(values)
+
+
+def _pole_product(a: float, size: int, count: int) -> np.ndarray:
+    """The Fourier coefficients n < count of (I1 - 1 - D)(I2 - 1 - D), with
+    I1 = e^{-i (a/2) cot(phi/2 + pi/4)}, I2 = e^{i (a/2) cot(phi/2 - pi/4)}
+    and D = -(i a/4) cos phi, from an FFT of its values at the size nodes
+    phi_j = (j + 1/2) 2 pi / size.
+
+    I1 has its essential singularity at phi = -pi/2, where
+    I2 - 1 = -i (a/2) tan(u/2) = D + O(u^2) in u = phi + pi/2, and I2 at
+    pi/2, where I1 - 1 = D + O(u^2) in the same way.  So the product falls
+    to 0 quadratically at both poles, where the FFT's aliasing of the
+    infinitely fast oscillation is weakest, and the half-step nodes never
+    sit on a pole.
+    """
+    from numpy import fft  # only a closed-form eq23 run loads numpy.fft
+
+    half = (np.arange(size) + 0.5) * (math.pi / size)  # phi_j / 2
+    d = -0.25j * a * np.cos(2.0 * half)
+    product = np.expm1(-0.5j * a / np.tan(half + 0.25 * math.pi)) - d
+    product *= np.expm1(0.5j * a / np.tan(half - 0.25 * math.pi)) - d
+    # node j sits half a step past the FFT's 2 pi j / size
+    shift = np.exp(-1j * (math.pi / size) * np.arange(count))
+    return fft.fft(product)[:count] * shift / size
+
+
+def _sec_coefficients(a: float, count: int) -> np.ndarray:
+    """F_n for 0 <= n < count, the Fourier coefficients of
+    g(phi) = cos(a sec phi) = sum_n F_n e^{i n phi}; F_{-n} = F_n, and F_n
+    is 0 at odd n (g has period pi).
+
+    sec phi = (cot(phi/2 + pi/4) - cot(phi/2 - pi/4)) / 2, so
+    e^{-i a sec phi} = I1 I2 (_pole_product).  The Laguerre generating
+    function sum_n L_n^(-1)(a) t^n = e^{-a t/(1 - t)} (Abramowitz & Stegun
+    22.9.15) at t = e^{i(phi + pi/2)} gives
+    I1 = sum_{n>=0} c_n e^{i n phi}, c_n = alpha_n i^n
+    (_laguerre_weights), and I2 = sum_{n>=0} c_n e^{-i n phi}.  With
+    A = I1 - 1 and B = I2 - 1,
+    I1 I2 = I1 + I2 - 1 + D A + D B - D^2 + (A - D)(B - D),
+    and every term but the last has exact coefficients: D = -(i a/8)
+    (e^{i phi} + e^{-i phi}) shifts those of A and B by one.  Only the last,
+    which vanishes quadratically at both poles, comes from an FFT, of
+    max(_FFT_MIN, 2 count) nodes; a plain FFT of g aliases its two
+    essential singularities and is still 4e-7 off at 2^24 nodes.  g is the
+    real part of the even e^{-i a sec phi}, so F_n is the real part of its
+    n-th coefficient, and at even n only the odd c_n, the imaginary ones,
+    enter D A.
+    """
+    alphas = _laguerre_weights(a, count + 1)
+    n = np.arange(count + 1)
+    real = alphas * np.array([1.0, 0.0, -1.0, 0.0])[n % 4]  # Re c_n
+    imag = alphas * np.array([0.0, 1.0, 0.0, -1.0])[n % 4]  # Im c_n
+    # Re of D A at n: (a/8) (Im c_{n-1} + Im c_{n+1}), with c_{-1} = 0
+    below = np.concatenate([[0.0], imag[: count - 1]])
+    coefficients = real[:count] + 0.125 * a * (below + imag[1:])
+    # the constant terms: -1 of I1 + I2 - 1, D B at 0, and -D^2 at 0 and 2
+    coefficients[0] += alphas[0] - 1.0 + 0.125 * a * imag[1] + a * a / 32.0
+    coefficients[2] += a * a / 64.0
+    coefficients += _pole_product(a, max(_FFT_MIN, 2 * count), count).real
+    return coefficients
+
+
+def _term_bound(scale: float, radii: np.ndarray, n: int) -> np.ndarray:
+    """A bound on each point's terms 2 |F_n| prod_k |J0(n r_k)| at order n
+    and past it, at scale a: |J0(x)| <= min(1, sqrt(2/(pi x))), since
+    x (J0(x)^2 + Y0(x)^2) rises to 2/pi, and |F_n| <= a^(1/4) n^(-3/4)
+    from n = _SERIES_FIRST on over _SERIES_SCALES (the tests check it to
+    2^16: |F_n| n^(3/4) a^(-1/4) peaks at 0.58 and tends to 1/sqrt(pi),
+    the stationary phase at the poles of sec)."""
+    envelope = np.prod(np.maximum(1.0, (0.5 * math.pi * n) * radii), axis=-1) ** -0.5
+    return 2.0 * scale**0.25 * n**-0.75 * envelope
+
+
+def _eq23_means(
+    beta0: np.ndarray, radii: np.ndarray, fringes: Sequence[tuple]
+) -> tuple[list[np.ndarray], int, float]:
+    """The exact eq23 means, shape (P,) per fringe, at P points with offsets
+    beta0 (P,) and random-tone radii r_k (P, Q), and the series' largest K
+    and tail.
+
+    Under the integer-pi drive every sample's radicand rounds to exactly
+    1/N (kernels.radicand_is_inv_n), so a sample is g(beta + psi) with
+    g(phi) = cos(a sec phi) and a = 1/(sqrt(N) R).  Over independent
+    uniform tone phases E[e^{i n beta}] = e^{i n beta0} prod_k J0(n r_k)
+    (Jacobi-Anger), so the mean is
+    F_0 + 2 sum_{n>=1} F_n cos(n (beta0 + psi)) prod_k J0(n r_k), even n
+    only (_sec_coefficients).  The sum runs over the blocks [0, 64),
+    [64, 128), [128, 256), ..., one doubling at a time, and a point stops
+    once the signed sums of its last two blocks are at most _SERIES_TOL at
+    every fringe, from K = _SERIES_FIRST on (see _FFT_MIN for the
+    coefficients each block takes).  The tail is the largest |signed sum|
+    of a point's last two blocks.  A point's sums depend on its own inputs
+    alone, in any grid, and _SERIES_POINTS of them run at a time.  Without
+    a random tone the mean is the one readout value (K 0, tail 0.0).
+
+    A SeriesError, carrying terms and tail, says before any coefficient is
+    built that the radicand is not 1/N or a is outside _SERIES_SCALES
+    (0, inf), or that some point's _term_bound from K = _SERIES_LAST / 4
+    on is above _SERIES_TOL, so its last two blocks need not fall below it
+    (0, that bound); after summing, that some point has not converged by
+    _SERIES_LAST (_SERIES_LAST, its tail).
+    """
+    if not radii.shape[-1]:
+        return [kernels.readout(beta0.copy(), 0.0, *fringe) for fringe in fringes], 0, 0.0
+    scales, phases = [], []
+    for cos_fac, sin_fac, inv_n, sin_gamma, _ in fringes:
+        amplitude = math.hypot(cos_fac, sin_fac)
+        if not kernels.radicand_is_inv_n(inv_n, sin_gamma * amplitude):
+            raise SeriesError(
+                "the eq23 series needs the integer-pi drive's radicand of 1/N", 0, math.inf
+            )
+        scales.append(math.sqrt(inv_n) / amplitude)
+        if not _SERIES_SCALES[0] <= scales[-1] <= _SERIES_SCALES[1]:
+            raise SeriesError(
+                f"the eq23 series takes a = 1/(sqrt(N) R) in {list(_SERIES_SCALES)},"
+                f" not {scales[-1]:.4g}", 0, math.inf,
+            )
+        phases.append(beta0 + math.atan2(sin_fac, cos_fac))
+    bound = _term_bound(max(scales), radii, _SERIES_LAST // 4)
+    if bound.max() > _SERIES_TOL:
+        worst = int(bound.argmax())
+        raise SeriesError(
+            f"the eq23 series need not converge by K={_SERIES_LAST} at point {worst}:"
+            f" its terms from K/4 on are bounded by {bound[worst]:.3g} only", 0,
+            float(bound[worst]),
+        )
+    phases = np.array(phases)  # (fringes, P)
+    means = np.zeros_like(phases)
+    last = np.zeros_like(phases)  # each point's last block sum per fringe
+    tails = np.zeros(len(beta0))  # its largest |sum| of the last two blocks
+    terms = np.zeros(len(beta0), dtype=int)
+    coefficients: dict[int, list[np.ndarray]] = {}
+    for first in range(0, len(beta0), _SERIES_POINTS):
+        live = np.arange(first, min(first + _SERIES_POINTS, len(beta0)))
+        low, high = 0, _SERIES_FIRST // 4
+        while live.size and high <= _SERIES_LAST:
+            level = _FFT_MIN // 4 if high <= _FFT_MIN // 4 else _SERIES_LAST
+            if level not in coefficients:
+                coefficients[level] = [_sec_coefficients(a, level) for a in scales]
+                for row in coefficients[level]:
+                    row[1:] *= 2.0  # the term at -n
+            n = np.arange(low, high, 2)
+            damping = np.ones((live.size, n.size))
+            for r in radii[live].T:
+                damping *= _j0(np.multiply.outer(r, n))
+            block = np.empty((len(scales), live.size))
+            for j, row in enumerate(coefficients[level]):
+                values = np.cos(np.multiply.outer(phases[j, live], n))
+                values *= damping
+                values *= row[n]
+                block[j] = values.sum(axis=1)
+            means[:, live] += block
+            tails[live] = np.maximum(np.abs(block), np.abs(last[:, live])).max(axis=0)
+            last[:, live] = block
+            terms[live] = high
+            if high >= _SERIES_FIRST:
+                # a NaN tail stays live, so it cannot pass for converged
+                live = live[~(tails[live] <= _SERIES_TOL)]
+            low, high = high, 2 * high
+        if live.size:
+            raise SeriesError(
+                f"the eq23 series has not converged by K={_SERIES_LAST} at point"
+                f" {live[0]}: one of its last two blocks sums to {tails[live[0]]:.3g}",
+                _SERIES_LAST, float(tails.max()),
+            )
+    return list(means), int(terms.max()), float(tails.max())
+
+
 def _expectation(
     components: Sequence[NoiseComponent],
     n_pulses: int,
@@ -374,31 +621,34 @@ def _expectation(
     toggle: bool,
     threads: int,
     first_index: int = 0,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """_evaluate's contrasts without sampling: the exact mean of the ramsey
-    integrand over the random tone phases, with stderr 0.
+) -> tuple[list[tuple[np.ndarray, np.ndarray]], int, float]:
+    """_evaluate's contrasts without sampling: the exact mean of the
+    integrand over the random tone phases, with stderr 0; and the eq23
+    series' largest K and tail (0 and 0.0 for ramsey, which has none).
 
-    The readout is (R/c) cos(beta + psi) at beta = beta0 + sum_k r_k
-    sin(theta_k), and with independent uniform theta_k the Jacobi-Anger
-    identity (Abramowitz & Stegun 9.1.42-45) gives E[e^{i beta}] =
-    e^{i beta0} prod_k J0(r_k).  So the mean is
-    (R/c) cos(beta0 + psi) prod_k J0(r_k).  No stream is read, so neither
-    threads, first_index nor the samples and seed of mcs enter.  eq23 has
-    no such form: asking for it is a ConfigError.
+    The ramsey readout is (R/c) cos(beta + psi) at
+    beta = beta0 + sum_k r_k sin(theta_k), and with independent uniform
+    theta_k the Jacobi-Anger identity (Abramowitz & Stegun 9.1.42-45) gives
+    E[e^{i beta}] = e^{i beta0} prod_k J0(r_k).  So the mean is
+    (R/c) cos(beta0 + psi) prod_k J0(r_k).  The eq23 mean is a Fourier
+    series over the same products (_eq23_means), which raises a
+    SeriesError where it cannot give it.  No stream is read, so neither
+    threads, first_index nor the samples and seed of mcs enter.
     """
     del threads, first_index
-    if integrand == "eq23":
-        raise ConfigError("the closed form covers the ramsey integrand only; eq23 is sampled")
     fringes = [_fringe(mc, integrand, n_pulses) for mc in mcs]
     a, b = phase_kernel_grid(components, n_pulses, tau_arms, toggle)
     beta0, weights = _split_fixed(components, a, b)
+    if integrand == "eq23":
+        means, terms, tail = _eq23_means(beta0, 0.5 * weights, fringes)
+        return [(m, np.zeros_like(m)) for m in means], terms, tail
     damping = np.prod(_j0(0.5 * weights), axis=-1)
     results = []
     for cos_fac, sin_fac, *_ in fringes:
         norm = math.hypot(cos_fac, sin_fac) / cos_fac  # R/c
         estimates = norm * np.cos(beta0 + math.atan2(sin_fac, cos_fac)) * damping
         results.append((estimates, np.zeros_like(estimates)))
-    return results
+    return results, 0, 0.0
 
 
 def fringe_contrast_mc(
@@ -436,24 +686,39 @@ def contrast_curve(
     toggle: bool = True,
     threads: int = 1,
     exact: bool = False,
+    report: dict | None = None,
 ) -> list[CurvePoint]:
     """Fringe contrast versus arm time; x reported in ms.
 
     Grid point i uses the phase stream keyed by point_index=i, so the curve
-    is reproducible point-by-point regardless of grid slicing or threads.  With exact=True the ramsey contrast is the closed-form mean
-    instead, with stderr 0 (see _expectation); eq23 is then a ConfigError.
+    is reproducible point-by-point regardless of grid slicing or threads.
+    With exact=True the contrast is the closed-form mean instead, with
+    stderr 0 (see _expectation), and report, when given, receives the eq23
+    series' largest K ("terms") and "tail" (0 and 0.0 for ramsey); for eq23
+    a SeriesError, which carries them instead, says that the series cannot
+    give the mean.
     """
     grid = [float(t) for t in tau_arm_grid_s]
     if not grid:
         raise ConfigError("tau_arm grid must be nonempty")
-    evaluate = _expectation if exact else _evaluate
-    [(estimates, stderrs)] = evaluate(
-        components, n_pulses, grid, [mc], integrand, toggle, threads
+    [(estimates, stderrs)] = _contrasts(
+        components, n_pulses, grid, [mc], integrand, toggle, threads, exact=exact, report=report
     )
     return [
         CurvePoint(x=tau * 1e3, estimate=e, stderr=s)
         for tau, e, s in zip(grid, estimates.tolist(), stderrs.tolist())
     ]
+
+
+def _contrasts(*args, exact: bool, report: dict | None):
+    """_expectation(*args) or _evaluate(*args), as exact says, filling
+    report with the former's largest K and tail."""
+    if not exact:
+        return _evaluate(*args)
+    curves, terms, tail = _expectation(*args)
+    if report is not None:
+        report.update(terms=terms, tail=tail)
+    return curves
 
 
 def measurement_range(
@@ -526,6 +791,7 @@ def sensitivity_curve(
     toggle: bool = True,
     threads: int = 1,
     exact: bool = False,
+    report: dict | None = None,
 ) -> dict[int, list[CurvePoint]]:
     """Sensitivity versus total interrogation window T, one curve per atom
     number; x reported in ms.
@@ -533,8 +799,8 @@ def sensitivity_curve(
     T on the grid is the full window (N+1) tau_arm.  The phase stream for a
     given T is keyed by its grid index only, shared across atom numbers, so
     curves for different N_a differ by physics and not by sampling noise.
-    With exact=True the contrasts are the closed-form ramsey means, with
-    stderr 0, as in contrast_curve.
+    With exact=True the contrasts are the closed-form means, with stderr 0,
+    and report and a SeriesError serve as in contrast_curve.
     """
     grid = [float(t) for t in duration_grid_s]
     atoms = list(n_atoms_list)
@@ -546,8 +812,9 @@ def sensitivity_curve(
         raise ConfigError("physics.n_atoms must not repeat")
     tau_arms = [duration / (n_pulses + 1) for duration in grid]
     mcs = [replace(mc, n_atoms=n) for n in atoms]
-    evaluate = _expectation if exact else _evaluate
-    curves = evaluate(components, n_pulses, tau_arms, mcs, integrand, toggle, threads)
+    curves = _contrasts(
+        components, n_pulses, tau_arms, mcs, integrand, toggle, threads, exact=exact, report=report
+    )
     result = {}
     for mc_n, (estimates, stderrs) in zip(mcs, curves):
         # dphi(alpha, 0, 0) depends on the atom number alone

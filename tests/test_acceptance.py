@@ -240,10 +240,11 @@ def test_criterion_09_thread_count_determinism(tmp_path, three_tone_noise):
         ],
         "mc": {"samples": 2000, "master_seed": 7},
     }
-    # ramsey rows are the closed form; eq23 rows are sampled by the thread pool
+    # ramsey rows are the closed form; eq23 rows under these three random
+    # tones have no converged series, so the thread pool samples them
     sizes = {}
     ok = True
-    for integrand in ("ramsey", "eq23"):
+    for integrand, estimator in (("ramsey", "# estimator exact"), ("eq23", "# estimator mc ")):
         cfg = tmp_path / f"{integrand}.json"
         cfg.write_text(json.dumps({**doc, "contrast_integrand": integrand}))
         out1 = tmp_path / f"{integrand}-threads1.csv"
@@ -251,6 +252,7 @@ def test_criterion_09_thread_count_determinism(tmp_path, three_tone_noise):
         code1 = cli.main(["contrast", "--config", str(cfg), "--output", str(out1), "--threads", "1"])
         code8 = cli.main(["contrast", "--config", str(cfg), "--output", str(out8), "--threads", "8"])
         ok = ok and code1 == 0 and code8 == 0 and out1.read_bytes() == out8.read_bytes()
+        ok = ok and estimator in out1.read_text()
         sizes[integrand] = f"{out1.stat().st_size} bytes, {len(out1.read_text().splitlines())} lines"
     report(
         9,

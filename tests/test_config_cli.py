@@ -335,7 +335,8 @@ def test_cli_is_thread_count_invariant(tmp_path):
 
 
 def run_variants(tmp_path, docs):
-    """Each config through the CLI: (rows, echoed config) per run."""
+    """Each config through the CLI: (rows, echoed config, estimator line)
+    per run."""
     results = []
     for i, doc in enumerate(docs):
         out = tmp_path / f"run{i}.csv"
@@ -343,23 +344,28 @@ def run_variants(tmp_path, docs):
         assert run_cli(["contrast", "--config", cfg_path, "--output", out]) == 0
         comments, _, rows = read_output(out)
         config_line = next(c for c in comments if c.startswith("config "))
-        results.append((rows, json.loads(config_line[len("config "):])))
+        estimator = next(c for c in comments if c.startswith("estimator "))
+        results.append((rows, json.loads(config_line[len("config "):]), estimator))
     return results
 
 
 def test_cli_seed_changes_rows(tmp_path):
-    # the seed drives the sampled eq23 rows; the ramsey rows are the closed form
+    # the seed drives the sampled rows: eq23 under three random tones, whose
+    # series does not converge; ramsey rows are the closed form
     reseeded = {"mc": {"samples": 50, "master_seed": 99}}
     eq23 = {"contrast_integrand": "eq23"}
-    (eq23_a, echo_a), (eq23_b, echo_b), (ramsey_a, _), (ramsey_b, _) = run_variants(
-        tmp_path,
-        [
-            minimal_contrast(**eq23),
-            minimal_contrast(**eq23, **reseeded),
-            minimal_contrast(),
-            minimal_contrast(**reseeded),
-        ],
+    (eq23_a, echo_a, est_a), (eq23_b, echo_b, est_b), (ramsey_a, _, est_r), (ramsey_b, _, _) = (
+        run_variants(
+            tmp_path,
+            [
+                minimal_contrast(**eq23),
+                minimal_contrast(**eq23, **reseeded),
+                minimal_contrast(),
+                minimal_contrast(**reseeded),
+            ],
+        )
     )
+    assert est_a == est_b == "estimator mc samples=50" and est_r == "estimator exact"
     assert eq23_a != eq23_b
     assert ramsey_a == ramsey_b
     assert (echo_a["mc"]["master_seed"], echo_b["mc"]["master_seed"]) == (7, 99)
@@ -400,7 +406,7 @@ def test_ramsey_rows_are_the_closed_form_with_stderr_zero(tmp_path, name):
 
 
 def test_cli_no_toggle_flows_through(tmp_path):
-    (rows_on, echo_on), (rows_off, echo_off) = run_variants(
+    (rows_on, echo_on, _), (rows_off, echo_off, _) = run_variants(
         tmp_path, [minimal_contrast(), minimal_contrast(toggle=False)]
     )
     assert rows_on != rows_off

@@ -11,7 +11,7 @@ from spinlock import kernels, montecarlo as mc
 from spinlock.analytic import min_detectable_phase
 from spinlock.config import load_config
 from spinlock.dicke import PhaseTriple
-from spinlock.errors import ConfigError, EmptyRangeError, NumericsError
+from spinlock.errors import ConfigError, EmptyRangeError, NumericsError, SeriesError
 from spinlock.lockin import LockInSchedule
 from spinlock.montecarlo import CurvePoint, McConfig
 from spinlock.noise import NoiseComponent
@@ -199,23 +199,10 @@ def test_skipped_radicand_is_the_six_passes_bit_for_bit():
                 assert fast.tobytes() == general.tobytes(), (n_atoms, n_pulses)
 
 
-def _always_skipping_readout():
-    """kernels.readout with the radicand test replaced by True."""
-    import inspect
-    import textwrap
-
-    source = textwrap.dedent(inspect.getsource(kernels.readout))
-    test = "if inv_n - 4.0 * (reach * reach) == inv_n:"
-    assert source.count(test) == 1
-    namespace = dict(vars(kernels))
-    exec("from __future__ import annotations\n" + source.replace(test, "if True:"), namespace)
-    return namespace["readout"]
-
-
 def test_always_skipping_the_radicand_fails_the_general_drive(monkeypatch):
     # the mutant that takes sqrt(inv_n) at any drive: the pi train cannot
     # tell it apart, a drive with sin_gamma = 0.9 must
-    monkeypatch.setattr(kernels, "readout", _always_skipping_readout())
+    monkeypatch.setattr(kernels, "radicand_is_inv_n", lambda inv_n, reach: True)
     (pi_train, general) = EQ23_DRIVES
     assert_eq23_matches_reference(*pi_train)
     with pytest.raises(AssertionError):
@@ -867,7 +854,7 @@ def _closed_form_z(case, mutate=lambda: None):
     sampled = _sampled(case)
     mutate()
     zs = []
-    for (estimates, stderrs), (means, exact_stderrs) in zip(sampled, mc._expectation(*args)):
+    for (estimates, stderrs), (means, exact_stderrs) in zip(sampled, mc._expectation(*args)[0]):
         assert not exact_stderrs.any()
         zs.append((estimates - means) / stderrs)
     return np.concatenate(zs)
@@ -923,10 +910,13 @@ def test_closed_form_check_catches_a_flipped_hankel_q(monkeypatch):
     assert mc._J0_FAR < r.min() and r.max() < 2 * mc._J0_FAR
 
 
-def test_closed_form_is_ramsey_only(three_tone_noise, default_mc):
-    with pytest.raises(ConfigError, match="ramsey integrand only"):
+def test_closed_form_refuses_an_unconverged_series(three_tone_noise, default_mc):
+    # three random tones damp the eq23 series too weakly for it to converge
+    # by K_max (tests/test_eq23_series.py has the converged case)
+    with pytest.raises(SeriesError, match="need not converge by K=65536") as err:
         mc.contrast_curve(three_tone_noise, 7, [5e-3], default_mc, integrand="eq23", exact=True)
-    with pytest.raises(ConfigError, match="ramsey integrand only"):
+    assert err.value.terms == 0 and err.value.tail > mc._SERIES_TOL
+    with pytest.raises(SeriesError, match="need not converge"):
         mc.sensitivity_curve(
             three_tone_noise, [50], [0.04], 7, default_mc, integrand="eq23", exact=True
         )
