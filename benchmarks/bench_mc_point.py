@@ -5,7 +5,7 @@
 Measures the checkout this file sits in (its ``src/``).  It first times the
 kernel's trig on one block of phases (4096 samples x 9 tones, drawn from
 [-pi, 3pi) like theta + phi): ns per element, best of a few calls, of
-``np.sin``, ``np.cos`` and the kernel's ``_sin`` and ``_cos``, next to the
+``np.sin``, ``np.cos`` and the kernel's ``_cos``, next to the
 SIMD extensions numpy found on the host (set ``NPY_DISABLE_CPU_FEATURES`` to
 time a narrower dispatch), and ns per tone-sample of ``montecarlo._draw``
 filling one block of 4096 samples x 3 and x 9 tones from a point's stream,
@@ -88,7 +88,6 @@ def measure_trig() -> dict:
     for name, fn in (
         ("np.sin", np.sin),
         ("np.cos", np.cos),
-        ("kernels._sin", kernels._sin),
         ("kernels._cos", kernels._cos),
     ):
         fn(x, out=out)  # first-call set-up

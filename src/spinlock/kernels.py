@@ -10,23 +10,22 @@ one sine instead of a sine and a cosine:
 
 with c = cos_fac and s = sin_fac (and c sin(beta) + s cos(beta) =
 R sin(beta + psi)).  Per sample that is Q + 1 trig evaluations for the
-ramsey integrand and Q + 3 for eq23, Q being the number of random tones,
-or Q + 2 under the integer-pi drive, where readout skips the radicand.
+ramsey integrand and Q + 2 for eq23, Q being the number of random tones
+(the N pi pulses leave eq23 no radicand to evaluate, see readout).
 The folded form agrees with the two-term expressions to rounding.
 
 Each sine and cosine but one comes from a single tangent.  With
 t = tan(h), sin(2h) / 2 = t / (1 + t^2) (_half_sin), so sin x =
-2t / (1 + t^2) and cos x = (1 - t^2) / (1 + t^2) at t = tan(x/2) (_sin,
-_cos).  numpy 2.4 dispatches float64 tan to SIMD loops but sends sin and
-cos to scalar libm: on a 2-core AVX-512 host a block of 4096 x 9 phases
-takes 3-5 ns per element through the half-angle forms against 18-26 ns
-through np.sin (benchmarks/bench_mc_point.py).  They agree with np.sin and
-np.cos to 2.22e-16 absolute over random arguments in [-pi, 3pi], [-50, 50]
-and [1e3, 1e8].  So a ramsey sample costs Q + 1 tangents and an eq23
-sample Q + 2 tangents and one np.cos, for eq23's fringe slope (Q + 1
-tangents when the radicand is skipped).  On a host whose numpy dispatches
-AVX2 at most, tan is no faster than libm and the half-angle forms take
-7-14% longer than np.sin.  Results are byte-reproducible for a given numpy
+2t / (1 + t^2) and cos x = (1 - t^2) / (1 + t^2) (_cos) at t = tan(x/2).
+numpy 2.4 dispatches float64 tan to SIMD loops but sends sin and cos to
+scalar libm: on a 2-core AVX-512 host a block of 4096 x 9 phases takes
+3-5 ns per element through the half-angle forms against 18-26 ns through
+np.sin (benchmarks/bench_mc_point.py).  They agree with np.sin and np.cos
+to 2.22e-16 absolute over random arguments in [-pi, 3pi], [-50, 50] and
+[1e3, 1e8].  So a ramsey sample costs Q + 1 tangents and an eq23 sample
+Q + 1 tangents and one np.cos, for eq23's fringe slope.  On a host whose
+numpy dispatches AVX2 at most, tan is no faster than libm and the
+half-angle forms take 7-14% longer than np.sin.  Results are byte-reproducible for a given numpy
 build and SIMD dispatch.
 
 tone_sum drops the tone phases phi_k.  Each random theta_k is uniform on
@@ -38,8 +37,8 @@ stderr keeps its distribution; only the weights 2 r_k enter.  tone_sum
 takes half phases theta/2, as the sampler draws them: the tangent's
 argument is then theta/2 with no halving pass, and the weights 2 r_k carry
 the sine's factor 2 with no doubling pass.  Both are power-of-two
-rescalings, exact in floating point, so each term has the bits of
-r_k _sin(theta).
+rescalings, exact in floating point, so each term has the bits of r_k
+times the full-angle sine 2t / (1 + t^2) at t = tan(theta/2).
 
 The kernel is two stages.  tone_sum is the random-phase part, the sum of
 r_k sin(theta_k) over the Q tones; readout turns it into fringe values for
@@ -89,7 +88,6 @@ def readout(
     cos_fac: float,
     sin_fac: float,
     inv_n: float,
-    sin_gamma: float,
     eq23: bool,
     *,
     out: np.ndarray | None = None,
@@ -99,53 +97,26 @@ def readout(
 
     In the default mode the value is the normalized fringe amplitude
     (cos_fac cos(beta) - sin_fac sin(beta)) / cos_fac; in eq23 mode it is
-    cos(delta_phi) with the phase-resolution formula evaluated at beta,
-    radicand clamped at zero.  The values go into out when given (it may
-    be tones itself), else into a new array.
-    scratch, when given, has shape (2, *tones.shape) and holds the
-    temporaries (ramsey uses scratch[0] only).
+    cos(delta_phi) with the phase-resolution formula evaluated at beta.
+    The values go into out when given (it may be tones itself), else into
+    a new array.  scratch, when given, has tones' shape and holds t^2.
 
-    The eq23 radicand is inv_n - (sin_gamma R sin(beta + psi))^2.  For the
-    integer-pi drive sin_gamma is ~1e-15, so it rounds to inv_n on every
-    sample; when inv_n - 4 (sin_gamma R)^2 == inv_n the readout takes the
-    scalar sqrt(inv_n) instead of its six passes over the samples.  That
-    is exact: |_sin| <= 1 + 2 ulp, so each squared projection is at most
-    4 (sin_gamma R)^2 and, rounding being monotone, inv_n minus it rounds
-    to inv_n too (for 1/N a normal float, N < 1e306).  A NaN factor fails
-    the test and takes the general branch, which a drive with sin_gamma
-    of order one (a pi/2 pulse) needs.
+    The eq23 radicand is inv_n - (sin(gamma) R sin(beta + psi))^2, and
+    the N pi pulses leave sin(gamma) = sin(N pi) = 0, so it is inv_n.
     """
-    square, projection = (None, None) if scratch is None else scratch
-    # phase = beta + psi, so the readout is a single cosine (and sine)
+    # phase = beta + psi, so the readout is a single cosine
     phase = np.add(tones, beta0 + math.atan2(sin_fac, cos_fac), out=out)
     amplitude = math.hypot(cos_fac, sin_fac)
     if not eq23:
-        _cos(phase, out=phase, scratch=square)
+        _cos(phase, out=phase, scratch=scratch)
         phase *= amplitude / cos_fac
         return phase
-    reach = sin_gamma * amplitude  # the projection's bound, up to |_sin| <= 1 + 2 ulp
-    if radicand_is_inv_n(inv_n, reach):
-        # every sample's radicand rounds to inv_n exactly: skip its six passes
-        radicand = math.sqrt(inv_n)
-    else:
-        projection = _sin(phase, out=projection, scratch=square)
-        projection *= reach
-        radicand = np.square(projection, out=projection)
-        np.subtract(inv_n, radicand, out=radicand)
-        np.maximum(radicand, 0.0, out=radicand)
-        np.sqrt(radicand, out=radicand)
     # the slope keeps np.cos, which is never exactly 0 for a finite
     # argument; the half-angle 1 - t^2 is 0 wherever tan rounds to +-1
     np.cos(phase, out=phase)
     phase *= amplitude
-    np.divide(radicand, phase, out=phase)
-    return _cos(phase, out=phase, scratch=square)
-
-
-def radicand_is_inv_n(inv_n: float, reach: float) -> bool:
-    """Whether the eq23 radicand inv_n - (reach sin(beta + psi))^2 rounds to
-    inv_n at every beta, reach being sin_gamma R (see readout)."""
-    return inv_n - 4.0 * (reach * reach) == inv_n
+    np.divide(math.sqrt(inv_n), phase, out=phase)
+    return _cos(phase, out=phase, scratch=scratch)
 
 
 def _half_sin(
@@ -162,16 +133,6 @@ def _half_sin(
     square = np.square(t, out=scratch)
     square += 1.0
     return np.divide(t, square, out=t)
-
-
-def _sin(
-    x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
-) -> np.ndarray:
-    """sin(x) = 2 t / (1 + t^2), t = tan(x/2), into out; t^2 into scratch."""
-    half = np.multiply(x, 0.5, out=out)
-    _half_sin(half, out=half, scratch=scratch)
-    half *= 2.0
-    return half
 
 
 def _cos(

@@ -12,10 +12,10 @@ The phase kernel runs once for the whole grid; then each point is one
 task of the thread pool.  A point streams its draws and tone sums through
 blocks of at most _BLOCK_SAMPLES, so it holds 8 bytes per sample plus two
 blocks, its draws and a scratch; its readout then runs in chunks as long
-as half of those two blocks together.  Each worker reuses one _Workspace
-for all its points: the draw buffer (the kernel takes its tangents in
-it), a scratch buffer of the same size and the rows of sums and values,
-so the hot loop allocates nothing in steady state.  Sensitivity curves
+as the scratch.  Each worker reuses one _Workspace for all its points:
+the draw buffer (the kernel takes its tangents in it), a scratch buffer
+of the same size and the rows of sums and values, so the hot loop
+allocates nothing in steady state.  Sensitivity curves
 share the draws and tone sums across atom numbers: a duration's stream
 is keyed by its grid index alone, so only the readout runs once per atom
 number.  fringe_contrast_mc evaluates a grid of one point, keyed by its
@@ -43,6 +43,7 @@ from .errors import (
     EmptyRangeError,
     NumericsError,
     SeriesError,
+    SpinlockError,
     _check_integer,
     _check_real,
 )
@@ -192,9 +193,9 @@ def _fringe(mc: McConfig, integrand: str, n_pulses: int) -> tuple:
             f"N={mc.n_atoms}, alpha={mc.alpha!r}: cos^(N-1)={cos_fac:.3e} and "
             f"sin^(N-1)={sin_fac:.3e} leave no eq23 fringe slope to divide by"
         )
-    # the bracketing drive is the N pi pulses acting about x
-    gamma = n_pulses * math.pi
-    return cos_fac, sin_fac, 1.0 / mc.n_atoms, math.sin(gamma), integrand == "eq23"
+    # the n_pulses pi pulses leave sin(gamma) exactly 0: eq23's radicand is 1/N
+    del n_pulses
+    return cos_fac, sin_fac, 1.0 / mc.n_atoms, integrand == "eq23"
 
 
 class _Workspace:
@@ -206,9 +207,8 @@ class _Workspace:
     the tone sums; and, for more than one fringe, a row of values.  All
     are views of one allocation: glibc serves a freed block that large
     again from its heap without trimming it, so a run's later curves take
-    no page faults.  The draws and the scratch sit side by side, and once
-    a point's tone sums exist both are free: the readout takes that region
-    as its two temporaries, readout_scratch, each half of it long.
+    no page faults.  Once a point's tone sums exist the scratch is free,
+    and the readout takes it as its one temporary.
     """
 
     def __init__(self, samples: int, n_tones: int, fringes: int):
@@ -219,14 +219,16 @@ class _Workspace:
             samples,
             samples if fringes > 1 else 0,
         ]
-        buffer = np.empty(sum(sizes))
+        try:
+            buffer = np.empty(sum(sizes))
+        except MemoryError:
+            raise SpinlockError(
+                f"mc.samples={samples}: the sampler's {8 * sum(sizes) / 2**30:.4g} GiB"
+                " workspace cannot be allocated"
+            ) from None
         draws, self.scratch, self.sums, values = np.split(buffer, np.cumsum(sizes)[:-1])
         self.draws = draws.reshape(block, n_tones)
         self.values = values if fringes > 1 else self.sums
-        # not min(draws.size, scratch.size): the draws are empty without
-        # random tones, and the scratch alone holds two blocks
-        chunk = (sizes[0] + sizes[1]) // 2
-        self.readout_scratch = buffer[: 2 * chunk].reshape(2, chunk)
 
 
 def _point_values(
@@ -247,20 +249,19 @@ def _point_values(
     one writes over the tone sums.  A yielded array is overwritten by the
     next one.
 
-    The readout runs in chunks as long as work.readout_scratch, 36,864
-    samples at 9 tones (3 calls per 100,000-sample point, against 25 of
-    4096).  Its steps are about ten numpy calls per chunk, and on 4096
-    samples each lasts only 1-15 us, so two threads mostly wait on each
-    other for the GIL: on a 2-core host two threads looping np.divide
-    over 4096 elements got through 0.74-0.93x the work of one thread,
-    against 1.74-1.93x over 36,864.  Every step is elementwise, so no
-    value depends on the chunk.
+    The readout runs in chunks as long as work.scratch, 36,864 samples at
+    9 tones (3 calls per 100,000-sample point, against 25 of 4096).  Its
+    steps are about ten numpy calls per chunk, and on 4096 samples each
+    lasts only 1-15 us, so two threads mostly wait on each other for the
+    GIL: on a 2-core host two threads looping np.divide over 4096 elements
+    got through 0.74-0.93x the work of one thread, against 1.74-1.93x over
+    36,864.  Every step is elementwise, so no value depends on the chunk.
     """
     draws, sums = work.draws, work.sums
     block = len(draws)
-    tone_scratch = work.scratch[: draws.size].reshape(draws.shape)
-    readout_scratch = work.readout_scratch
-    chunk = readout_scratch.shape[1]
+    scratch = work.scratch
+    tone_scratch = scratch[: draws.size].reshape(draws.shape)
+    chunk = len(scratch)
     stream = _stream(master_seed, point_index)
     for start in range(0, samples, block):
         width = min(block, samples - start)
@@ -276,7 +277,7 @@ def _point_values(
             width = min(chunk, samples - start)
             cols = slice(start, start + width)
             kernels.readout(
-                sums[cols], beta0, *fringe, out=values[cols], scratch=readout_scratch[:, :width]
+                sums[cols], beta0, *fringe, out=values[cols], scratch=scratch[:width]
             )
         yield values
 
@@ -524,8 +525,8 @@ def _eq23_means(
     beta0 (P,) and random-tone radii r_k (P, Q), and the series' largest K
     and tail.
 
-    Under the integer-pi drive every sample's radicand rounds to exactly
-    1/N (kernels.radicand_is_inv_n), so a sample is g(beta + psi) with
+    The N pi pulses leave every sample's radicand at exactly 1/N (see
+    kernels.readout), so a sample is g(beta + psi) with
     g(phi) = cos(a sec phi) and a = 1/(sqrt(N) R).  Over independent
     uniform tone phases E[e^{i n beta}] = e^{i n beta0} prod_k J0(n r_k)
     (Jacobi-Anger), so the mean is
@@ -540,22 +541,17 @@ def _eq23_means(
     a random tone the mean is the one readout value (K 0, tail 0.0).
 
     A SeriesError, carrying terms and tail, says before any coefficient is
-    built that the radicand is not 1/N or a is outside _SERIES_SCALES
-    (0, inf), or that some point's _term_bound from K = _SERIES_LAST / 4
-    on is above _SERIES_TOL, so its last two blocks need not fall below it
-    (0, that bound); after summing, that some point has not converged by
-    _SERIES_LAST (_SERIES_LAST, its tail).
+    built that a is outside _SERIES_SCALES (0, inf), or that some point's
+    _term_bound from K = _SERIES_LAST / 4 on is above _SERIES_TOL, so its
+    last two blocks need not fall below it (0, that bound); after summing,
+    that some point has not converged by _SERIES_LAST (_SERIES_LAST, its
+    tail).
     """
     if not radii.shape[-1]:
         return [kernels.readout(beta0.copy(), 0.0, *fringe) for fringe in fringes], 0, 0.0
     scales, phases = [], []
-    for cos_fac, sin_fac, inv_n, sin_gamma, _ in fringes:
-        amplitude = math.hypot(cos_fac, sin_fac)
-        if not kernels.radicand_is_inv_n(inv_n, sin_gamma * amplitude):
-            raise SeriesError(
-                "the eq23 series needs the integer-pi drive's radicand of 1/N", 0, math.inf
-            )
-        scales.append(math.sqrt(inv_n) / amplitude)
+    for cos_fac, sin_fac, inv_n, _ in fringes:
+        scales.append(math.sqrt(inv_n) / math.hypot(cos_fac, sin_fac))
         if not _SERIES_SCALES[0] <= scales[-1] <= _SERIES_SCALES[1]:
             raise SeriesError(
                 f"the eq23 series takes a = 1/(sqrt(N) R) in {list(_SERIES_SCALES)},"

@@ -96,7 +96,7 @@ def test_walker_flags_a_deleted_name():
         "    from spinlock import kernels, montecarlo as mc\n"
         "    import spinlock.cli as entry\n"
         "    return (dicke.schedule_expectations, dicke.gone_accessor, kernels.gone_fn,\n"
-        "            kernels._sin, mc._stream, mc.gone_draw, entry.main, entry.gone_main)\n"
+        "            kernels._cos, mc._stream, mc.gone_draw, entry.main, entry.gone_main)\n"
     )
     references = spinlock_references(tree)
     assert references == {
@@ -107,7 +107,7 @@ def test_walker_flags_a_deleted_name():
         "spinlock.dicke.gone_accessor",
         "spinlock.kernels",
         "spinlock.kernels.gone_fn",
-        "spinlock.kernels._sin",
+        "spinlock.kernels._cos",
         "spinlock.montecarlo",
         "spinlock.montecarlo._stream",
         "spinlock.montecarlo.gone_draw",
@@ -119,7 +119,7 @@ def test_walker_flags_a_deleted_name():
         ("spinlock.montecarlo.McConfig", True),
         ("spinlock.montecarlo.gone_sampler", False),
         ("spinlock.dicke.gone_accessor", False),
-        ("spinlock.kernels._sin", True),
+        ("spinlock.kernels._cos", True),
         ("spinlock.kernels.gone_fn", False),
         ("spinlock.montecarlo.gone_draw", False),
         ("spinlock.cli.gone_main", False),

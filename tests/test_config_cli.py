@@ -453,6 +453,54 @@ def test_unwritable_output_is_an_error_and_leaves_no_file(tmp_path, capsys, monk
     assert not out.exists()
 
 
+def test_sampler_workspace_that_cannot_be_allocated_is_an_error_line(tmp_path):
+    # three random tones refuse the eq23 series, so 10^12 samples per point
+    # ask the sampler for a 7.3 TiB workspace.  The child caps its own
+    # address space at 4 GiB, so the request fails there whatever the host
+    # would overcommit
+    doc = minimal_contrast(contrast_integrand="eq23")
+    doc["mc"]["samples"] = 10**12
+    out = tmp_path / "out.csv"
+    argv = ["contrast", "--config", write_config(tmp_path, doc), "--output", str(out)]
+    code = (
+        "import contextlib, io, json, resource\n"
+        "from spinlock import cli\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        "cap = 2**32 if hard == resource.RLIM_INFINITY else min(2**32, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+        "with contextlib.redirect_stderr(io.StringIO()) as err:\n"
+        f"    status = cli.main({argv!r})\n"
+        "print(json.dumps([status, err.getvalue()]))"
+    )
+    status, err = json.loads(run_fresh_interpreter(code))
+    assert status == 2
+    assert err.startswith("error: mc.samples=1000000000000: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+def test_ramsey_run_takes_any_sample_count_under_the_same_cap(tmp_path):
+    # ramsey rows are the closed form and draw nothing, so config sets no
+    # cap on mc.samples: 10^12 runs in a child held to 4 GiB
+    doc = minimal_contrast()
+    doc["mc"]["samples"] = 10**12
+    out = tmp_path / "out.csv"
+    argv = ["contrast", "--config", write_config(tmp_path, doc), "--output", str(out)]
+    code = (
+        "import json, resource\n"
+        "from spinlock import cli\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        "cap = 2**32 if hard == resource.RLIM_INFINITY else min(2**32, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, hard))\n"
+        f"print(json.dumps(cli.main({argv!r})))"
+    )
+    assert json.loads(run_fresh_interpreter(code)) == 0
+    few = tmp_path / "few.csv"
+    assert run_cli(["contrast", "--config", write_config(tmp_path, minimal_contrast(), "few.json"),
+                    "--output", few]) == 0
+    _, header, rows = read_output(out)
+    assert (header, rows) == read_output(few)[1:] and len(rows) == 3
+
+
 def test_cli_rejects_mismatched_subcommand(tmp_path, capsys):
     cfg_path = write_config(tmp_path, minimal_contrast())
     assert run_cli(["sensitivity", "--config", cfg_path]) == 2

@@ -240,6 +240,27 @@ def test_no_random_tone_is_one_readout_value():
         assert mean == kernels.readout(np.zeros(1), float(beta0[p]), *fringe)[0]
 
 
+def test_every_pi_train_reads_out_as_seven_pulses():
+    # sin(10^6 pi) rounds to -2.2e-10, not 0, but the pulses leave sin(gamma)
+    # exactly 0 at any N: the series and the sampler both take the radicand
+    # 1/N, at N = 10^4 where pi's rounding would have moved it
+    cfg = load_config(str(DEEP_MC))
+    components = cfg.components()
+    a, b = phase_kernel_grid(components, cfg.n_pulses, [2.5e-3, 6e-3], True)
+    beta0, weights = mc._split_fixed(components, a, b)
+    atoms = McConfig(20_000, 5, 10_000, cfg.chi, cfg.squeeze_duration)
+    seven, million = (mc._fringe(atoms, "eq23", n) for n in (7, 10**6))
+    assert abs(math.sin(10**6 * math.pi)) > 1e-10
+    (want,), terms, tail = mc._eq23_means(beta0, 0.5 * weights, [seven])
+    (got,), *rest = mc._eq23_means(beta0, 0.5 * weights, [million])
+    assert got.tobytes() == want.tobytes() and rest == [terms, tail]
+    work = mc._Workspace(atoms.samples, weights.shape[-1], 2)
+    for p in range(len(beta0)):
+        args = (atoms.master_seed, p, atoms.samples, float(beta0[p]), weights[p])
+        sampled = mc._point_values(*args, [seven, million], work)
+        assert next(sampled).tobytes() == next(sampled).tobytes()
+
+
 def _refuses_before_any_coefficient(monkeypatch, match, *args):
     def built(*_):
         raise AssertionError("a coefficient was built")
@@ -249,15 +270,6 @@ def _refuses_before_any_coefficient(monkeypatch, match, *args):
         mc._eq23_means(*args)
     assert err.value.terms == 0
     return err.value.tail
-
-
-def test_general_radicand_is_a_series_error(monkeypatch):
-    # a pi/2 drive: the radicand is not 1/N, so a sample is not g(beta + psi)
-    fringe = (1.0, 0.0, 0.02, 0.9, True)
-    tail = _refuses_before_any_coefficient(
-        monkeypatch, "radicand", np.zeros(2), np.ones((2, 9)), [fringe]
-    )
-    assert tail == math.inf
 
 
 @pytest.mark.parametrize("n_atoms, alpha", ((30, math.pi / 4), (300_000, 0.01), (10**8, 0.0)))

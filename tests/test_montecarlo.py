@@ -11,7 +11,13 @@ from spinlock import kernels, montecarlo as mc
 from spinlock.analytic import min_detectable_phase
 from spinlock.config import load_config
 from spinlock.dicke import PhaseTriple
-from spinlock.errors import ConfigError, EmptyRangeError, NumericsError, SeriesError
+from spinlock.errors import (
+    ConfigError,
+    EmptyRangeError,
+    NumericsError,
+    SeriesError,
+    SpinlockError,
+)
 from spinlock.lockin import LockInSchedule
 from spinlock.montecarlo import CurvePoint, McConfig
 from spinlock.noise import NoiseComponent
@@ -97,15 +103,14 @@ def test_sampling_matches_pcg64_uniforms_bit_for_bit():
         assert draws.tobytes() == expected.tobytes()
 
 
-def two_term_contrast(theta, a, b, beta0, cos_fac, sin_fac, inv_n, sin_gamma, eq23):
-    """Reference: the kernel contract spelled out term by term."""
+def two_term_contrast(theta, a, b, beta0, cos_fac, sin_fac, inv_n, eq23):
+    """Reference: the kernel contract spelled out term by term.  The N pi
+    pulses leave sin(gamma) = 0, so eq23's radicand is inv_n."""
     beta = beta0 + np.sin(theta) @ a + np.cos(theta) @ b
-    if not eq23:
-        return (cos_fac * np.cos(beta) - sin_fac * np.sin(beta)) / cos_fac
-    projection = sin_gamma * (cos_fac * np.sin(beta) + sin_fac * np.cos(beta))
-    radicand = np.maximum(inv_n - projection * projection, 0.0)
     denominator = cos_fac * np.cos(beta) - sin_fac * np.sin(beta)
-    return np.cos(np.sqrt(radicand) / denominator)
+    if not eq23:
+        return denominator / cos_fac
+    return np.cos(np.sqrt(inv_n) / denominator)
 
 
 def assert_kernel_matches_reference(theta, a, b, beta0, *fringe, tol=1e-12):
@@ -124,9 +129,7 @@ def assert_kernel_matches_reference(theta, a, b, beta0, *fringe, tol=1e-12):
     consumed = half_theta.copy()
     scratch = np.full(theta.shape, np.nan)
     assert kernels.tone_sum(consumed, weights, out=out, scratch=scratch) is out
-    assert kernels.readout(
-        out, beta0, *fringe, out=out, scratch=np.full((2, *out.shape), np.nan)
-    ) is out
+    assert kernels.readout(out, beta0, *fringe, out=out, scratch=np.full(out.shape, np.nan)) is out
     assert np.array_equal(out, values)
     assert values.shape == (theta.shape[0],)
     shifted = theta - np.arctan2(b, a)
@@ -140,12 +143,10 @@ def test_kernel_matches_two_term_formula_on_ramsey():
     a = rng.normal(size=3)
     b = rng.normal(size=3)
     for cos_fac, sin_fac in ((0.99, 1e-5), (0.99, 0.3), (-0.7, 0.2), (-0.7, -0.0)):
-        assert_kernel_matches_reference(
-            theta, a, b, 0.3, cos_fac, sin_fac, 0.02, 8.6e-16, False
-        )
+        assert_kernel_matches_reference(theta, a, b, 0.3, cos_fac, sin_fac, 0.02, False)
 
 
-def assert_eq23_matches_reference(cos_fac, sin_fac, sin_gamma):
+def assert_eq23_matches_reference(cos_fac, sin_fac):
     # eq23 divides by the fringe slope; near slope zero the cosine argument
     # explodes and last-bit trig differences are amplified, so agreement is
     # asserted on a phase range that keeps the slope away from zero
@@ -153,60 +154,12 @@ def assert_eq23_matches_reference(cos_fac, sin_fac, sin_gamma):
     theta = rng.uniform(0, 2 * math.pi, (4000, 3))
     a = 0.05 * rng.normal(size=3)
     b = 0.05 * rng.normal(size=3)
-    assert_kernel_matches_reference(theta, a, b, 0.1, cos_fac, sin_fac, 0.02, sin_gamma, True)
-
-
-EQ23_DRIVES = ((0.99, 1e-5, 8.6e-16), (-0.7, 0.2, 0.9))  # the pi train, and sin_gamma ~ 1
+    assert_kernel_matches_reference(theta, a, b, 0.1, cos_fac, sin_fac, 0.02, True)
 
 
 def test_kernel_matches_two_term_formula_on_eq23_away_from_nodes():
-    for cos_fac, sin_fac, sin_gamma in EQ23_DRIVES:
-        assert_eq23_matches_reference(cos_fac, sin_fac, sin_gamma)
-
-
-def six_pass_radicand(phase, amplitude, inv_n, sin_gamma):
-    """The eq23 radicand as the readout's general branch forms it."""
-    projection = kernels._sin(phase) * (sin_gamma * amplitude)
-    return np.sqrt(np.maximum(inv_n - np.square(projection), 0.0))
-
-
-def test_skipped_radicand_is_the_six_passes_bit_for_bit():
-    # the pi-pulse trains n = 1 ... 1000 leave sin(n pi) of 1e-16 to 3e-13,
-    # and the readout takes sqrt(inv_n) for the radicand instead of six
-    # passes; at every fringe amplitude the phases include some where
-    # |_sin| reaches 1, so the projection takes its largest value
-    rng = np.random.default_rng(41)
-    spread = np.concatenate([
-        _trig_arguments()[:42],  # pi/2, pi and their neighbours, both signs
-        rng.uniform(-math.pi, 3 * math.pi, 500),
-    ])
-    for n_atoms in (1, 2, 50, 10_000):
-        inv_n = 1.0 / n_atoms
-        for cos_fac, sin_fac in ((1.0, 0.0), (0.99, 1e-5), (-0.7, 0.2), (0.6, 0.8), (1e-3, -2e-3)):
-            amplitude, psi = math.hypot(cos_fac, sin_fac), math.atan2(sin_fac, cos_fac)
-            peaks = np.multiply.outer((math.pi / 2, -math.pi / 2), np.ones(100)) - psi
-            tones = np.concatenate([spread, (peaks + rng.uniform(-1e-9, 1e-9, peaks.shape)).ravel()])
-            phase = tones + psi
-            assert np.count_nonzero(np.abs(kernels._sin(phase)) == 1.0) >= 20
-            for n_pulses in range(1, 1001):
-                sin_gamma = math.sin(n_pulses * math.pi)
-                reach = sin_gamma * amplitude
-                assert inv_n - 4.0 * (reach * reach) == inv_n  # the fast path's test
-                radicand = six_pass_radicand(phase, amplitude, inv_n, sin_gamma)
-                assert (radicand == math.sqrt(inv_n)).all(), (n_atoms, n_pulses)
-                general = kernels._cos(radicand / (np.cos(phase) * amplitude))
-                fast = kernels.readout(tones, 0.0, cos_fac, sin_fac, inv_n, sin_gamma, True)
-                assert fast.tobytes() == general.tobytes(), (n_atoms, n_pulses)
-
-
-def test_always_skipping_the_radicand_fails_the_general_drive(monkeypatch):
-    # the mutant that takes sqrt(inv_n) at any drive: the pi train cannot
-    # tell it apart, a drive with sin_gamma = 0.9 must
-    monkeypatch.setattr(kernels, "radicand_is_inv_n", lambda inv_n, reach: True)
-    (pi_train, general) = EQ23_DRIVES
-    assert_eq23_matches_reference(*pi_train)
-    with pytest.raises(AssertionError):
-        assert_eq23_matches_reference(*general)
+    for cos_fac, sin_fac in ((0.99, 1e-5), (-0.7, 0.2)):
+        assert_eq23_matches_reference(cos_fac, sin_fac)
 
 
 def test_kernel_without_random_tones_or_amplitude():
@@ -218,9 +171,17 @@ def test_kernel_without_random_tones_or_amplitude():
         (silent, np.zeros(2), np.zeros(2)),
     ):
         for eq23 in (False, True):
-            args = (theta, a, b, 0.4, -0.7, 0.2, 0.02, 0.9, eq23)
+            args = (theta, a, b, 0.4, -0.7, 0.2, 0.02, eq23)
             values = assert_kernel_matches_reference(*args)
             assert np.all(values == values[0])
+
+
+def _sin(x, out=None, scratch=None):
+    """sin x as tone_sum takes it, 2 _half_sin(x/2), into out; t^2 into scratch."""
+    half = np.multiply(x, 0.5, out=out)
+    kernels._half_sin(half, out=half, scratch=scratch)
+    half *= 2.0
+    return half
 
 
 def test_half_phase_terms_are_full_phase_sines_bit_for_bit():
@@ -230,7 +191,7 @@ def test_half_phase_terms_are_full_phase_sines_bit_for_bit():
     uniforms = rng.random((20_000, 9))
     a, b = rng.normal(size=(2, 9))
     phi, r = np.arctan2(b, a), np.hypot(a, b)
-    full = kernels._sin(uniforms * (2 * math.pi) + phi) * r
+    full = _sin(uniforms * (2 * math.pi) + phi) * r
     half = kernels._half_sin(uniforms * math.pi + 0.5 * phi) * (2.0 * r)
     assert half.tobytes() == full.tobytes()
 
@@ -265,11 +226,10 @@ def test_hot_loop_allocates_nothing_with_caller_buffers(eq23, samples, n_random)
     draws = rng.uniform(0, math.pi, (samples, n_random))
     weights = 2.0 * np.hypot(*rng.normal(size=(2, n_random)))
     beta0 = float(rng.normal())
-    fringe = (-0.7, 0.2, 0.02, 0.9, eq23)
+    fringe = (-0.7, 0.2, 0.02, eq23)
     sums = np.empty(samples)
     scratch = np.empty(max(n_random, 2) * samples)
     tone_scratch = scratch[: draws.size].reshape(draws.shape)
-    readout_scratch = scratch[: 2 * sums.size].reshape(2, *sums.shape)
     block = draws.nbytes
 
     def peak(run):
@@ -285,7 +245,7 @@ def test_hot_loop_allocates_nothing_with_caller_buffers(eq23, samples, n_random)
 
     def with_buffers(half_theta):
         kernels.tone_sum(half_theta, weights, out=sums, scratch=tone_scratch)
-        kernels.readout(sums, beta0, *fringe, out=sums, scratch=readout_scratch)
+        kernels.readout(sums, beta0, *fringe, out=sums, scratch=scratch[: sums.size])
         mc._reduce(sums)
 
     def without(half_theta):
@@ -297,7 +257,7 @@ def test_hot_loop_allocates_nothing_with_caller_buffers(eq23, samples, n_random)
     assert peak(without) >= min(block, sums.nbytes)
 
 
-HALF_ANGLE_TRIG = ((kernels._sin, np.sin), (kernels._cos, np.cos))
+HALF_ANGLE_TRIG = ((_sin, np.sin), (kernels._cos, np.cos))
 
 
 def _trig_arguments():
@@ -325,7 +285,7 @@ def test_half_angle_trig_matches_numpy(half_angle, reference):
     assert np.array_equal(np.signbit(signed_zeros), np.signbit(reference([0.0, -0.0])))
 
 
-@pytest.mark.parametrize("half_angle", (kernels._half_sin, kernels._sin, kernels._cos))
+@pytest.mark.parametrize("half_angle", (kernels._half_sin, _sin, kernels._cos))
 def test_half_angle_trig_bits_do_not_depend_on_layout(half_angle):
     # a point streams its samples through blocks and a thread pool schedules
     # the points, so an element's value must not depend on where it sits in
@@ -370,7 +330,6 @@ def _one_shot_values(components, schedule, cfg, integrand, point_index):
         analytic.cos_factor(cfg.alpha, cfg.n_atoms),
         analytic.sin_factor(cfg.alpha, cfg.n_atoms),
         1.0 / cfg.n_atoms,
-        math.sin(schedule.n_pulses * math.pi),
         integrand == "eq23",
         out=tones,
     )
@@ -391,7 +350,7 @@ def _streamed_values(components, schedule, cfg, integrand, point_index):
 
 
 def _readout_chunk(samples, n_random):
-    return mc._Workspace(samples, n_random, 1).readout_scratch.shape[1]
+    return len(mc._Workspace(samples, n_random, 1).scratch)
 
 
 @pytest.mark.parametrize("integrand", mc.INTEGRANDS)
@@ -399,12 +358,11 @@ def _readout_chunk(samples, n_random):
 def test_block_streaming_equals_one_shot_bit_for_bit(
     default_mc, monkeypatch, integrand, n_random
 ):
-    # the draws and tone sums run in blocks of 4096; the readout runs over the
-    # free draw and scratch region, in chunks of half its size (36,864
-    # samples at 9 tones)
+    # the draws and tone sums run in blocks of 4096; the readout runs in
+    # chunks as long as the freed scratch (36,864 samples at 9 tones)
     block = mc._BLOCK_SAMPLES
     chunk = _readout_chunk(100_000, n_random)
-    assert chunk == (n_random + max(n_random, 2)) * block // 2
+    assert chunk == max(n_random, 2) * block
     calls = []
     readout = kernels.readout
 
@@ -423,7 +381,7 @@ def test_block_streaming_equals_one_shot_bit_for_bit(
             calls.clear()
             got = _streamed_values(components, sched, cfg, integrand, 3)
         assert got.tobytes() == want.tobytes(), samples
-        # not vacuous: the readout ran in chunks of the region's half
+        # not vacuous: the readout ran in chunks of the scratch's length
         step = _readout_chunk(samples, n_random)
         assert calls == [min(step, samples - lo) for lo in range(0, samples, step)]
         point = mc.fringe_contrast_mc(
@@ -439,18 +397,28 @@ def test_block_streaming_equals_one_shot_bit_for_bit(
         assert len(calls) == 3  # per 100,000-sample point, against 25 blocks
 
 
-@pytest.mark.parametrize("drive", ((8.6e-16, True), (0.9, True), (8.6e-16, False)))
+# eq23 and ramsey at one atom number, and an eq23 curve at two, whose first
+# readout goes into the workspace's separate row of values
+WORKSPACE_FRINGES = (
+    [(-0.7, 0.2, 0.02, True)],
+    [(-0.7, 0.2, 0.02, False)],
+    [(-0.7, 0.2, 0.02, True), (0.9, -0.1, 0.002, True)],
+)
+
+
+@pytest.mark.parametrize("fringes", WORKSPACE_FRINGES, ids=("eq23", "ramsey", "eq23-two-n"))
 @pytest.mark.parametrize("n_random", (0, 9))
-def test_point_in_a_reused_workspace_allocates_nothing(drive, n_random):
+def test_point_in_a_reused_workspace_allocates_nothing(fringes, n_random):
     # a worker's steady state: the draws, tone sums, readout chunks and the
     # reduction of a whole 100,000-sample point all stay in the workspace
     samples = 100_000
     weights = 2.0 * np.hypot(*np.random.default_rng(9).normal(size=(2, n_random)))
-    fringe = (-0.7, 0.2, 0.02, *drive)
-    work = mc._Workspace(samples, n_random, 1)
+    work = mc._Workspace(samples, n_random, len(fringes))
+    if len(fringes) > 1:
+        assert not np.shares_memory(work.values, work.sums)
 
     def point(index):
-        for values in mc._point_values(7, index, samples, 0.3, weights, [fringe], work):
+        for values in mc._point_values(7, index, samples, 0.3, weights, fringes, work):
             mc._reduce(values)
 
     point(0)  # first-call set-up
@@ -461,6 +429,27 @@ def test_point_in_a_reused_workspace_allocates_nothing(drive, n_random):
     finally:
         tracemalloc.stop()
     assert peak <= 4096
+
+
+def test_workspace_that_cannot_be_allocated_names_mc_samples(monkeypatch):
+    # numpy's _ArrayMemoryError is a MemoryError; the workspace turns it into
+    # one error line that names the sample count and the size asked for
+    requested = []
+
+    def refuse(count):
+        requested.append(count)
+        raise MemoryError
+
+    monkeypatch.setattr(mc.np, "empty", refuse)
+    with pytest.raises(SpinlockError) as err:
+        mc._Workspace(10**12, 3, 2)
+    (count,) = requested
+    assert count >= 2 * 10**12
+    assert str(err.value) == (
+        f"mc.samples=1000000000000: the sampler's {8 * count / 2**30:.4g} GiB"
+        " workspace cannot be allocated"
+    )
+    assert err.value.__cause__ is None and err.value.__suppress_context__
 
 
 @pytest.mark.parametrize("integrand", mc.INTEGRANDS)
